@@ -7,10 +7,11 @@
 of ``--tol``, the job's ``"tol"`` key and the environment variable
 ``PSDFACTOR_TOL``, else ``1e-8``; it must be a finite nonnegative number.
 ``--seed`` and ``--trials`` likewise win over the job's ``"seed"`` and
-``"trials"`` keys (defaults 0 and 100) and must be nonnegative integers.
+``"trials"`` keys (defaults 0 and 100) and must be nonnegative integers;
+``--threads`` (default 1) must be an integer >= 1.
 Exit codes: 0 = completed (feasible and infeasible both count), 2 = a
-hypothesis gate failed, 3 = malformed input, a malformed tolerance, seed or
-trial count included.
+hypothesis gate failed, 3 = malformed input, a malformed tolerance, seed,
+trial count or thread count included.
 
 Reports are deterministic: a fixed JobSpec yields a byte-identical report
 apart from the ``wall_clock_s`` field, independent of ``--threads``.
@@ -82,14 +83,14 @@ def _tolerance(value, source):
     return tol
 
 
-def _count(value, source):
-    """A seed or trial count: a nonnegative integer, or ParseError."""
+def _count(value, source, least=0):
+    """A seed, trial or thread count: an integer >= least, or ParseError."""
     try:
         n = int(value)
     except (TypeError, ValueError, OverflowError):
-        n = -1
-    if isinstance(value, bool) or n < 0 or (isinstance(value, float) and n != value):
-        raise ParseError(f"{source}: {value!r} is not a nonnegative integer")
+        n = least - 1
+    if isinstance(value, bool) or n < least or (isinstance(value, float) and n != value):
+        raise ParseError(f"{source}: {value!r} is not an integer >= {least}")
     return n
 
 
@@ -368,7 +369,7 @@ def build_parser():
     p.add_argument("--tol", default=None)
     p.add_argument("--seed", default=None)
     p.add_argument("--trials", default=None)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", default="1")
     p.add_argument("--version", action="version", version=__version__)
     return p
 
@@ -402,7 +403,8 @@ def main(argv=None) -> int:
         tol = _setting(args.tol, job, "tol", _tolerance, DEFAULT_TOL, env="PSDFACTOR_TOL")
         seed = _setting(args.seed, job, "seed", _count, 0)
         trials = _setting(args.trials, job, "trials", _count, 100)
-        report = run_job(args.command, job, tol, seed, trials, args.threads)
+        threads = _count(args.threads, "--threads", least=1)
+        report = run_job(args.command, job, tol, seed, trials, threads)
     except ParseError as exc:
         print(f"psdfactor: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -32,7 +32,6 @@ from .errors import (
     HypothesisFailed,
     NotIntertwining,
     NotInvertible,
-    NotPSD,
     NotScalarNonneg,
     NotSquare,
 )
@@ -42,11 +41,9 @@ from .linrel import (
     rel_adjoint,
     rel_classify,
     rel_compose,
-    rel_contains,
     rel_containment_residual,
     rel_distance,
     rel_equal,
-    rel_from_graph,
     rel_from_matrix,
     rel_inverse,
     rel_parts,
@@ -55,6 +52,7 @@ from .linrel import (
 )
 from .numkernel import (
     DEFAULT_TOL,
+    RANK_RTOL,
     as_matrix,
     frob,
     herm,
@@ -64,14 +62,11 @@ from .numkernel import (
     matrix_rank,
     moore_penrose,
     opnorm,
-    polar,
     psd_power,
+    psd_powers,
     range_basis,
-    span,
     spectrum,
     subspace_contains,
-    subspace_containment_residual,
-    subspace_equal,
     subspace_intersect,
     subspace_sum,
     sylvester_intertwiners,
@@ -270,27 +265,29 @@ def douglas_solve(T, B, tol: float = DEFAULT_TOL) -> DouglasSolution:
 def seb_solve(T, B, tol: float = DEFAULT_TOL) -> SebCertificate:
     """Minimal lambda and PSD factor X for T*T <= lambda T*B, T = X B.
 
-    Requires M = T*B Hermitian PSD (HypothesisFailed otherwise).  Feasible
-    iff ker M <= ker T; then lambda* is the operator norm of
-    M^(+1/2) (T*T) M^(+1/2) over ran M, G0 = T (lambda* M)^(+1/2) is a
-    contraction and X = lambda* G0 G0* satisfies X B = T exactly (the
-    everywhere-defined collapse of X B0-bar <= T), ||X|| = lambda*,
-    ker X = ker T*.  T = 0 short-circuits to lambda* = 0, X = 0.
+    Everything comes from one eigendecomposition M = T*B = V diag(w) V*,
+    which must be Hermitian PSD (HypothesisFailed otherwise).  With the cut
+    RANK_RTOL max|w|, ker M is spanned by the eigenvectors with |w| <= cut and
+    M^+ acts on those with w > cut.  Feasible iff ker M <= ker T; then
+
+        X = T M^+ T* = F F*,  F = T V_+ diag(w_+)^(-1/2),
+
+    satisfies X B = T exactly (the everywhere-defined collapse of
+    X B0-bar <= T) and ker X = ker T*, and lambda* = ||X|| = lambda_max(X).
+    G0 = F V_+* / sqrt(lambda*) is the contraction of the range
+    construction, with X = lambda* G0 G0*.  T = 0 short-circuits to
+    lambda* = 0, X = 0.
     """
     T, B = as_matrix(T), as_matrix(B)
     if T.shape != B.shape:
         raise NotSquare(f"seb_solve: shape mismatch {T.shape} vs {B.shape}")
     M = T.conj().T @ B
-    dev = frob(M - M.conj().T)
-    if dev > tol * (1.0 + frob(M)):
-        raise HypothesisFailed(f"seb_solve: T*B is not Hermitian (deviation {dev:.3e})")
-    M = herm(M)
-    wmin = float(np.linalg.eigvalsh(M)[0]) if M.size else 0.0
-    if wmin < -tol * (1.0 + opnorm(M)):
-        raise HypothesisFailed(f"seb_solve: T*B has negative eigenvalue {wmin:.3e}")
+    eig = nk.hermitian_eig(M, tol, psd=True, who="seb_solve: T*B", error=HypothesisFailed)
+    w, V = eig.eigenvalues, eig.eigenvectors
+    cut = RANK_RTOL * (max(-w[0], w[-1]) if w.size else 0.0)
 
-    km = kernel_basis(M)
-    if km.dim and opnorm(T @ km.basis) > tol * (1.0 + opnorm(T)):
+    leak = opnorm(T @ V[:, np.abs(w) <= cut])
+    if leak and leak > tol * (1.0 + opnorm(T)):
         return SebCertificate(
             feasible=False,
             lambda_star=math.inf,
@@ -298,38 +295,36 @@ def seb_solve(T, B, tol: float = DEFAULT_TOL) -> SebCertificate:
             G0=None,
             residual_xb_t=math.inf,
             norm_X=math.inf,
-            checks={"kernel_obstruction": opnorm(T @ km.basis)},
+            checks={"kernel_obstruction": leak},
         )
 
-    mph = psd_power(M, -0.5, tol=tol)
-    lam = opnorm(T @ mph) ** 2
-    if lam <= 0.0:
-        X = np.zeros((T.shape[0], T.shape[0]), dtype=np.complex128)
-        G0 = np.zeros_like(T)
+    live = w > cut
+    F = (T @ V[:, live]) * w[live] ** -0.5
+    if not F.any():
         return SebCertificate(
             feasible=True,
             lambda_star=0.0,
-            X=X,
-            G0=G0,
+            X=np.zeros((T.shape[0], T.shape[0]), dtype=np.complex128),
+            G0=np.zeros_like(T),
             residual_xb_t=frob(T),
             norm_X=0.0,
             checks={"zero_solution": True},
         )
-    G0 = T @ psd_power(lam * M, -0.5, tol=tol)
-    X = herm(lam * (G0 @ G0.conj().T))
-    resid = frob(X @ B - T)
+    X = herm(F @ F.conj().T)
+    lam = float(np.linalg.eigvalsh(X)[-1])
+    G0 = (F / math.sqrt(lam)) @ V[:, live].conj().T
     checks = {
         "contraction_norm": opnorm(G0),
-        "b_majorization_margin": loewner_leq(M, opnorm(X) * (B.conj().T @ B), tol=tol)[1],
+        "b_majorization_margin": loewner_leq(M, lam * (B.conj().T @ B), tol=tol)[1],
         "tol": tol,
     }
     return SebCertificate(
         feasible=True,
-        lambda_star=float(lam),
+        lambda_star=lam,
         X=X,
         G0=G0,
-        residual_xb_t=resid,
-        norm_X=opnorm(X),
+        residual_xb_t=frob(X @ B - T),
+        norm_X=lam,
         checks=checks,
     )
 
@@ -546,7 +541,6 @@ def psd_similarity_decide(T, tol: float = DEFAULT_TOL) -> PsdSimilarity:
     T = as_matrix(T)
     if T.shape[0] != T.shape[1]:
         raise NotSquare("psd_similarity_decide: T must be square")
-    n = T.shape[0]
     spec = spectrum(T, tol=tol)
     scale = max(opnorm(T), 1e-300)
     dtol = 100.0 * tol * scale
@@ -554,12 +548,8 @@ def psd_similarity_decide(T, tol: float = DEFAULT_TOL) -> PsdSimilarity:
     real_ok = bool(np.all(np.abs(w.imag) <= dtol) and np.all(w.real >= -dtol))
     if not (spec.diagonalizable and real_ok):
         return PsdSimilarity(accept=False, G=None, S=None)
-    wv, v = np.linalg.eig(T)
-    order = np.lexsort((wv.imag, wv.real))
-    vals = np.clip(wv[order].real, 0.0, None)
-    G = v[:, order]
-    S = np.diag(vals).astype(np.complex128)
-    return PsdSimilarity(accept=True, G=G, S=S)
+    S = np.diag(np.clip(w.real, 0.0, None)).astype(np.complex128)
+    return PsdSimilarity(accept=True, G=spec.eigenvectors, S=S)
 
 
 def wsimilar_forms(T, tol: float = DEFAULT_TOL) -> WSimilarForms:
@@ -579,8 +569,7 @@ def wsimilar_forms(T, tol: float = DEFAULT_TOL) -> WSimilarForms:
     G0inv = np.linalg.inv(sim.G)
     X = herm(G0inv.conj().T @ G0inv)
     Xi = herm(sim.G @ sim.G.conj().T)
-    Xh = psd_power(X, 0.5, tol=tol)
-    Xmh = psd_power(X, -0.5, tol=tol)
+    Xh, Xmh = psd_powers(X, 0.5, -0.5, tol=tol)
     S = herm(Xh @ T @ Xmh)
     B1 = X @ T
     B2 = Xi @ T.conj().T
@@ -707,8 +696,7 @@ def tba_package(T, G, S, tol: float = DEFAULT_TOL) -> QAPackage:
     XT = X @ T
     AFT = herm(A_F @ T)
     gap = herm(T.conj().T @ T - AFT / lam) if lam > 0 else herm(T.conj().T @ T)
-    Xh = psd_power(X, 0.5, tol=tol)
-    Xmh = psd_power(X, -0.5, tol=tol)
+    Xh, Xmh = psd_powers(X, 0.5, -0.5, tol=tol)
     S0 = herm(Xh @ T @ Xmh)
     diag = {
         "reconstruction": frob(B @ A_F - T),
@@ -717,7 +705,6 @@ def tba_package(T, G, S, tol: float = DEFAULT_TOL) -> QAPackage:
         "reversed_inequality_margin": float(np.linalg.eigvalsh(gap)[0]),
         "lambda": lam,
         "S0": S0,
-        "S_F": S0,
         "E_F": herm(Xh @ S0 @ Xh),
         "tol": ctol,
     }
@@ -796,8 +783,7 @@ def bounded_S_checks(T, G, S, tol: float = DEFAULT_TOL) -> BoundedSReport:
     ctol = tol * cond2 * scale
     Ginv = np.linalg.inv(G)
     X = herm(G.conj().T @ G)
-    Xh = psd_power(X, 0.5)
-    Xmh = psd_power(X, -0.5)
+    Xh, Xmh = psd_powers(X, 0.5, -0.5)
     A = herm(G.conj().T @ S @ G)
     lam = opnorm(X)
     items = []
@@ -820,9 +806,8 @@ def bounded_S_checks(T, G, S, tol: float = DEFAULT_TOL) -> BoundedSReport:
     add("at_hermitian_psd", max(0.0, -float(np.linalg.eigvalsh(AT)[0])))
     add("reversed_inequality_margin", max(0.0, -float(np.linalg.eigvalsh(gap)[0])))
     add("joint_form_T_side", frob(C1 - herm(C1)))
-    Xih = psd_power(herm(np.linalg.inv(X)), 0.5)
-    Ximh = psd_power(herm(np.linalg.inv(X)), -0.5)
-    add("joint_form_Tadj_side", frob(Xih @ T.conj().T @ Ximh - Ximh @ T @ Xih))
+    # (X^(-1))^(+-1/2) = X^(-+1/2): the adjoint-side joint form is C2 - C1
+    add("joint_form_Tadj_side", frob(C2 - C1))
     return BoundedSReport(items=items, all_passed=all(it.passed for it in items))
 
 
@@ -841,13 +826,9 @@ def ldeux_certify(T, Y_hint=None, tol: float = DEFAULT_TOL) -> LdeuxCertificate:
     the general unbounded class has no finite search procedure.
     """
     T = as_matrix(T)
-    n = T.shape[0]
     if Y_hint is not None:
         Y = as_matrix(Y_hint)
-        dev_h = frob(Y - Y.conj().T)
-        wmin = float(np.linalg.eigvalsh(herm(Y))[0]) if Y.size else 0.0
-        if dev_h > tol * (1.0 + frob(Y)) or wmin < -tol * (1.0 + opnorm(Y)):
-            raise NotPSD("ldeux_certify: Y_hint is not Hermitian PSD")
+        nk.hermitian_eig(Y, tol, psd=True, who="ldeux_certify: Y_hint")
         M = T.conj().T @ Y
         if frob(M - Y @ T) > tol * (1.0 + frob(M)):
             raise HypothesisFailed("ldeux_certify: T*Y != YT for the given hint")
@@ -880,15 +861,12 @@ def power_chain(A, B, n_max: int, tol: float = DEFAULT_TOL) -> PowerChain:
     residuals track ||T^(2^n) - A S_n||_F per level.
     """
     A, B = as_matrix(A), as_matrix(B)
-    for P, name in ((A, "A"), (B, "B")):
-        w = np.linalg.eigvalsh(herm(P))
-        dev = frob(P - P.conj().T)
-        if dev > tol * (1.0 + frob(P)) or (w.size and float(w[0]) < -tol * (1.0 + opnorm(P))):
-            raise NotPSD(f"power_chain: {name} is not Hermitian PSD")
+    nk.hermitian_eig(A, tol, psd=True, who="power_chain: A")
+    wB = nk.hermitian_eig(B, tol, psd=True, who="power_chain: B").eigenvalues
     T = A @ B
     S_seq = [herm(B)]
     residuals = [frob(T - A @ S_seq[0])]
-    psd_margins = [float(np.linalg.eigvalsh(S_seq[0])[0])]
+    psd_margins = [float(wB[0])]
     power = T
     for _ in range(n_max):
         power = power @ power

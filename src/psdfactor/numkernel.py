@@ -7,12 +7,17 @@ decomposition, the Loewner order, spectra with a diagonalizability verdict,
 and Sylvester intertwiner spaces.  Matrices are plain ``numpy`` arrays of
 ``complex128``; a :class:`Subspace` is an orthonormal column basis.
 
-Two global conventions keep kernels consistent across operations:
+Three global conventions keep kernels consistent across operations:
 
 * rank threshold: singular/eigen values below ``RANK_RTOL`` times the largest
   one are treated as zero everywhere (kernels, pseudo-inverses, PSD powers);
 * identity checks default to relative Frobenius tolerance ``DEFAULT_TOL``,
-  overridable per call.
+  overridable per call;
+* one Hermitian/PSD gate, :func:`hermitian_eig`, returns the spectrum it
+  tested.  H passes as Hermitian when ||H - H*||_F <= tol (1 + ||H||_F) and as
+  PSD when its smallest eigenvalue is >= -tol (1 + ||H||), with ||H|| the
+  largest |eigenvalue|; callers that decide on a spectrum take it from the
+  gate instead of decomposing again.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ __all__ = [
     "herm",
     "hermitian_eig",
     "psd_power",
+    "psd_powers",
     "moore_penrose",
     "polar",
     "loewner_leq",
@@ -95,10 +101,10 @@ def _require_square(a, who):
         raise NotSquare(f"{who}: expected square matrix, got {a.shape}")
 
 
-def _require_hermitian(a, tol, who):
+def _require_hermitian(a, tol, who, error=NotHermitian):
     dev = frob(a - a.conj().T)
     if dev > tol * (1.0 + frob(a)):
-        raise NotHermitian(f"{who}: deviation from Hermitian {dev:.3e} exceeds tolerance")
+        raise error(f"{who}: deviation from Hermitian {dev:.3e} exceeds tolerance")
 
 
 @dataclass(frozen=True)
@@ -123,7 +129,10 @@ class PolarParts:
 
 @dataclass(frozen=True)
 class Spectrum:
+    """Eigenvalues sorted by (real, imag), the matching eigenvector columns."""
+
     eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
     diagonalizable: bool
     eigvec_condition: float
 
@@ -137,43 +146,51 @@ class Intertwiners:
     rank: int
 
 
-def hermitian_eig(H, tol: float = DEFAULT_TOL) -> HermEig:
+def hermitian_eig(
+    H, tol: float = DEFAULT_TOL, psd: bool = False, who: str = "hermitian_eig", error=None
+) -> HermEig:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 
-    Raises NotHermitian when ||H - H*||_F > tol * ||H||_F (with an absolute
-    floor so the zero matrix passes), NoConvergence if LAPACK fails.
+    This is the package's one Hermitian/PSD gate.  Raises ``error`` (default
+    NotHermitian, NotPSD when ``psd`` is set) when ||H - H*||_F > tol (1 +
+    ||H||_F), and with ``psd`` also when the smallest eigenvalue is below
+    -tol (1 + max |eigenvalue|); NoConvergence if LAPACK fails.
     """
+    if error is None:
+        error = NotPSD if psd else NotHermitian
     H = as_matrix(H)
-    _require_square(H, "hermitian_eig")
-    _require_hermitian(H, tol, "hermitian_eig")
+    _require_square(H, who)
+    _require_hermitian(H, tol, who, error)
     try:
         w, v = np.linalg.eigh(herm(H))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergence(str(exc)) from exc
+    if psd and w.size and w[0] < -tol * (1.0 + max(-w[0], w[-1])):
+        raise error(f"{who}: min eigenvalue {w[0]:.3e} below -tol*(1 + ||H||)")
     return HermEig(eigenvalues=w, eigenvectors=v)
 
 
-def psd_power(P, alpha: float, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Spectral power P^alpha of a PSD matrix.
+def psd_powers(P, *alphas: float, tol: float = DEFAULT_TOL) -> tuple:
+    """Spectral powers P^alpha of a PSD matrix, one per alpha, from one eigh.
 
     Eigenvalues below the global rank threshold are treated as exact zeros and
     stay zero for every alpha (for alpha < 0 this is the power of the
     Moore-Penrose inverse acting on ran P).
     """
-    P = as_matrix(P)
-    _require_square(P, "psd_power")
-    dev = frob(P - P.conj().T)
-    if dev > tol * (1.0 + frob(P)):
-        raise NotPSD(f"psd_power: matrix is not Hermitian (deviation {dev:.3e})")
-    w, v = np.linalg.eigh(herm(P))
-    scale = max(float(w[-1]), 0.0) if w.size else 0.0
-    if w.size and float(w[0]) < -tol * max(scale, 1.0):
-        raise NotPSD(f"psd_power: min eigenvalue {w[0]:.3e} below -tol*||P||")
-    cut = RANK_RTOL * scale
-    wa = np.zeros_like(w)
-    live = w > cut
-    wa[live] = w[live] ** alpha
-    return (v * wa) @ v.conj().T
+    eig = hermitian_eig(P, tol, psd=True, who="psd_power")
+    w, v = eig.eigenvalues, eig.eigenvectors
+    live = w > RANK_RTOL * (max(float(w[-1]), 0.0) if w.size else 0.0)
+    powers = []
+    for alpha in alphas:
+        wa = np.zeros_like(w)
+        wa[live] = w[live] ** alpha
+        powers.append((v * wa) @ v.conj().T)
+    return tuple(powers)
+
+
+def psd_power(P, alpha: float, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Spectral power P^alpha of a PSD matrix (see :func:`psd_powers`)."""
+    return psd_powers(P, alpha, tol=tol)[0]
 
 
 def moore_penrose(T, atol: float = 0.0) -> np.ndarray:
@@ -215,18 +232,19 @@ def loewner_leq(P, Q, tol: float = DEFAULT_TOL):
     """Decide P <= Q in the Loewner order for Hermitian P, Q.
 
     Returns (flag, margin) where margin is the smallest eigenvalue of Q - P
-    and flag is margin >= -tol * (1 + ||Q - P||).
+    and flag is margin >= -tol * (1 + ||Q - P||), the norm read off the same
+    eigenvalues.
     """
     P, Q = as_matrix(P), as_matrix(Q)
     if P.shape != Q.shape:
         raise NotSquare(f"loewner_leq: shape mismatch {P.shape} vs {Q.shape}")
     _require_hermitian(P, tol, "loewner_leq")
     _require_hermitian(Q, tol, "loewner_leq")
-    D = herm(Q - P)
-    w = np.linalg.eigvalsh(D)
-    margin = float(w[0]) if w.size else 0.0
-    flag = margin >= -tol * (1.0 + opnorm(D))
-    return flag, margin
+    w = np.linalg.eigvalsh(herm(Q - P))
+    if not w.size:
+        return True, 0.0
+    margin = float(w[0])
+    return margin >= -tol * (1.0 + max(-margin, float(w[-1]))), margin
 
 
 def _cluster(values, ctol):
@@ -275,7 +293,7 @@ def spectrum(T, tol: float = DEFAULT_TOL) -> Spectrum:
             diagonalizable = False
             break
     cond = float(np.linalg.cond(v, 2)) if diagonalizable else float("inf")
-    return Spectrum(eigenvalues=w, diagonalizable=diagonalizable, eigvec_condition=cond)
+    return Spectrum(eigenvalues=w, eigenvectors=v, diagonalizable=diagonalizable, eigvec_condition=cond)
 
 
 def sylvester_intertwiners(T, S, seed: int = 0, n_combos: int = 64) -> Intertwiners:

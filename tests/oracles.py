@@ -3,8 +3,13 @@
 Each oracle deliberately avoids the code path it checks: characteristic
 polynomials come from Newton's identities on traces of powers, feasibility
 from a blind lambda sweep, diagonalizability from the index-one rank test,
-and the relation form order from its definition on operator parts.
+and the relation form order from its definition on operator parts.  The
+Sebestyen reference solver is the earlier dense ``seb_solve``, which takes
+ker M from an SVD and lambda* from ||T M^(+1/2)||^2 instead of the single
+eigendecomposition of the library engine.
 """
+
+import math
 
 import numpy as np
 
@@ -101,6 +106,72 @@ def form_order_leq_definition(Tlo, Thi, tol=1e-8):
         return True
     w = np.linalg.eigvalsh(Q)
     return bool(w[0] >= -tol * (1.0 + opnorm(Q)))
+
+
+def seb_solve_reference(T, B, tol=1e-8):
+    """Minimal lambda and PSD factor X for T*T <= lambda T*B, T = X B.
+
+    Requires M = T*B Hermitian PSD (HypothesisFailed otherwise).  Feasible
+    iff ker M <= ker T; then lambda* is the operator norm of
+    M^(+1/2) (T*T) M^(+1/2) over ran M, G0 = T (lambda* M)^(+1/2) is a
+    contraction and X = lambda* G0 G0* satisfies X B = T, ||X|| = lambda*.
+    About a dozen decompositions: eigvalsh, SVDs for ker M and every norm,
+    and two PSD powers.
+    """
+    from psdfactor.errors import HypothesisFailed
+    from psdfactor.factor import SebCertificate
+    from psdfactor.numkernel import as_matrix, frob, herm, kernel_basis, loewner_leq, opnorm, psd_power
+
+    T, B = as_matrix(T), as_matrix(B)
+    M = T.conj().T @ B
+    dev = frob(M - M.conj().T)
+    if dev > tol * (1.0 + frob(M)):
+        raise HypothesisFailed(f"seb_solve_reference: T*B is not Hermitian (deviation {dev:.3e})")
+    M = herm(M)
+    wmin = float(np.linalg.eigvalsh(M)[0]) if M.size else 0.0
+    if wmin < -tol * (1.0 + opnorm(M)):
+        raise HypothesisFailed(f"seb_solve_reference: T*B has negative eigenvalue {wmin:.3e}")
+
+    km = kernel_basis(M)
+    if km.dim and opnorm(T @ km.basis) > tol * (1.0 + opnorm(T)):
+        return SebCertificate(
+            feasible=False,
+            lambda_star=math.inf,
+            X=None,
+            G0=None,
+            residual_xb_t=math.inf,
+            norm_X=math.inf,
+            checks={"kernel_obstruction": opnorm(T @ km.basis)},
+        )
+
+    mph = psd_power(M, -0.5, tol=tol)
+    lam = opnorm(T @ mph) ** 2
+    if lam <= 0.0:
+        return SebCertificate(
+            feasible=True,
+            lambda_star=0.0,
+            X=np.zeros((T.shape[0], T.shape[0]), dtype=np.complex128),
+            G0=np.zeros_like(T),
+            residual_xb_t=frob(T),
+            norm_X=0.0,
+            checks={"zero_solution": True},
+        )
+    G0 = T @ psd_power(lam * M, -0.5, tol=tol)
+    X = herm(lam * (G0 @ G0.conj().T))
+    checks = {
+        "contraction_norm": opnorm(G0),
+        "b_majorization_margin": loewner_leq(M, opnorm(X) * (B.conj().T @ B), tol=tol)[1],
+        "tol": tol,
+    }
+    return SebCertificate(
+        feasible=True,
+        lambda_star=float(lam),
+        X=X,
+        G0=G0,
+        residual_xb_t=frob(X @ B - T),
+        norm_X=opnorm(X),
+        checks=checks,
+    )
 
 
 def sylvester_dimension(eigs_T, eigs_S, tol=1e-9):

@@ -12,7 +12,7 @@ import pytest
 from psdfactor import cli, serialize
 from psdfactor.diagmodel import INF, DiagRel, DiagSymbol
 from psdfactor.errors import ParseError
-from psdfactor.linrel import rel_distance, rel_from_matrix
+from psdfactor.linrel import rel_distance, rel_from_graph, rel_from_matrix
 from psdfactor.proptests import random_relation
 
 
@@ -183,6 +183,10 @@ def identity_job(tmp_path, **extra):
         pytest.param(None, [], {"trials": -1}, id="job-trials-negative"),
         pytest.param(None, ["--seed", "x"], {}, id="flag-seed-x"),
         pytest.param(None, ["--trials", "-1"], {}, id="flag-trials-negative"),
+        pytest.param(None, ["--threads", "abc"], {}, id="flag-threads-abc"),
+        pytest.param(None, ["--threads", "0"], {}, id="flag-threads-zero"),
+        pytest.param(None, ["--threads", "-2"], {}, id="flag-threads-negative"),
+        pytest.param(None, ["--threads", "1.5"], {}, id="flag-threads-fraction"),
     ],
 )
 def test_cli_malformed_settings_exit_3(tmp_path, monkeypatch, capsys, env, flags, extra):
@@ -274,3 +278,40 @@ def test_cli_wsimilar_and_factor_commands():
     proc = run_cli(["factor", "--in", "-"], stdin=f_job)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"]["feasible"] is True
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-finite JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+_P = serialize.matrix_to_json(np.diag([2.0, 1.0]))
+_Q = serialize.matrix_to_json(np.diag([3.0, 1.0]))
+# the nonnegative selfadjoint relation diag(1, inf): graph {(e1, e1), (0, e2)}
+_R = serialize.relation_to_json(rel_from_graph(np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), 2, 2))
+
+
+@pytest.mark.parametrize(
+    "job",
+    [
+        pytest.param({"op": "adjoint", "T": _R}, id="adjoint"),
+        pytest.param({"op": "inverse", "T": _P}, id="inverse"),
+        pytest.param({"op": "sqrt", "T": _R}, id="sqrt"),
+        pytest.param({"op": "moore_penrose", "T": serialize.matrix_to_json(np.diag([2.0, 0.0]))}, id="moore_penrose"),
+        pytest.param({"op": "classify", "T": _R}, id="classify"),
+        pytest.param({"op": "parts", "T": _R}, id="parts"),
+        pytest.param({"op": "compose", "S": _P, "T": _R}, id="compose"),
+        pytest.param({"op": "restrict", "B": _P, "D": serialize.matrix_to_json(np.array([[1.0], [0.0]]))}, id="restrict"),
+        pytest.param({"op": "order_leq", "Tlo": _P, "Thi": _Q}, id="order_leq"),
+        pytest.param({"op": "order_leq", "Tlo": _Q, "Thi": _R}, id="order_leq-relation"),
+    ],
+)
+def test_cli_rel_ops_strict_json(tmp_path, capsys, job):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    code = cli.main(["rel", "--in", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    assert _strict_json(out)["results"]

@@ -1,11 +1,15 @@
 """Theorem engines: trivial values, planted instances, and oracle checks."""
 
 
+from collections import Counter
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from psdfactor import factor
 from psdfactor import numkernel as nk
+from psdfactor.diagmodel import DiagRel, DiagSymbol, diag_truncate
 from psdfactor.errors import HypothesisFailed, NotScalarNonneg
 from psdfactor.linrel import (
     rel_adjoint,
@@ -30,6 +34,7 @@ from oracles import (
     lambda_sweep_feasible,
     random_psd,
     random_unitary,
+    seb_solve_reference,
 )
 
 
@@ -93,13 +98,45 @@ def test_seb_hypothesis_gate():
         factor.seb_solve(-np.eye(2), np.eye(2))
 
 
-def test_seb_planted_round_trip():
+def _planted_pairs():
+    """T = X B with X, B PSD, a quarter of the X and a third of the B singular."""
     rng = np.random.default_rng(3)
     for trial in range(100):
         n = int(rng.integers(2, 9))
         X = random_psd(rng, n, singular=(trial % 4 == 0))
         B = random_psd(rng, n, singular=(trial % 3 == 0))
-        T = X @ B
+        yield X @ B, B
+
+
+def _soundness_pairs():
+    """Singular B; every other T gets a component off ran B (infeasible)."""
+    rng = np.random.default_rng(4)
+    for trial in range(120):
+        n = int(rng.integers(2, 9))
+        B = random_psd(rng, n, singular=True)
+        if trial % 2 == 0:
+            T = random_psd(rng, n) @ B
+        else:
+            P = np.eye(n) - B @ np.linalg.pinv(B)
+            D = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            T = random_psd(rng, n) @ B + P @ D
+        yield T, B
+
+
+def _truncation_pairs(N=120):
+    """Diagonal truncations of head-plus-power-tail symbols, b a power above t."""
+    rng = np.random.default_rng(801)
+    for _ in range(12):
+        pb = Fraction(int(rng.integers(1, 3)), int(rng.integers(1, 3)))
+        pt = pb - Fraction(int(rng.integers(0, 3)), int(rng.integers(1, 3)))
+        head_t = tuple(float(x) for x in rng.uniform(0.0, 2.0, size=int(rng.integers(0, 4))))
+        t = DiagRel(DiagSymbol(head=head_t, tail_coeff=float(rng.uniform(0.2, 2)), tail_power=pt))
+        b = DiagRel(DiagSymbol(head=(), tail_coeff=float(rng.uniform(0.2, 2)), tail_power=pb))
+        yield diag_truncate(t, N), diag_truncate(b, N)
+
+
+def test_seb_planted_round_trip():
+    for T, B in _planted_pairs():
         cert = factor.seb_solve(T, B)
         assert cert.feasible
         assert cert.residual_xb_t <= 1e-8 * (1 + frob(T))
@@ -120,18 +157,79 @@ def test_seb_planted_round_trip():
 
 
 def test_seb_soundness_against_sweep_oracle():
-    rng = np.random.default_rng(4)
-    for trial in range(120):
-        n = int(rng.integers(2, 9))
-        B = random_psd(rng, n, singular=True)
-        if trial % 2 == 0:
-            T = random_psd(rng, n) @ B
-        else:
-            P = np.eye(n) - B @ np.linalg.pinv(B)
-            D = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            T = random_psd(rng, n) @ B + P @ D
+    for T, B in _soundness_pairs():
         cert = factor.seb_solve(T, B)
         assert cert.feasible == lambda_sweep_feasible(T, B)
+
+
+def test_seb_matches_reference_solver():
+    # The one-eigh engine against the earlier SVD-and-PSD-power solver.
+    pairs = [*_planted_pairs(), *_soundness_pairs(), *_truncation_pairs()]
+    verdicts = Counter()
+    for T, B in pairs:
+        cert, ref = factor.seb_solve(T, B), seb_solve_reference(T, B)
+        verdicts[cert.feasible] += 1
+        assert cert.feasible == ref.feasible
+        if not ref.feasible:
+            continue
+        assert abs(cert.lambda_star - ref.lambda_star) <= 1e-12 * ref.lambda_star
+        assert frob(cert.X - ref.X) <= 1e-10 * frob(ref.X)
+        assert cert.checks.keys() == ref.checks.keys()
+    assert verdicts[True] >= 150 and verdicts[False] >= 50
+
+
+def _count_linalg(monkeypatch):
+    """Count numpy.linalg decompositions by name for the rest of the test.
+
+    ``norm`` counts only for the spectral norm, which runs an SVD; numpy's
+    own internal calls (``cond`` -> ``svd``) are not seen twice.
+    """
+    calls = Counter()
+    names = ("svd", "eig", "eigh", "eigvals", "eigvalsh", "inv", "pinv", "solve", "cond", "qr", "lstsq", "det")
+    for name in names:
+        fn = getattr(np.linalg, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    norm = np.linalg.norm
+
+    def counted_norm(x, ord=None, *args, **kwargs):
+        if ord in (2, -2, "nuc"):
+            calls["norm2"] += 1
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted_norm)
+    return calls
+
+
+def test_dense_engine_decomposition_counts(monkeypatch):
+    # Counts are machine-independent; lower a pin when an engine gets cheaper.
+    rng = np.random.default_rng(30)
+    n = 12
+    B = random_psd(rng, n, singular=True)
+    T = random_psd(rng, n) @ B
+    G = conditioned_invertible(rng, n, 10.0)
+    S = np.diag(np.linspace(0.5, 3.0, n)).astype(complex)
+    TS = np.linalg.inv(G) @ S @ G
+    calls = _count_linalg(monkeypatch)
+
+    cert = factor.seb_solve(T, B)
+    assert cert.feasible and cert.residual_xb_t <= 1e-8 * (1 + frob(T))
+    # eigh(T*B), ||T K||, ||T||, lambda_max(X), ||G0||, the Loewner margin
+    assert sum(calls.values()) <= 6, calls
+
+    calls.clear()
+    assert factor.bounded_S_checks(TS, G, S).all_passed
+    assert sum(calls.values()) == 14, calls
+    assert calls["eigh"] == 1 and calls["inv"] == 1, calls
+
+    calls.clear()
+    factor.wsimilar_forms(TS)
+    assert sum(calls.values()) == 13, calls
+    assert calls["eig"] == 1 and calls["eigh"] == 1, calls
 
 
 def test_seb_lambda_star_minimal():
