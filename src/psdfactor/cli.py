@@ -15,6 +15,9 @@ trial count or thread count included.
 
 Reports are deterministic: a fixed JobSpec yields a byte-identical report
 apart from the ``wall_clock_s`` field, independent of ``--threads``.
+``wall_clock_s`` runs from before the job is read to the end of the run, so
+it covers reading and parsing the job; only the final ``json.dumps`` of the
+report and its writing fall outside it.
 """
 
 from __future__ import annotations
@@ -213,7 +216,10 @@ def _run_factor(job, tol, seed, trials, threads):
         return {"swap_ok": flag, "tol": 1e-7}
     if op == "power_chain":
         chain = factor.power_chain(
-            _want(job, "A", op), _want(job, "B", op), n_max=int(job.get("n_max", 4)), tol=tol
+            _want(job, "A", op),
+            _want(job, "B", op),
+            n_max=_count(job.get("n_max", 4), "job 'n_max'"),
+            tol=tol,
         )
         return {
             "levels": len(chain.S_seq),
@@ -332,7 +338,9 @@ def _run_diag(job, tol, seed, trials, threads):
         return {"result": payload_to_json(out)}
     if op == "truncate":
         t = _want(job, "t", "diag.truncate")
-        N = int(job.get("N", 10))
+        if not isinstance(t, DiagRel):
+            raise ParseError("diag: inputs must be symbols")
+        N = _count(job.get("N", 10), "job 'N'", least=t.symbol.head_len)
         out = diag_truncate(t, N)
         return {"result": payload_to_json(out)}
     raise ParseError(f"diag: unknown op {op!r}")
@@ -374,8 +382,11 @@ def build_parser():
     return p
 
 
-def run_job(command: str, job: dict, tol: float, seed: int, trials: int, threads: int) -> dict:
-    t0 = time.monotonic()
+def run_job(
+    command: str, job: dict, tol: float, seed: int, trials: int, threads: int, started=None
+) -> dict:
+    """Run one job; ``wall_clock_s`` counts from ``started`` (a ``time.monotonic()``), else from now."""
+    t0 = time.monotonic() if started is None else started
     results = _COMMANDS[command](job, tol, seed, trials, threads)
     report = {
         "command": command,
@@ -390,6 +401,7 @@ def run_job(command: str, job: dict, tol: float, seed: int, trials: int, threads
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    started = time.monotonic()
     try:
         if args.infile is None:
             job = {}
@@ -404,7 +416,7 @@ def main(argv=None) -> int:
         seed = _setting(args.seed, job, "seed", _count, 0)
         trials = _setting(args.trials, job, "trials", _count, 100)
         threads = _count(args.threads, "--threads", least=1)
-        report = run_job(args.command, job, tol, seed, trials, threads)
+        report = run_job(args.command, job, tol, seed, trials, threads, started=started)
     except ParseError as exc:
         print(f"psdfactor: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

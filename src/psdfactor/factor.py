@@ -59,16 +59,14 @@ from .numkernel import (
     hausdorff_distance,
     kernel_basis,
     loewner_leq,
-    matrix_rank,
-    moore_penrose,
     opnorm,
     psd_power,
     psd_powers,
-    range_basis,
     spectrum,
     subspace_contains,
     subspace_intersect,
     subspace_sum,
+    svd_split,
     sylvester_intertwiners,
 )
 
@@ -250,10 +248,11 @@ def douglas_solve(T, B, tol: float = DEFAULT_TOL) -> DouglasSolution:
     T, B = as_matrix(T), as_matrix(B)
     if T.shape != B.shape:
         raise NotSquare(f"douglas_solve: shape mismatch {T.shape} vs {B.shape}")
-    kb = kernel_basis(B)
+    split = svd_split(B)
+    kb = split.ker
     if kb.dim and opnorm(T @ kb.basis) > tol * (1.0 + opnorm(T)):
         return DouglasSolution(feasible=False, Y=None, c=math.inf)
-    Y = T @ moore_penrose(B)
+    Y = T @ split.pinv
     return DouglasSolution(feasible=True, Y=Y, c=opnorm(Y))
 
 
@@ -334,27 +333,25 @@ def seb_solve(T, B, tol: float = DEFAULT_TOL) -> SebCertificate:
 # ---------------------------------------------------------------------------
 
 
-def _form_compression(R: LinRel, D):
-    """Quadratic form of a nonneg selfadjoint relation compressed to columns D."""
-    ts = rel_parts(R).operator_part_matrix
+def _form_compression(parts, D):
+    """Quadratic form of a nonneg selfadjoint relation, given its parts, compressed to columns D."""
+    ts = parts.operator_part_matrix
     return herm(D.conj().T @ ts @ D)
 
 
-def _relation_min_lambda(R: LinRel, M: LinRel, tol: float):
+def _relation_min_lambda(parts_R, parts_M, tol: float):
     """Minimal lambda with R <= lambda M in the form order, or None.
 
-    R, M nonnegative selfadjoint.  Feasible iff dom M <= dom R and the
-    kernel of M's form inside dom M sits in the kernel of R's form; then
-    lambda* = || A_M^(+1/2) A_R A_M^(+1/2) || with A_R, A_M the compressed
-    forms on dom M.
+    R, M nonnegative selfadjoint, given by their parts.  Feasible iff
+    dom M <= dom R and the kernel of M's form inside dom M sits in the kernel
+    of R's form; then lambda* = || A_M^(+1/2) A_R A_M^(+1/2) || with A_R, A_M
+    the compressed forms on dom M.
     """
-    dom_R = rel_parts(R).dom
-    dom_M = rel_parts(M).dom
-    if not subspace_contains(dom_R, dom_M, tol=tol):
+    if not subspace_contains(parts_R.dom, parts_M.dom, tol=tol):
         return None
-    D = dom_M.basis
-    A_R = _form_compression(R, D)
-    A_M = _form_compression(M, D)
+    D = parts_M.dom.basis
+    A_R = _form_compression(parts_R, D)
+    A_M = _form_compression(parts_M, D)
     km = kernel_basis(A_M)
     if km.dim:
         leak = opnorm(herm(km.basis.conj().T @ A_R @ km.basis))
@@ -378,17 +375,18 @@ def seb_relation_solve(T: LinRel, B: LinRel, tol: float = DEFAULT_TOL) -> SebCer
     if T.dom_dim != B.dom_dim or T.codom_dim != B.codom_dim:
         raise NotSquare("seb_relation_solve: T and B must share domain and codomain")
     parts_T = rel_parts(T)
-    parts_B = rel_parts(B)
-    ker_ts_adj = nk.subspace_complement(range_basis(parts_T.operator_part_matrix))
-    if not subspace_contains(ker_ts_adj, parts_B.mul, tol=tol):
+    ts = parts_T.operator_part_matrix
+    ker_ts_adj = kernel_basis(ts.conj().T)
+    if not subspace_contains(ker_ts_adj, rel_parts(B).mul, tol=tol):
         raise HypothesisFailed("seb_relation_solve: mul B is not contained in ker (T_s)*")
-    M_rel = rel_compose(rel_adjoint(T), B)
+    Tadj = rel_adjoint(T)
+    M_rel = rel_compose(Tadj, B)
     mflags = rel_classify(M_rel, tol=tol)
     if not (mflags.selfadjoint and mflags.nonnegative):
         raise HypothesisFailed("seb_relation_solve: T*B is not selfadjoint nonnegative")
-    R_rel = rel_compose(rel_adjoint(T), T)
+    parts_M = rel_parts(M_rel)
 
-    lam = _relation_min_lambda(R_rel, M_rel, tol)
+    lam = _relation_min_lambda(rel_parts(rel_compose(Tadj, T)), parts_M, tol)
     if lam is None:
         return SebCertificate(
             feasible=False,
@@ -400,25 +398,22 @@ def seb_relation_solve(T: LinRel, B: LinRel, tol: float = DEFAULT_TOL) -> SebCer
         )
 
     n_K = T.codom_dim
-    dom_M = rel_parts(M_rel).dom
-    ms = herm(rel_parts(M_rel).operator_part_matrix)
-    ts = parts_T.operator_part_matrix
     if lam <= 0.0:
         X = np.zeros((n_K, n_K), dtype=np.complex128)
         G0 = np.zeros((n_K, T.dom_dim), dtype=np.complex128)
     else:
-        G0 = ts @ psd_power(lam * ms, -0.5, tol=tol)
+        G0 = ts @ psd_power(lam * herm(parts_M.operator_part_matrix), -0.5, tol=tol)
         X = herm(lam * (G0 @ G0.conj().T))
 
-    B0 = rel_restrict(B, dom_M)
+    B0 = rel_restrict(B, parts_M.dom)
+    B0adj = rel_adjoint(B0)
     XB0 = rel_compose(rel_from_matrix(X), B0)
-    Ts_rel = operator_part_relation(T)
-    incl_ts = rel_containment_residual(Ts_rel, XB0)
+    incl_ts = rel_containment_residual(operator_part_relation(T, parts_T), XB0)
     incl_t = rel_containment_residual(T, XB0)
 
-    lhs = rel_compose(rel_adjoint(T), B0)
-    mid = rel_compose(rel_adjoint(B0), XB0)
-    rhs = rel_compose(rel_adjoint(B0), T)
+    lhs = rel_compose(Tadj, B0)
+    mid = rel_compose(B0adj, XB0)
+    rhs = rel_compose(B0adj, T)
     chain_resid = max(rel_distance(lhs, mid), rel_distance(lhs, rhs))
 
     ker_x_bound = opnorm(X @ ker_ts_adj.basis) if ker_ts_adj.dim else 0.0
@@ -431,8 +426,7 @@ def seb_relation_solve(T: LinRel, B: LinRel, tol: float = DEFAULT_TOL) -> SebCer
         "tol": tol,
     }
 
-    dom_B0 = rel_parts(B0).dom
-    if subspace_contains(dom_B0, parts_T.dom, tol=tol):
+    if subspace_contains(rel_parts(B0).dom, parts_T.dom, tol=tol):
         mul_pairs = np.vstack(
             [np.zeros((T.dom_dim, parts_T.mul.dim)), parts_T.mul.basis]
         )
@@ -474,15 +468,16 @@ def reverse_solve(T, B, tol: float = DEFAULT_TOL) -> ReverseCertificate:
     with mul Y = mul T + ker T*.
     """
     T, B = _as_relation(T), _as_relation(B)
-    gateM = rel_compose(rel_adjoint(B), T)
+    Badj = rel_adjoint(B)
+    Tadj = rel_adjoint(T)
+    gateM = rel_compose(Badj, T)
     gflags = rel_classify(gateM, tol=tol)
     if not (gflags.selfadjoint and gflags.nonnegative):
         raise HypothesisFailed("reverse_solve: B*T is not selfadjoint nonnegative")
-    Badj = rel_adjoint(B)
-    Tadj = rel_adjoint(T)
-    ker_Badj = rel_parts(Badj).ker
-    allowed = subspace_sum(rel_parts(Tadj).ker, rel_parts(T).mul)
-    if not subspace_contains(allowed, ker_Badj, tol=tol):
+    parts_T = rel_parts(T)
+    parts_Tadj = rel_parts(Tadj)
+    kerTadj = parts_Tadj.ker
+    if not subspace_contains(subspace_sum(kerTadj, parts_T.mul), rel_parts(Badj).ker, tol=tol):
         raise HypothesisFailed("reverse_solve: ker B* is not contained in ker T* + mul T")
 
     S = rel_inverse(Tadj)
@@ -493,13 +488,13 @@ def reverse_solve(T, B, tol: float = DEFAULT_TOL) -> ReverseCertificate:
     eta = math.inf if dual.lambda_star <= 0.0 else 1.0 / dual.lambda_star
     Y = rel_inverse(rel_from_matrix(dual.X))
 
-    V = rel_parts(gateM).ran
-    B0 = rel_inverse(rel_restrict(A, V))
+    B0 = rel_inverse(rel_restrict(A, rel_parts(gateM).ran))
+    B0adj = rel_adjoint(B0)
     chain = [
         gateM,
         rel_compose(B0, T),
-        rel_compose(B0, rel_compose(Y, rel_adjoint(B0))),
-        rel_compose(Tadj, rel_adjoint(B0)),
+        rel_compose(B0, rel_compose(Y, B0adj)),
+        rel_compose(Tadj, B0adj),
     ]
     chain_resid = max(rel_distance(chain[0], r) for r in chain[1:])
     residuals = {
@@ -508,17 +503,14 @@ def reverse_solve(T, B, tol: float = DEFAULT_TOL) -> ReverseCertificate:
         "tol": tol,
     }
 
-    ran_B0 = rel_parts(B0).ran
-    ran_Tadj = rel_parts(Tadj).ran
-    if subspace_contains(ran_B0, ran_Tadj, tol=tol):
-        kerTadj = rel_parts(Tadj).ker
+    if subspace_contains(rel_parts(B0).ran, parts_Tadj.ran, tol=tol):
         extra = np.vstack(
             [kerTadj.basis, np.zeros((T.dom_dim, kerTadj.dim))]
         )
         built = rel_plusdot(rel_compose(B0, Y), extra)
         residuals["adjoint_factorization"] = rel_distance(built, Tadj)
         mulY = rel_parts(Y).mul
-        residuals["mul_Y_matches"] = nk.subspace_distance(mulY, subspace_sum(rel_parts(T).mul, kerTadj))
+        residuals["mul_Y_matches"] = nk.subspace_distance(mulY, subspace_sum(parts_T.mul, kerTadj))
         if rel_equal(B0, Badj, tol=tol) and kerTadj.dim == 0:
             residuals["adjoint_operator_factorization"] = rel_distance(
                 rel_compose(Badj, Y), Tadj
@@ -538,18 +530,22 @@ def psd_similarity_decide(T, tol: float = DEFAULT_TOL) -> PsdSimilarity:
     On acceptance S = diag of the eigenvalues clipped at zero and G is the
     eigenvector matrix, so T G = G S within tol * cond(G) * ||T||.
     """
+    return _psd_similarity(T, tol)[0]
+
+
+def _psd_similarity(T, tol: float):
+    """psd_similarity_decide's verdict and the spectrum of T it was read off."""
     T = as_matrix(T)
     if T.shape[0] != T.shape[1]:
         raise NotSquare("psd_similarity_decide: T must be square")
     spec = spectrum(T, tol=tol)
-    scale = max(opnorm(T), 1e-300)
-    dtol = 100.0 * tol * scale
+    dtol = 100.0 * tol * max(spec.norm, 1e-300)
     w = spec.eigenvalues
     real_ok = bool(np.all(np.abs(w.imag) <= dtol) and np.all(w.real >= -dtol))
     if not (spec.diagonalizable and real_ok):
-        return PsdSimilarity(accept=False, G=None, S=None)
+        return PsdSimilarity(accept=False, G=None, S=None), spec
     S = np.diag(np.clip(w.real, 0.0, None)).astype(np.complex128)
-    return PsdSimilarity(accept=True, G=spec.eigenvectors, S=S)
+    return PsdSimilarity(accept=True, G=spec.eigenvectors, S=S), spec
 
 
 def wsimilar_forms(T, tol: float = DEFAULT_TOL) -> WSimilarForms:
@@ -559,10 +555,11 @@ def wsimilar_forms(T, tol: float = DEFAULT_TOL) -> WSimilarForms:
     X = G*G with X T = T* X; then S = X^(1/2) T X^(-1/2), B1 = X T with
     X1 = X^(-1), B2 = X^(-1) T* with X2 = X, W = X2^(-1), Z = X1^(-1), and
     TW, ZT are Hermitian PSD.  plusdot_ok records ran T (+) ker T = H by the
-    rank-sum and zero-intersection test.
+    rank-sum and zero-intersection test.  ||T|| and cond(G0) come from the
+    spectrum that decided the similarity.
     """
     T = as_matrix(T)
-    sim = psd_similarity_decide(T, tol=tol)
+    sim, spec = _psd_similarity(T, tol)
     if not sim.accept:
         raise NotScalarNonneg("wsimilar_forms: T is not similar to a PSD matrix")
     n = T.shape[0]
@@ -577,12 +574,11 @@ def wsimilar_forms(T, tol: float = DEFAULT_TOL) -> WSimilarForms:
         X=X, S=S, X1=Xi, B1=B1, X2=X, B2=B2, W=Xi, Z=X,
         plusdot_ok=False,
     )
-    ranT = range_basis(T)
-    kerT = kernel_basis(T)
-    inter = subspace_intersect(ranT, kerT)
-    forms.plusdot_ok = (ranT.dim + kerT.dim == n) and inter.dim == 0
-    cond2 = float(np.linalg.cond(sim.G, 2)) ** 2
-    ctol = tol * cond2 * max(1.0, opnorm(T))
+    split = svd_split(T)
+    inter = subspace_intersect(split.ran, split.ker)
+    forms.plusdot_ok = (split.ran.dim + split.ker.dim == n) and inter.dim == 0
+    cond2 = spec.eigvec_condition ** 2
+    ctol = tol * cond2 * max(1.0, spec.norm)
     forms.checks = {
         "intertwine": frob(X @ T - T.conj().T @ X),
         "factor_T": frob(forms.X1 @ forms.B1 - T),
@@ -629,19 +625,21 @@ def spectra_swap_check(A, B, tol: float = 1e-7) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _check_intertwining(G, left, right, tol, who):
-    """Require G @ left = right @ G within tol scaled by the data."""
+def _check_intertwiner(G, left, right, tol, who):
+    """Require an invertible G with G @ left = right @ G within tol scaled by the data.
+
+    One singular-value pass of G gives its rank, ||G|| and cond(G); returns
+    (cond(G), ||left||, ||right||) for the callers' tolerance scales.
+    """
+    s = np.linalg.svd(G, compute_uv=False)
+    if G.shape[0] != G.shape[1] or nk.numerical_rank(s) != G.shape[0]:
+        raise NotInvertible(f"{who}: the intertwiner is not invertible")
+    norm_left, norm_right = opnorm(left), opnorm(right)
     resid = frob(G @ left - right @ G)
-    scale = (1.0 + opnorm(left) + opnorm(right)) * max(1.0, opnorm(G))
+    scale = (1.0 + norm_left + norm_right) * max(1.0, float(s[0]))
     if resid > tol * scale:
         raise NotIntertwining(f"{who}: intertwining residual {resid:.3e} exceeds tolerance")
-    return resid
-
-
-def _check_invertible(G, who):
-    G = as_matrix(G)
-    if G.shape[0] != G.shape[1] or matrix_rank(G) != G.shape[0]:
-        raise NotInvertible(f"{who}: the intertwiner is not invertible")
+    return float(s[0] / s[-1]), norm_left, norm_right
 
 
 def inclusionnfs_package(T, G, S, tol: float = DEFAULT_TOL) -> QAPackage:
@@ -652,13 +650,11 @@ def inclusionnfs_package(T, G, S, tol: float = DEFAULT_TOL) -> QAPackage:
     Hermitian-PSD gate for T*B_F holds automatically here.
     """
     T, G, S = as_matrix(T), as_matrix(G), as_matrix(S)
-    _check_invertible(G, "inclusionnfs_package")
-    _check_intertwining(G, T.conj().T, S, tol, "inclusionnfs_package")
+    cond_G, _, _ = _check_intertwiner(G, T.conj().T, S, tol, "inclusionnfs_package")
     Ginv = np.linalg.inv(G)
     A = herm(G.conj().T @ G)
     B_F = herm(Ginv @ S @ Ginv.conj().T)
-    cond2 = float(np.linalg.cond(G, 2)) ** 2
-    ctol = tol * cond2 * (1.0 + opnorm(T))
+    ctol = tol * cond_G ** 2 * (1.0 + opnorm(T))
     diag = {
         "reconstruction": frob(A @ B_F - T),
         "tol": ctol,
@@ -685,13 +681,11 @@ def tba_package(T, G, S, tol: float = DEFAULT_TOL) -> QAPackage:
     reverse_solve(T, A_F).
     """
     T, G, S = as_matrix(T), as_matrix(G), as_matrix(S)
-    _check_invertible(G, "tba_package")
-    _check_intertwining(G, T, S, tol, "tba_package")
+    cond_G, norm_T, _ = _check_intertwiner(G, T, S, tol, "tba_package")
     X = herm(G.conj().T @ G)
     B = herm(np.linalg.inv(X))
     A_F = herm(G.conj().T @ S @ G)
-    cond2 = float(np.linalg.cond(G, 2)) ** 2
-    ctol = tol * cond2 * (1.0 + opnorm(T))
+    ctol = tol * cond_G ** 2 * (1.0 + norm_T)
     lam = opnorm(X)
     XT = X @ T
     AFT = herm(A_F @ T)
@@ -776,11 +770,8 @@ def bounded_S_checks(T, G, S, tol: float = DEFAULT_TOL) -> BoundedSReport:
     form with the inverse quasi-affinity X^(-1) on the adjoint side.
     """
     T, G, S = as_matrix(T), as_matrix(G), as_matrix(S)
-    _check_invertible(G, "bounded_S_checks")
-    _check_intertwining(G, T, S, tol, "bounded_S_checks")
-    cond2 = float(np.linalg.cond(G, 2)) ** 2
-    scale = 1.0 + opnorm(T) + opnorm(S)
-    ctol = tol * cond2 * scale
+    cond_G, norm_T, norm_S = _check_intertwiner(G, T, S, tol, "bounded_S_checks")
+    ctol = tol * cond_G ** 2 * (1.0 + norm_T + norm_S)
     Ginv = np.linalg.inv(G)
     X = herm(G.conj().T @ G)
     Xh, Xmh = psd_powers(X, 0.5, -0.5)
@@ -841,7 +832,7 @@ def ldeux_certify(T, Y_hint=None, tol: float = DEFAULT_TOL) -> LdeuxCertificate:
         ok = cert.residual_xb_t <= tol * (1.0 + frob(T))
         return LdeuxCertificate(in_class=ok, A=cert.X, B=Y, Y=Y, residual=cert.residual_xb_t)
 
-    sim = psd_similarity_decide(T, tol=tol)
+    sim, spec = _psd_similarity(T, tol)
     if not sim.accept:
         return LdeuxCertificate(in_class=False, A=None, B=None, Y=None, residual=math.inf)
     G = sim.G
@@ -849,8 +840,7 @@ def ldeux_certify(T, Y_hint=None, tol: float = DEFAULT_TOL) -> LdeuxCertificate:
     A = herm(G @ G.conj().T)
     B = herm(Ginv.conj().T @ sim.S @ Ginv)
     resid = frob(A @ B - T)
-    cond2 = float(np.linalg.cond(G, 2)) ** 2
-    ok = resid <= tol * cond2 * (1.0 + frob(T))
+    ok = resid <= tol * spec.eigvec_condition ** 2 * (1.0 + frob(T))
     return LdeuxCertificate(in_class=ok, A=A, B=B, Y=B, residual=resid)
 
 

@@ -9,6 +9,12 @@ the unbounded theory so the factor engines can follow them verbatim.
 The decomposition T = T_s (+) T_mul into the operator part T_s = P_s T and
 the purely multivalued part {0} x mul T underlies most operations; the
 operator part is carried as an ordinary matrix that vanishes on (dom T)^perp.
+
+Operations follow their componentwise definitions on the graph blocks
+(X; Y): the parts take one SVD of X and one of Y, the product and the
+restriction one null space of coefficients each.  Blocks of an orthonormal
+basis have scale 1, so those null spaces cut at s > RANK_RTOL max(s_max, 1):
+a block of pure rounding dust counts as zero.
 """
 
 from __future__ import annotations
@@ -21,16 +27,17 @@ from . import numkernel as nk
 from .errors import DimensionMismatch, NotNonnegSelfadjoint, NotSquare
 from .numkernel import (
     DEFAULT_TOL,
+    RANK_RTOL,
     Subspace,
     as_matrix,
     herm,
+    kernel_basis,
     moore_penrose,
-    opnorm,
     psd_power,
     span,
     subspace_contains,
     subspace_distance,
-    subspace_intersect,
+    svd_split,
 )
 
 __all__ = [
@@ -136,87 +143,69 @@ def rel_parts(T: LinRel) -> RelParts:
     graph dimension.  The operator part satisfies T_s x = P_s y for every
     (x, y) in T, where P_s projects onto (mul T)^perp, and vanishes on
     (dom T)^perp.
+
+    One SVD of X gives dom T = ran X, X^+ and mul T = Y ker X, one SVD of Y
+    gives ran T and ker T = X ker Y; as (X; Y) has orthonormal columns, so
+    has Y K for an orthonormal basis K of ker X.
     """
     X, Y = T.blocks()
-    dom = span(X, ambient_dim=T.dom_dim, atol=GRAPH_ATOL, tol=T.tol)
-    ran = span(Y, ambient_dim=T.codom_dim, atol=GRAPH_ATOL, tol=T.tol)
-    mul = _second_component_at_zero(X, Y, T.codom_dim)
-    ker = _second_component_at_zero(Y, X, T.dom_dim)
-    P_s = np.eye(T.codom_dim, dtype=np.complex128) - mul.projector()
-    ts = P_s @ Y @ moore_penrose(X, atol=GRAPH_ATOL)
-    return RelParts(dom=dom, ran=ran, ker=ker, mul=mul, operator_part_matrix=ts)
+    sx, sy = svd_split(X, atol=GRAPH_ATOL), svd_split(Y, atol=GRAPH_ATOL)
+    mul = Subspace(T.codom_dim, Y @ sx.ker.basis)
+    ker = Subspace(T.dom_dim, X @ sy.ker.basis)
+    ts = (np.eye(T.codom_dim) - mul.projector()) @ Y @ sx.pinv
+    return RelParts(dom=sx.ran, ran=sy.ran, ker=ker, mul=mul, operator_part_matrix=ts)
 
 
-def _second_component_at_zero(X, Y, amb):
-    """span{y : (0, y) in the graph}, i.e. Y restricted to ker X."""
-    if X.shape[1] == 0:
-        return nk.zero_space(amb)
-    kerX = nk.kernel_basis(X, atol=GRAPH_ATOL)
-    return span(Y @ kerX.basis, ambient_dim=amb, atol=GRAPH_ATOL)
-
-
-def operator_part_relation(T: LinRel) -> LinRel:
-    """T_s = P_s T as a relation on dom T (single valued, same domain)."""
-    parts = rel_parts(T)
+def operator_part_relation(T: LinRel, parts: RelParts | None = None) -> LinRel:
+    """T_s = P_s T as a relation on dom T (single valued); ``parts`` = rel_parts(T) if known."""
+    parts = rel_parts(T) if parts is None else parts
     D = parts.dom.basis
     vecs = np.vstack([D, parts.operator_part_matrix @ D])
     return rel_from_graph(vecs, T.dom_dim, T.codom_dim, T.tol)
 
 
 def rel_adjoint(T: LinRel) -> LinRel:
-    """graph(T*) = orthogonal complement of J graph(T), J(x, y) = (y, -x)."""
+    """graph(T*) = orthogonal complement of J graph(T), J(x, y) = (y, -x) unitary."""
     X, Y = T.blocks()
-    flipped = span(np.vstack([Y, -X]), ambient_dim=T.dom_dim + T.codom_dim, tol=T.tol)
-    comp = nk.subspace_complement(flipped)
-    return LinRel(T.codom_dim, T.dom_dim, comp, T.tol)
+    flipped = Subspace(T.dom_dim + T.codom_dim, np.vstack([Y, -X]), T.tol)
+    return LinRel(T.codom_dim, T.dom_dim, nk.subspace_complement(flipped), T.tol)
 
 
 def rel_inverse(T: LinRel) -> LinRel:
+    """graph(T^(-1)) = {(y, x) : (x, y) in T}, with the swapped basis kept."""
     X, Y = T.blocks()
-    g = span(np.vstack([Y, X]), ambient_dim=T.dom_dim + T.codom_dim, tol=T.tol)
+    g = Subspace(T.dom_dim + T.codom_dim, np.vstack([Y, X]), T.tol)
     return LinRel(T.codom_dim, T.dom_dim, g, T.tol)
 
 
 def rel_compose(S: LinRel, T: LinRel) -> LinRel:
     """The product S T = {(x, z) : exists y, (x, y) in T, (y, z) in S}.
 
-    Computed as one orthonormal intersection of graph(T) x L with
-    H x graph(S) inside H x K x L, projected onto the (x, z) coordinates.
+    With graph blocks (X_T; Y_T) and (X_S; Y_S), the pairs that meet in the
+    middle, Y_T c1 = X_S c2, are the null space N of [Y_T, -X_S]; the
+    product's graph is spanned by (X_T N_1; Y_S N_2).
     """
     if T.codom_dim != S.dom_dim:
         raise DimensionMismatch(
             f"rel_compose: codomain {T.codom_dim} of T != domain {S.dom_dim} of S"
         )
-    nH, nK, nL = T.dom_dim, T.codom_dim, S.codom_dim
     Xt, Yt = T.blocks()
     Xs, Ys = S.blocks()
+    N = kernel_basis(np.hstack([Yt, -Xs]), atol=RANK_RTOL).basis
     gt = T.graph_dim
-    gs = S.graph_dim
-    left = np.zeros((nH + nK + nL, gt + nL), dtype=np.complex128)
-    left[: nH + nK, :gt] = np.vstack([Xt, Yt])
-    left[nH + nK :, gt:] = np.eye(nL)
-    right = np.zeros((nH + nK + nL, nH + gs), dtype=np.complex128)
-    right[:nH, :nH] = np.eye(nH)
-    right[nH:, nH:] = np.vstack([Xs, Ys])
-    inter = subspace_intersect(
-        span(left, ambient_dim=nH + nK + nL), span(right, ambient_dim=nH + nK + nL)
+    graph = span(
+        np.vstack([Xt @ N[:gt], Ys @ N[gt:]]), ambient_dim=T.dom_dim + S.codom_dim, atol=GRAPH_ATOL
     )
-    B = inter.basis
-    proj = np.vstack([B[:nH, :], B[nH + nK :, :]])
-    graph = span(proj, ambient_dim=nH + nL, atol=GRAPH_ATOL)
-    return LinRel(nH, nL, graph, min(S.tol, T.tol))
+    return LinRel(T.dom_dim, S.codom_dim, graph, min(S.tol, T.tol))
 
 
 def rel_restrict(B: LinRel, D: Subspace) -> LinRel:
-    """B restricted to D: graph(B) intersected with D x K."""
+    """B restricted to D: graph(B) N for the null space N of (I - P_D) X_B."""
     if D.ambient_dim != B.dom_dim:
         raise DimensionMismatch("rel_restrict: subspace lives in the wrong space")
-    amb = B.dom_dim + B.codom_dim
-    big = np.zeros((amb, D.dim + B.codom_dim), dtype=np.complex128)
-    big[: B.dom_dim, : D.dim] = D.basis
-    big[B.dom_dim :, D.dim :] = np.eye(B.codom_dim)
-    inter = subspace_intersect(B.graph, span(big, ambient_dim=amb))
-    return LinRel(B.dom_dim, B.codom_dim, inter, B.tol)
+    X, _ = B.blocks()
+    N = kernel_basis(X - D.basis @ (D.basis.conj().T @ X), atol=RANK_RTOL).basis
+    return LinRel(B.dom_dim, B.codom_dim, Subspace(B.graph.ambient_dim, B.graph.basis @ N), B.tol)
 
 
 def rel_classify(T: LinRel, tol=None) -> RelFlags:
@@ -224,7 +213,8 @@ def rel_classify(T: LinRel, tol=None) -> RelFlags:
 
     With graph basis pairs (x_i, y_i), the form matrix is F = X* Y; the
     relation is symmetric iff F is Hermitian at tol, nonnegative iff F is
-    additionally PSD, selfadjoint iff graph(T) and graph(T*) coincide.
+    additionally PSD (||F|| read off its eigenvalues), selfadjoint iff
+    graph(T) and graph(T*) coincide.
     """
     if T.dom_dim != T.codom_dim:
         raise NotSquare("rel_classify: relation is not square")
@@ -235,7 +225,7 @@ def rel_classify(T: LinRel, tol=None) -> RelFlags:
     nonneg = False
     if sym:
         w = np.linalg.eigvalsh(herm(F)) if F.size else np.zeros(0)
-        nonneg = w.size == 0 or float(w[0]) >= -tol * (1.0 + opnorm(F))
+        nonneg = w.size == 0 or bool(w[0] >= -tol * (1.0 + max(-w[0], w[-1])))
     selfadj = subspace_distance(T.graph, rel_adjoint(T).graph) <= tol
     return RelFlags(symmetric=sym, nonnegative=nonneg, selfadjoint=selfadj)
 

@@ -10,7 +10,8 @@ and Sylvester intertwiner spaces.  Matrices are plain ``numpy`` arrays of
 Three global conventions keep kernels consistent across operations:
 
 * rank threshold: singular/eigen values below ``RANK_RTOL`` times the largest
-  one are treated as zero everywhere (kernels, pseudo-inverses, PSD powers);
+  one are treated as zero everywhere (kernels, pseudo-inverses, PSD powers),
+  by :func:`numerical_rank` for singular values;
 * identity checks default to relative Frobenius tolerance ``DEFAULT_TOL``,
   overridable per call;
 * one Hermitian/PSD gate, :func:`hermitian_eig`, returns the spectrum it
@@ -39,6 +40,7 @@ __all__ = [
     "Spectrum",
     "Intertwiners",
     "Subspace",
+    "SvdSplit",
     "as_matrix",
     "frob",
     "opnorm",
@@ -52,6 +54,8 @@ __all__ = [
     "spectrum",
     "sylvester_intertwiners",
     "hausdorff_distance",
+    "numerical_rank",
+    "svd_split",
     "matrix_rank",
     "kernel_basis",
     "range_basis",
@@ -129,12 +133,14 @@ class PolarParts:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues sorted by (real, imag), the matching eigenvector columns."""
+    """Eigenvalues sorted by (real, imag), the matching eigenvector columns,
+    and the spectral norm ||T|| that scaled the clustering."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     diagonalizable: bool
     eigvec_condition: float
+    norm: float
 
 
 @dataclass(frozen=True)
@@ -194,21 +200,8 @@ def psd_power(P, alpha: float, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 
 def moore_penrose(T, atol: float = 0.0) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse via SVD with the global rank threshold.
-
-    ``atol`` adds an absolute floor below which singular values count as
-    zero; callers working with orthonormal data use it to keep numerical
-    dust out of the inverse.
-    """
-    T = as_matrix(T)
-    if T.size == 0:
-        return T.conj().T.copy()
-    u, s, vh = np.linalg.svd(T, full_matrices=False)
-    if s.size == 0 or s[0] <= 0.0:
-        return np.zeros((T.shape[1], T.shape[0]), dtype=np.complex128)
-    cut = max(RANK_RTOL * s[0], atol)
-    inv = np.where(s > cut, 1.0 / np.where(s > cut, s, 1.0), 0.0)
-    return (vh.conj().T * inv) @ u.conj().T
+    """Moore-Penrose pseudo-inverse at the global rank threshold (see :func:`svd_split`)."""
+    return svd_split(T, atol).pinv
 
 
 def polar(G) -> PolarParts:
@@ -221,8 +214,7 @@ def polar(G) -> PolarParts:
     G = as_matrix(G)
     _require_square(G, "polar")
     w, s, vh = np.linalg.svd(G)
-    cut = RANK_RTOL * (s[0] if s.size else 0.0)
-    r = int(np.count_nonzero(s > cut))
+    r = numerical_rank(s)
     u = w[:, :r] @ vh[:r, :]
     modulus = herm((vh.conj().T * s) @ vh)
     return PolarParts(unitary_factor=u, modulus=modulus)
@@ -279,8 +271,8 @@ def spectrum(T, tol: float = DEFAULT_TOL) -> Spectrum:
     order = np.lexsort((w.imag, w.real))
     w = w[order]
     v = v[:, order]
-    scale = max(opnorm(T), 1e-300)
-    dtol = 100.0 * tol * scale
+    norm = opnorm(T)
+    dtol = 100.0 * tol * max(norm, 1e-300)
     diagonalizable = True
     for cluster in _cluster(w, dtol):
         m = len(cluster)
@@ -293,7 +285,7 @@ def spectrum(T, tol: float = DEFAULT_TOL) -> Spectrum:
             diagonalizable = False
             break
     cond = float(np.linalg.cond(v, 2)) if diagonalizable else float("inf")
-    return Spectrum(eigenvalues=w, eigenvectors=v, diagonalizable=diagonalizable, eigvec_condition=cond)
+    return Spectrum(eigenvalues=w, eigenvectors=v, diagonalizable=diagonalizable, eigvec_condition=cond, norm=norm)
 
 
 def sylvester_intertwiners(T, S, seed: int = 0, n_combos: int = 64) -> Intertwiners:
@@ -312,9 +304,7 @@ def sylvester_intertwiners(T, S, seed: int = 0, n_combos: int = 64) -> Intertwin
     n, p = T.shape[0], S.shape[0]
     M = np.kron(T.T, np.eye(p)) - np.kron(np.eye(n), S)
     u, s, vh = np.linalg.svd(M)
-    cut = RANK_RTOL * (s[0] if s.size else 0.0)
-    rank_m = int(np.count_nonzero(s > cut))
-    null = vh[rank_m:, :].conj().T
+    null = vh[numerical_rank(s):, :].conj().T
     basis = [null[:, j].reshape((p, n), order="F") for j in range(null.shape[1])]
     if not basis:
         return Intertwiners(basis=[], max_rank_element=np.zeros((p, n), dtype=np.complex128), rank=0)
@@ -326,7 +316,7 @@ def sylvester_intertwiners(T, S, seed: int = 0, n_combos: int = 64) -> Intertwin
         c /= np.linalg.norm(c)
         cand = sum(ci * Gi for ci, Gi in zip(c, basis))
         sv = np.linalg.svd(cand, compute_uv=False)
-        r = int(np.count_nonzero(sv > RANK_RTOL * (sv[0] if sv.size else 0.0)))
+        r = numerical_rank(sv)
         key = (r, float(sv[r - 1]) if r > 0 else 0.0)
         if key > best_key:
             best_key = key
@@ -388,8 +378,7 @@ def span(
     if A.shape[1] == 0 or not A.any():
         return Subspace(ambient_dim, np.zeros((ambient_dim, 0), dtype=np.complex128), tol)
     u, s, _ = np.linalg.svd(A, full_matrices=False)
-    r = int(np.count_nonzero(s > max(rtol * s[0], atol)))
-    return Subspace(ambient_dim, u[:, :r].copy(), tol)
+    return Subspace(ambient_dim, u[:, : numerical_rank(s, atol, rtol)].copy(), tol)
 
 
 def full_space(n: int, tol: float = DEFAULT_TOL) -> Subspace:
@@ -400,34 +389,53 @@ def zero_space(n: int, tol: float = DEFAULT_TOL) -> Subspace:
     return Subspace(n, np.zeros((n, 0), dtype=np.complex128), tol)
 
 
+def numerical_rank(s, atol: float = 0.0, rtol: float = RANK_RTOL) -> int:
+    """The rank rule: how many descending singular values s exceed max(rtol s[0], atol)."""
+    return int(np.count_nonzero(s > max(rtol * s[0], atol))) if s.size else 0
+
+
+@dataclass(frozen=True)
+class SvdSplit:
+    """A = U_r diag(s_r) V_r*: ran = span U_r, ker = (span V_r)^perp, pinv = V_r diag(1/s_r) U_r*."""
+
+    ran: Subspace
+    ker: Subspace
+    pinv: np.ndarray
+
+
+def svd_split(A, atol: float = 0.0) -> SvdSplit:
+    """Range, kernel and pseudo-inverse of A from one SVD, cut by :func:`numerical_rank`.
+
+    ``atol`` is an absolute floor for data on the scale of an orthonormal
+    basis, where a block of pure rounding dust must count as zero.
+    """
+    A = as_matrix(A)
+    m, n = A.shape
+    if A.size == 0 or not A.any():
+        return SvdSplit(zero_space(m), full_space(n), np.zeros((n, m), dtype=np.complex128))
+    u, s, vh = np.linalg.svd(A, full_matrices=m < n)
+    r = numerical_rank(s, atol)
+    v = vh.conj().T
+    return SvdSplit(
+        ran=Subspace(m, u[:, :r].copy()),
+        ker=Subspace(n, v[:, r:].copy()),
+        pinv=(v[:, :r] / s[:r]) @ u[:, :r].conj().T,
+    )
+
+
 def matrix_rank(A, atol: float = 0.0) -> int:
     A = as_matrix(A)
-    if A.size == 0 or not A.any():
-        return 0
-    s = np.linalg.svd(A, compute_uv=False)
-    return int(np.count_nonzero(s > max(RANK_RTOL * s[0], atol)))
+    return numerical_rank(np.linalg.svd(A, compute_uv=False), atol) if A.any() else 0
 
 
 def kernel_basis(A, atol: float = 0.0) -> Subspace:
     """Orthonormal basis of ker A at the global rank threshold."""
-    A = as_matrix(A)
-    n = A.shape[1]
-    if A.size == 0 or not A.any():
-        return full_space(n)
-    _, s, vh = np.linalg.svd(A)
-    r = int(np.count_nonzero(s > max(RANK_RTOL * s[0], atol)))
-    return Subspace(n, vh[r:, :].conj().T.copy())
+    return svd_split(A, atol).ker
 
 
 def range_basis(A, atol: float = 0.0) -> Subspace:
     """Orthonormal basis of ran A at the global rank threshold."""
-    A = as_matrix(A)
-    m = A.shape[0]
-    if A.size == 0 or not A.any():
-        return zero_space(m)
-    u, s, _ = np.linalg.svd(A)
-    r = int(np.count_nonzero(s > max(RANK_RTOL * s[0], atol)))
-    return Subspace(m, u[:, :r].copy())
+    return svd_split(A, atol).ran
 
 
 def subspace_sum(*spaces: Subspace) -> Subspace:
@@ -449,13 +457,8 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
         raise ValueError("ambient dimension mismatch")
     if a.dim == 0 or b.dim == 0:
         return zero_space(a.ambient_dim)
-    M = np.hstack([a.basis, -b.basis])
-    _, s, vh = np.linalg.svd(M)
-    cut = RANK_RTOL * (s[0] if s.size else 0.0)
-    r = int(np.count_nonzero(s > cut))
-    null = vh[r:, :].conj().T
-    vecs = a.basis @ null[: a.dim, :]
-    return span(vecs, ambient_dim=a.ambient_dim)
+    null = kernel_basis(np.hstack([a.basis, -b.basis])).basis
+    return span(a.basis @ null[: a.dim, :], ambient_dim=a.ambient_dim)
 
 
 def subspace_contains(big: Subspace, small: Subspace, tol=None) -> bool:

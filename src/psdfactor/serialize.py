@@ -9,7 +9,9 @@ round-trip exactly, so serialize/deserialize is value-exact.
 
 from __future__ import annotations
 
+import cmath
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -42,11 +44,20 @@ def complex_to_json(z):
 
 
 def complex_from_json(obj, where="scalar"):
+    """A finite complex scalar from a number or [re, im]; NaN and Infinity are refused."""
     if isinstance(obj, (int, float)):
-        return complex(obj)
-    if isinstance(obj, list) and len(obj) == 2 and all(isinstance(x, (int, float)) for x in obj):
-        return complex(obj[0], obj[1])
-    raise ParseError(f"{where}: expected a number or [re, im], got {obj!r}")
+        parts = [obj]
+    elif isinstance(obj, list) and len(obj) == 2 and all(isinstance(x, (int, float)) for x in obj):
+        parts = obj
+    else:
+        raise ParseError(f"{where}: expected a number or [re, im], got {obj!r}")
+    try:
+        z = complex(*parts)
+    except OverflowError:  # an integer beyond the float range
+        z = complex(math.inf)
+    if not cmath.isfinite(z):
+        raise ParseError(f"{where}: entry {obj!r} is not finite")
+    return z
 
 
 def matrix_to_json(M):

@@ -6,12 +6,20 @@ from a blind lambda sweep, diagonalizability from the index-one rank test,
 and the relation form order from its definition on operator parts.  The
 Sebestyen reference solver is the earlier dense ``seb_solve``, which takes
 ker M from an SVD and lambda* from ||T M^(+1/2)||^2 instead of the single
-eigendecomposition of the library engine.
+eigendecomposition of the library engine.  The relation references are the
+earlier ``rel_parts`` (up to seven SVDs, ``mul`` and ``ker`` re-orthonormalized),
+``rel_compose`` (one subspace intersection inside H x K x L) and
+``rel_restrict`` (graph(B) intersected with D x K).
 """
 
 import math
 
 import numpy as np
+
+from psdfactor import numkernel as nk
+from psdfactor.errors import DimensionMismatch
+from psdfactor.linrel import GRAPH_ATOL, LinRel, RelParts
+from psdfactor.numkernel import Subspace, moore_penrose, span, subspace_intersect
 
 
 def charpoly_roots(H):
@@ -172,6 +180,74 @@ def seb_solve_reference(T, B, tol=1e-8):
         norm_X=opnorm(X),
         checks=checks,
     )
+
+
+def rel_parts_reference(T: LinRel) -> RelParts:
+    """dom/ran/ker/mul subspaces and the zero-extended operator-part matrix.
+
+    mul T = T(0) and ker T = {x : (x, 0) in T}; dim dom + dim mul equals the
+    graph dimension.  The operator part satisfies T_s x = P_s y for every
+    (x, y) in T, where P_s projects onto (mul T)^perp, and vanishes on
+    (dom T)^perp.
+    """
+    X, Y = T.blocks()
+    dom = span(X, ambient_dim=T.dom_dim, atol=GRAPH_ATOL, tol=T.tol)
+    ran = span(Y, ambient_dim=T.codom_dim, atol=GRAPH_ATOL, tol=T.tol)
+    mul = _second_component_at_zero(X, Y, T.codom_dim)
+    ker = _second_component_at_zero(Y, X, T.dom_dim)
+    P_s = np.eye(T.codom_dim, dtype=np.complex128) - mul.projector()
+    ts = P_s @ Y @ moore_penrose(X, atol=GRAPH_ATOL)
+    return RelParts(dom=dom, ran=ran, ker=ker, mul=mul, operator_part_matrix=ts)
+
+
+def _second_component_at_zero(X, Y, amb):
+    """span{y : (0, y) in the graph}, i.e. Y restricted to ker X."""
+    if X.shape[1] == 0:
+        return nk.zero_space(amb)
+    kerX = nk.kernel_basis(X, atol=GRAPH_ATOL)
+    return span(Y @ kerX.basis, ambient_dim=amb, atol=GRAPH_ATOL)
+
+
+def rel_compose_reference(S: LinRel, T: LinRel) -> LinRel:
+    """The product S T = {(x, z) : exists y, (x, y) in T, (y, z) in S}.
+
+    Computed as one orthonormal intersection of graph(T) x L with
+    H x graph(S) inside H x K x L, projected onto the (x, z) coordinates.
+    """
+    if T.codom_dim != S.dom_dim:
+        raise DimensionMismatch(
+            f"rel_compose: codomain {T.codom_dim} of T != domain {S.dom_dim} of S"
+        )
+    nH, nK, nL = T.dom_dim, T.codom_dim, S.codom_dim
+    Xt, Yt = T.blocks()
+    Xs, Ys = S.blocks()
+    gt = T.graph_dim
+    gs = S.graph_dim
+    left = np.zeros((nH + nK + nL, gt + nL), dtype=np.complex128)
+    left[: nH + nK, :gt] = np.vstack([Xt, Yt])
+    left[nH + nK :, gt:] = np.eye(nL)
+    right = np.zeros((nH + nK + nL, nH + gs), dtype=np.complex128)
+    right[:nH, :nH] = np.eye(nH)
+    right[nH:, nH:] = np.vstack([Xs, Ys])
+    inter = subspace_intersect(
+        span(left, ambient_dim=nH + nK + nL), span(right, ambient_dim=nH + nK + nL)
+    )
+    B = inter.basis
+    proj = np.vstack([B[:nH, :], B[nH + nK :, :]])
+    graph = span(proj, ambient_dim=nH + nL, atol=GRAPH_ATOL)
+    return LinRel(nH, nL, graph, min(S.tol, T.tol))
+
+
+def rel_restrict_reference(B: LinRel, D: Subspace) -> LinRel:
+    """B restricted to D: graph(B) intersected with D x K."""
+    if D.ambient_dim != B.dom_dim:
+        raise DimensionMismatch("rel_restrict: subspace lives in the wrong space")
+    amb = B.dom_dim + B.codom_dim
+    big = np.zeros((amb, D.dim + B.codom_dim), dtype=np.complex128)
+    big[: B.dom_dim, : D.dim] = D.basis
+    big[B.dom_dim :, D.dim :] = np.eye(B.codom_dim)
+    inter = subspace_intersect(B.graph, span(big, ambient_dim=amb))
+    return LinRel(B.dom_dim, B.codom_dim, inter, B.tol)
 
 
 def sylvester_dimension(eigs_T, eigs_S, tol=1e-9):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -200,6 +201,56 @@ def test_cli_malformed_settings_exit_3(tmp_path, monkeypatch, capsys, env, flags
     assert code == 3
     assert out == ""
     assert err.startswith("psdfactor: parse error: ") and err.count("\n") == 1
+
+
+def _nan_matrix():
+    return {"rows": 1, "cols": 1, "data": [float("nan")]}
+
+
+_ONE = serialize.matrix_to_json(np.eye(1))
+_SYM = {"head": [[1.0, 0.0], [2.0, 0.0]]}  # head length 2
+
+
+@pytest.mark.parametrize(
+    "command, job",
+    [
+        pytest.param("seb", {"T": _nan_matrix(), "B": _nan_matrix()}, id="seb-data-nan"),
+        pytest.param("seb", {"T": {"rows": 1, "cols": 1, "data": [[1.0, float("inf")]]}, "B": _ONE}, id="seb-data-infinity"),
+        pytest.param("seb", {"T": {"rows": 1, "cols": 1, "data": [10**400]}, "B": _ONE}, id="seb-data-overflow"),
+        pytest.param("rel", {"op": "adjoint", "T": {"n": 1, "m": 1, "graph_basis": {"rows": 2, "cols": 1, "data": [float("nan"), 1.0]}}}, id="rel-basis-nan"),
+        pytest.param("factor", {"op": "power_chain", "A": _ONE, "B": _ONE, "n_max": "abc"}, id="power-chain-n_max-abc"),
+        pytest.param("factor", {"op": "power_chain", "A": _ONE, "B": _ONE, "n_max": 1.5}, id="power-chain-n_max-fraction"),
+        pytest.param("diag", {"op": "truncate", "t": _SYM, "N": -3}, id="truncate-N-negative"),
+        pytest.param("diag", {"op": "truncate", "t": _SYM, "N": 1}, id="truncate-N-below-head"),
+        pytest.param("diag", {"op": "truncate", "t": _ONE}, id="truncate-matrix"),
+    ],
+)
+def test_cli_malformed_job_exit_3(tmp_path, capsys, command, job):
+    # Each of these used to end in a Python traceback with exit 1.
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    code = cli.main([command, "--in", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err.startswith("psdfactor: parse error: ") and err.count("\n") == 1
+
+
+def test_cli_wall_clock_covers_reading_the_job(tmp_path, monkeypatch, capsys):
+    # A fake clock that only reading and parsing the job advances: the report must show it.
+    now = [100.0]
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(monotonic=lambda: now[0]))
+    real_loads = cli.loads
+
+    def slow_loads(text):
+        now[0] += 2.5
+        return real_loads(text)
+
+    monkeypatch.setattr(cli, "loads", slow_loads)
+    code = cli.main(["seb", "--in", identity_job(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    assert json.loads(out)["wall_clock_s"] == 2.5
 
 
 @pytest.mark.parametrize(

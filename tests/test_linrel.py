@@ -29,7 +29,13 @@ from psdfactor.linrel import (
     rel_zero,
 )
 
-from oracles import form_order_leq_definition, random_psd
+from oracles import (
+    form_order_leq_definition,
+    random_psd,
+    rel_compose_reference,
+    rel_parts_reference,
+    rel_restrict_reference,
+)
 
 
 def random_relation(rng, n, m, graph_dim=None):
@@ -313,3 +319,70 @@ def test_moore_penrose_projection_identities():
         mul_vecs = np.vstack([np.zeros((m, parts.mul.dim)), parts.mul.basis])
         expected_right = rel_plusdot(rel_from_matrix(proj), mul_vecs)
         assert rel_distance(right, expected_right) <= 1e-9
+
+
+# ------------------------------------------- agreement with the reference forms
+
+_FAMILIES = ("generic", "mul_ker", "zero", "full", "mul_everything", "tiny", "tiny_inverse")
+
+
+def _cplx(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _family_relation(rng, kind, n, m):
+    """A relation C^n -> C^m from one of the generic or degenerate families."""
+    if kind == "generic":
+        return random_relation(rng, n, m)
+    if kind == "mul_ker":
+        # operator part of rank r < d on a d-dimensional domain, plus a mul part
+        d = int(rng.integers(1, n + 1))
+        r = int(rng.integers(0, d))
+        w = int(rng.integers(0, m))
+        D = _cplx(rng, n, d)
+        A = _cplx(rng, m, r) @ _cplx(rng, r, n)
+        pairs = np.vstack([D, A @ D])
+        muls = np.vstack([np.zeros((n, w)), _cplx(rng, m, w)])
+        return rel_from_graph(np.hstack([pairs, muls]), n, m)
+    if kind == "zero":
+        return LinRel(n, m, nk.zero_space(n + m))
+    if kind == "full":
+        return LinRel(n, m, nk.full_space(n + m))
+    if kind == "mul_everything":
+        return rel_mul_everything(n, m)
+    if kind == "tiny":
+        return rel_from_matrix(1e-13 * _cplx(rng, m, n))
+    return rel_inverse(rel_from_matrix(1e-13 * _cplx(rng, n, m)))
+
+
+def _assert_same_subspace(got, want, what):
+    assert got.dim == want.dim, what
+    assert nk.subspace_distance(got, want) <= 1e-12, what
+
+
+def test_relation_ops_match_reference_forms():
+    # The null-space forms of compose and restrict and the two-SVD parts agree
+    # with the subspace-intersection forms they replaced, on every family pair;
+    # the restriction to a relation's own domain is always among the cases.
+    rng = np.random.default_rng(19)
+    for i in range(245):
+        kind_T, kind_S = _FAMILIES[i % 7], _FAMILIES[(i // 7) % 7]
+        n, m, k = (int(x) for x in rng.integers(1, 6, size=3))
+        T = _family_relation(rng, kind_T, n, m)
+        S = _family_relation(rng, kind_S, m, k)
+        what = (i, kind_S, kind_T)
+        _assert_same_subspace(rel_compose(S, T).graph, rel_compose_reference(S, T).graph, what)
+        for R in (T, S):
+            got, want = rel_parts(R), rel_parts_reference(R)
+            for name in ("dom", "ran", "ker", "mul"):
+                _assert_same_subspace(getattr(got, name), getattr(want, name), (what, name))
+            gap = nk.frob(got.operator_part_matrix - want.operator_part_matrix)
+            assert gap <= 1e-12 * (1.0 + nk.frob(want.operator_part_matrix)), what
+        domains = [nk.span(_cplx(rng, n, int(rng.integers(0, n + 1))), ambient_dim=n), rel_parts(T).dom]
+        if n == m:
+            # the solver's restriction: B to dom T*B
+            B = _family_relation(rng, _FAMILIES[int(rng.integers(0, 7))], n, n)
+            domains.append(rel_parts(rel_compose(rel_adjoint(T), B)).dom)
+        for D in domains:
+            _assert_same_subspace(rel_restrict(T, D).graph, rel_restrict_reference(T, D).graph, what)
+        assert rel_restrict(T, rel_parts(T).dom).graph_dim == T.graph_dim
