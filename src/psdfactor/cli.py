@@ -11,7 +11,9 @@ of ``--tol``, the job's ``"tol"`` key and the environment variable
 ``--threads`` (default 1) must be an integer >= 1.
 Exit codes: 0 = completed (feasible and infeasible both count), 2 = a
 hypothesis gate failed, 3 = malformed input, a malformed tolerance, seed,
-trial count or thread count included.
+trial count or thread count included, or a job the engines cannot finish
+(a result outside the float range or the symbol class, LAPACK
+non-convergence); every exit 3 prints one line to stderr.
 
 Reports are deterministic: a fixed JobSpec yields a byte-identical report
 apart from the ``wall_clock_s`` field, independent of ``--threads``.
@@ -66,7 +68,7 @@ from .serialize import (
 
 EXIT_OK = 0
 EXIT_HYPOTHESIS = 2
-EXIT_PARSE = 3
+EXIT_INPUT = 3  # malformed input, or a job the engines cannot finish
 
 
 def _num(x):
@@ -419,13 +421,14 @@ def main(argv=None) -> int:
         report = run_job(args.command, job, tol, seed, trials, threads, started=started)
     except ParseError as exc:
         print(f"psdfactor: parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return EXIT_INPUT
     except HypothesisError as exc:
         print(f"psdfactor: hypothesis failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    except PsdFactorError as exc:
-        print(f"psdfactor: error: {exc}", file=sys.stderr)
-        return 1
+    except (PsdFactorError, np.linalg.LinAlgError) as exc:
+        message = " ".join(str(exc).split())
+        print(f"psdfactor: cannot finish the job: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INPUT
     text = json.dumps(report, sort_keys=True, separators=(",", ": "), indent=1)
     if args.outfile:
         with open(args.outfile, "w", encoding="utf-8") as fh:

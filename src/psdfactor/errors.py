@@ -3,7 +3,7 @@
 ``HypothesisError`` subclasses signal that a theorem-level hypothesis of the
 requested operation fails (these are hard errors, never silent infeasibility);
 ``ParseError`` signals malformed wire input.  The CLI maps hypothesis errors
-to exit code 2 and parse errors to exit code 3.
+to exit code 2 and every other error here to exit code 3.
 """
 
 

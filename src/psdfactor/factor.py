@@ -7,7 +7,8 @@ objects and their residuals:
 * ``douglas_solve`` - majorization T*T <= c^2 B*B <-> a bounded left factor;
 * ``seb_solve`` / ``seb_relation_solve`` - the inequality T*T <= lambda T*B
   and its minimal constant, with the PSD factor X built from the contraction
-  G0 of the range construction;
+  G0 of the range construction, both from one eigendecomposition of the
+  form of M = T*B in ``_seb_factor`` (one kernel-leak rule, norm_X = lambda*);
 * ``reverse_solve`` - the reversed inequality T*T >= eta B0-bar T, solved by
   inverting the relations and dualizing the forward engine;
 * similarity and intertwining deciders (``psd_similarity_decide``,
@@ -30,6 +31,7 @@ import numpy as np
 from . import numkernel as nk
 from .errors import (
     HypothesisFailed,
+    NoConvergence,
     NotIntertwining,
     NotInvertible,
     NotScalarNonneg,
@@ -110,10 +112,13 @@ __all__ = [
 class SebCertificate:
     """Verdict and witnesses for T*T <= lambda T*B.
 
-    When feasible, X is PSD with ||X|| <= lambda_star, ker X = ker T*, and
-    X B = T (matrices) resp. X B0-bar contained in T (relations); G0 is the
-    contraction of the construction.  ``checks`` carries named residuals and
-    the tolerance each was tested at.
+    When feasible, X is PSD with norm_X = ||X|| = lambda_star, ker X = ker T*,
+    and X B = T (matrices) resp. X B0-bar contained in T (relations); G0 is
+    the contraction of the construction.  Both engines call it infeasible
+    when ||T_s D V_ker|| > tol (1 + ||T_s D||), D a basis of dom M, M = T*B,
+    V_ker of the kernel of M's form (matrices report this leak as
+    ``kernel_obstruction``), relations also when dom M is not inside dom T.
+    ``checks`` carries named residuals and the tolerance each was tested at.
     """
 
     feasible: bool
@@ -261,58 +266,66 @@ def douglas_solve(T, B, tol: float = DEFAULT_TOL) -> DouglasSolution:
 # ---------------------------------------------------------------------------
 
 
+def _seb_infeasible(**checks) -> SebCertificate:
+    return SebCertificate(
+        feasible=False,
+        lambda_star=math.inf,
+        X=None,
+        G0=None,
+        residual_xb_t=math.inf,
+        norm_X=math.inf,
+        checks=checks,
+    )
+
+
+def _seb_factor(Ts, A, tol: float, who: str, D=None):
+    """X = T_s M^+ T_s*, lambda* and G0 from one gated eigh of the form of M = T*B.
+
+    A = D* M_s D = V diag(w) V* is the form of M on an orthonormal basis D of
+    dom M (None: the identity) and Ts the operator part of T.  ker A is the
+    eigenvectors with |w| <= RANK_RTOL max|w|; it must leak nothing into T,
+    ||Ts D V_ker|| <= tol (1 + ||Ts D||).  Then F = Ts D V_+ w_+^(-1/2),
+    X = F F*, lambda* = lambda_max(X) = ||X|| and G0 = F (D V_+)* / sqrt(lambda*).
+    Returns (leak, lambda*, X, G0), X None past the leak bound and
+    lambda* = 0 with zero X and G0 when F vanishes.
+    """
+    eig = nk.hermitian_eig(A, tol, psd=True, who=who, error=HypothesisFailed)
+    w, V = eig.eigenvalues, eig.eigenvectors
+    cut = RANK_RTOL * (max(-w[0], w[-1]) if w.size else 0.0)
+    TD = Ts if D is None else Ts @ D
+
+    leak = opnorm(TD @ V[:, np.abs(w) <= cut])
+    if leak and leak > tol * (1.0 + opnorm(TD)):
+        return leak, math.inf, None, None
+
+    live = w > cut
+    DV = V[:, live] if D is None else D @ V[:, live]
+    F = (TD @ V[:, live]) * w[live] ** -0.5
+    if not F.any():
+        n_K = Ts.shape[0]
+        return leak, 0.0, np.zeros((n_K, n_K), dtype=np.complex128), np.zeros(Ts.shape, dtype=np.complex128)
+    X = herm(F @ F.conj().T)
+    lam = float(np.linalg.eigvalsh(X)[-1])
+    return leak, lam, X, (F / math.sqrt(lam)) @ DV.conj().T
+
+
 def seb_solve(T, B, tol: float = DEFAULT_TOL) -> SebCertificate:
     """Minimal lambda and PSD factor X for T*T <= lambda T*B, T = X B.
 
-    Everything comes from one eigendecomposition M = T*B = V diag(w) V*,
-    which must be Hermitian PSD (HypothesisFailed otherwise).  With the cut
-    RANK_RTOL max|w|, ker M is spanned by the eigenvectors with |w| <= cut and
-    M^+ acts on those with w > cut.  Feasible iff ker M <= ker T; then
-
-        X = T M^+ T* = F F*,  F = T V_+ diag(w_+)^(-1/2),
-
-    satisfies X B = T exactly (the everywhere-defined collapse of
-    X B0-bar <= T) and ker X = ker T*, and lambda* = ||X|| = lambda_max(X).
-    G0 = F V_+* / sqrt(lambda*) is the contraction of the range
-    construction, with X = lambda* G0 G0*.  T = 0 short-circuits to
-    lambda* = 0, X = 0.
+    ``_seb_factor`` on M = T*B with D = I: feasible iff ker M <= ker T; then
+    X = T M^+ T* satisfies X B = T exactly (the everywhere-defined collapse
+    of X B0-bar <= T), ker X = ker T* and lambda* = norm_X = ||X||, and G0
+    is the contraction of the range construction, X = lambda* G0 G0*.
+    T = 0 short-circuits to lambda* = 0, X = 0.
     """
     T, B = as_matrix(T), as_matrix(B)
     if T.shape != B.shape:
         raise NotSquare(f"seb_solve: shape mismatch {T.shape} vs {B.shape}")
     M = T.conj().T @ B
-    eig = nk.hermitian_eig(M, tol, psd=True, who="seb_solve: T*B", error=HypothesisFailed)
-    w, V = eig.eigenvalues, eig.eigenvectors
-    cut = RANK_RTOL * (max(-w[0], w[-1]) if w.size else 0.0)
-
-    leak = opnorm(T @ V[:, np.abs(w) <= cut])
-    if leak and leak > tol * (1.0 + opnorm(T)):
-        return SebCertificate(
-            feasible=False,
-            lambda_star=math.inf,
-            X=None,
-            G0=None,
-            residual_xb_t=math.inf,
-            norm_X=math.inf,
-            checks={"kernel_obstruction": leak},
-        )
-
-    live = w > cut
-    F = (T @ V[:, live]) * w[live] ** -0.5
-    if not F.any():
-        return SebCertificate(
-            feasible=True,
-            lambda_star=0.0,
-            X=np.zeros((T.shape[0], T.shape[0]), dtype=np.complex128),
-            G0=np.zeros_like(T),
-            residual_xb_t=frob(T),
-            norm_X=0.0,
-            checks={"zero_solution": True},
-        )
-    X = herm(F @ F.conj().T)
-    lam = float(np.linalg.eigvalsh(X)[-1])
-    G0 = (F / math.sqrt(lam)) @ V[:, live].conj().T
-    checks = {
+    leak, lam, X, G0 = _seb_factor(T, M, tol, "seb_solve: T*B")
+    if X is None:
+        return _seb_infeasible(kernel_obstruction=leak)
+    checks = {"zero_solution": True} if lam == 0.0 else {
         "contraction_norm": opnorm(G0),
         "b_majorization_margin": loewner_leq(M, lam * (B.conj().T @ B), tol=tol)[1],
         "tol": tol,
@@ -333,44 +346,17 @@ def seb_solve(T, B, tol: float = DEFAULT_TOL) -> SebCertificate:
 # ---------------------------------------------------------------------------
 
 
-def _form_compression(parts, D):
-    """Quadratic form of a nonneg selfadjoint relation, given its parts, compressed to columns D."""
-    ts = parts.operator_part_matrix
-    return herm(D.conj().T @ ts @ D)
-
-
-def _relation_min_lambda(parts_R, parts_M, tol: float):
-    """Minimal lambda with R <= lambda M in the form order, or None.
-
-    R, M nonnegative selfadjoint, given by their parts.  Feasible iff
-    dom M <= dom R and the kernel of M's form inside dom M sits in the kernel
-    of R's form; then lambda* = || A_M^(+1/2) A_R A_M^(+1/2) || with A_R, A_M
-    the compressed forms on dom M.
-    """
-    if not subspace_contains(parts_R.dom, parts_M.dom, tol=tol):
-        return None
-    D = parts_M.dom.basis
-    A_R = _form_compression(parts_R, D)
-    A_M = _form_compression(parts_M, D)
-    km = kernel_basis(A_M)
-    if km.dim:
-        leak = opnorm(herm(km.basis.conj().T @ A_R @ km.basis))
-        if leak > tol * (1.0 + opnorm(A_R)):
-            return None
-    amp = psd_power(A_M, -0.5, tol=tol)
-    return float(opnorm(amp @ A_R @ amp))
-
-
 def seb_relation_solve(T: LinRel, B: LinRel, tol: float = DEFAULT_TOL) -> SebCertificate:
     """Relation form of the Sebestyen solver.
 
-    Hypotheses (hard errors): mul B <= ker (T_s)* and T*B selfadjoint
-    nonnegative.  Feasible iff T*T <= lambda T*B holds in the form order for
-    some lambda; then X = lambda* G0 G0* with the contraction
-    G0 = T_s (lambda* (T*B)_s)^(+1/2) satisfies X B0-bar <= T_s, the chain
-    T* B0-bar = B0* X B0-bar = B0* T holds, and ker (T_s)* <= ker X.  When
-    dom T <= dom B0-bar, additionally T = X B0-bar (+) T_mul and
-    ker X = ker (T_s)*.
+    Hypotheses (hard errors): mul B <= ker (T_s)* and M = T*B selfadjoint
+    nonnegative.  T*T <= lambda M needs dom M <= dom(T*T) = dom T, where the
+    form of T*T is ||T_s x||^2, so ``_seb_factor`` on the form of M on dom M
+    decides it without forming T*T.  Then X = lambda* G0 G0* with the
+    contraction G0 = T_s (lambda* M_s)^(+1/2) satisfies X B0-bar <= T_s, the
+    chain T* B0-bar = B0* X B0-bar = B0* T holds, ker (T_s)* <= ker X and
+    norm_X = lambda* = ||X||.  When dom T <= dom B0-bar = dom M,
+    additionally T = X B0-bar (+) T_mul and ker X = ker (T_s)*.
     """
     if T.dom_dim != B.dom_dim or T.codom_dim != B.codom_dim:
         raise NotSquare("seb_relation_solve: T and B must share domain and codomain")
@@ -385,25 +371,13 @@ def seb_relation_solve(T: LinRel, B: LinRel, tol: float = DEFAULT_TOL) -> SebCer
     if not (mflags.selfadjoint and mflags.nonnegative):
         raise HypothesisFailed("seb_relation_solve: T*B is not selfadjoint nonnegative")
     parts_M = rel_parts(M_rel)
-
-    lam = _relation_min_lambda(rel_parts(rel_compose(Tadj, T)), parts_M, tol)
-    if lam is None:
-        return SebCertificate(
-            feasible=False,
-            lambda_star=math.inf,
-            X=None,
-            G0=None,
-            residual_xb_t=math.inf,
-            norm_X=math.inf,
-        )
-
-    n_K = T.codom_dim
-    if lam <= 0.0:
-        X = np.zeros((n_K, n_K), dtype=np.complex128)
-        G0 = np.zeros((n_K, T.dom_dim), dtype=np.complex128)
-    else:
-        G0 = ts @ psd_power(lam * herm(parts_M.operator_part_matrix), -0.5, tol=tol)
-        X = herm(lam * (G0 @ G0.conj().T))
+    if not subspace_contains(parts_T.dom, parts_M.dom, tol=tol):
+        return _seb_infeasible()
+    D = parts_M.dom.basis
+    A = herm(D.conj().T @ parts_M.operator_part_matrix @ D)
+    _, lam, X, G0 = _seb_factor(ts, A, tol, "seb_relation_solve: form of T*B", D)
+    if X is None:
+        return _seb_infeasible()
 
     B0 = rel_restrict(B, parts_M.dom)
     B0adj = rel_adjoint(B0)
@@ -426,7 +400,7 @@ def seb_relation_solve(T: LinRel, B: LinRel, tol: float = DEFAULT_TOL) -> SebCer
         "tol": tol,
     }
 
-    if subspace_contains(rel_parts(B0).dom, parts_T.dom, tol=tol):
+    if subspace_contains(parts_M.dom, parts_T.dom, tol=tol):
         mul_pairs = np.vstack(
             [np.zeros((T.dom_dim, parts_T.mul.dim)), parts_T.mul.basis]
         )
@@ -437,11 +411,11 @@ def seb_relation_solve(T: LinRel, B: LinRel, tol: float = DEFAULT_TOL) -> SebCer
 
     return SebCertificate(
         feasible=True,
-        lambda_star=float(lam),
+        lambda_star=lam,
         X=X,
         G0=G0,
         residual_xb_t=incl_t,
-        norm_X=opnorm(X),
+        norm_X=lam,
         checks=checks,
     )
 
@@ -488,7 +462,8 @@ def reverse_solve(T, B, tol: float = DEFAULT_TOL) -> ReverseCertificate:
     eta = math.inf if dual.lambda_star <= 0.0 else 1.0 / dual.lambda_star
     Y = rel_inverse(rel_from_matrix(dual.X))
 
-    B0 = rel_inverse(rel_restrict(A, rel_parts(gateM).ran))
+    ran_M = rel_parts(gateM).ran  # = ran B0, as ran B*T <= ran B* = dom A
+    B0 = rel_inverse(rel_restrict(A, ran_M))
     B0adj = rel_adjoint(B0)
     chain = [
         gateM,
@@ -503,7 +478,7 @@ def reverse_solve(T, B, tol: float = DEFAULT_TOL) -> ReverseCertificate:
         "tol": tol,
     }
 
-    if subspace_contains(rel_parts(B0).ran, parts_Tadj.ran, tol=tol):
+    if subspace_contains(ran_M, parts_Tadj.ran, tol=tol):
         extra = np.vstack(
             [kerTadj.basis, np.zeros((T.dom_dim, kerTadj.dim))]
         )
@@ -848,7 +823,8 @@ def power_chain(A, B, n_max: int, tol: float = DEFAULT_TOL) -> PowerChain:
     """Iterates S_0 = B, S_n = S_(n-1) A S_(n-1) with T^(2^n) = A S_n.
 
     Each S_n stays Hermitian PSD (S_1 = (A^(1/2) B)* A^(1/2) B and so on);
-    residuals track ||T^(2^n) - A S_n||_F per level.
+    residuals track ||T^(2^n) - A S_n||_F per level.  Raises NoConvergence
+    at the first level whose S_n, residual or margin leaves the float range.
     """
     A, B = as_matrix(A), as_matrix(B)
     nk.hermitian_eig(A, tol, psd=True, who="power_chain: A")
@@ -858,10 +834,18 @@ def power_chain(A, B, n_max: int, tol: float = DEFAULT_TOL) -> PowerChain:
     residuals = [frob(T - A @ S_seq[0])]
     psd_margins = [float(wB[0])]
     power = T
-    for _ in range(n_max):
-        power = power @ power
-        S_next = herm(S_seq[-1] @ A @ S_seq[-1])
-        S_seq.append(S_next)
-        residuals.append(frob(power - A @ S_next))
-        psd_margins.append(float(np.linalg.eigvalsh(S_next)[0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for level in range(1, n_max + 1):
+            power = power @ power
+            S_next = S_seq[-1] @ A @ S_seq[-1]
+            if not np.isfinite(S_next).all():
+                raise NoConvergence(f"power_chain: S_{level} leaves the float range")
+            S_next = herm(S_next)
+            residual = frob(power - A @ S_next)
+            margin = float(np.linalg.eigvalsh(S_next)[0])
+            if not (math.isfinite(residual) and math.isfinite(margin)):
+                raise NoConvergence(f"power_chain: the level-{level} residual or margin leaves the float range")
+            S_seq.append(S_next)
+            residuals.append(residual)
+            psd_margins.append(margin)
     return PowerChain(S_seq=S_seq, residuals=residuals, psd_margins=psd_margins)

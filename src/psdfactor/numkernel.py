@@ -463,14 +463,12 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
 
 def subspace_contains(big: Subspace, small: Subspace, tol=None) -> bool:
     """small <= big, decided by the projection residual of small's basis."""
-    if small.dim == 0:
-        return True
     tol = big.tol if tol is None else tol
-    resid = small.basis - big.projector() @ small.basis
-    return opnorm(resid) <= tol
+    return subspace_containment_residual(big, small) <= tol
 
 
 def subspace_containment_residual(big: Subspace, small: Subspace) -> float:
+    """||(I - P_big) S|| for the orthonormal basis S of small (0 when small = {0})."""
     if small.dim == 0:
         return 0.0
     return opnorm(small.basis - big.projector() @ small.basis)

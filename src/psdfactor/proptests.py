@@ -93,11 +93,9 @@ def _trial_seb_soundness(rng, tol):
     if rng.integers(0, 2):
         T = random_psd(rng, n) @ B
     else:
-        ranB = np.linalg.matrix_rank(B, tol=1e-10)
         P = np.eye(n) - np.linalg.pinv(B) @ B
         D = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         T = random_psd(rng, n) @ B + P @ D.conj().T
-        del ranB
     cert = factor.seb_solve(T, B, tol=tol)
     oracle = lambda_sweep_feasible(T, B, tol=tol)
     return {"dim": n, "verdict": bool(cert.feasible), "oracle": bool(oracle), "ok": bool(cert.feasible == oracle)}

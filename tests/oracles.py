@@ -9,7 +9,12 @@ ker M from an SVD and lambda* from ||T M^(+1/2)||^2 instead of the single
 eigendecomposition of the library engine.  The relation references are the
 earlier ``rel_parts`` (up to seven SVDs, ``mul`` and ``ker`` re-orthonormalized),
 ``rel_compose`` (one subspace intersection inside H x K x L) and
-``rel_restrict`` (graph(B) intersected with D x K).
+``rel_restrict`` (graph(B) intersected with D x K).  The relation Sebestyen
+reference is the earlier ``seb_relation_solve``: it forms T*T as a relation,
+decides ker M on the compressed form of T*T (an SVD of the form of M, the
+leak measured as ||T_s D V_ker||^2) and takes lambda* and G0 from two further
+PSD powers, where the library engine shares the one eigendecomposition of
+``seb_solve``.
 """
 
 import math
@@ -17,9 +22,35 @@ import math
 import numpy as np
 
 from psdfactor import numkernel as nk
-from psdfactor.errors import DimensionMismatch
-from psdfactor.linrel import GRAPH_ATOL, LinRel, RelParts
-from psdfactor.numkernel import Subspace, moore_penrose, span, subspace_intersect
+from psdfactor.errors import DimensionMismatch, HypothesisFailed, NotSquare
+from psdfactor.factor import SebCertificate
+from psdfactor.linrel import (
+    GRAPH_ATOL,
+    LinRel,
+    RelParts,
+    operator_part_relation,
+    rel_adjoint,
+    rel_classify,
+    rel_compose,
+    rel_containment_residual,
+    rel_distance,
+    rel_from_matrix,
+    rel_parts,
+    rel_plusdot,
+    rel_restrict,
+)
+from psdfactor.numkernel import (
+    DEFAULT_TOL,
+    Subspace,
+    herm,
+    kernel_basis,
+    moore_penrose,
+    opnorm,
+    psd_power,
+    span,
+    subspace_contains,
+    subspace_intersect,
+)
 
 
 def charpoly_roots(H):
@@ -248,6 +279,119 @@ def rel_restrict_reference(B: LinRel, D: Subspace) -> LinRel:
     big[B.dom_dim :, D.dim :] = np.eye(B.codom_dim)
     inter = subspace_intersect(B.graph, span(big, ambient_dim=amb))
     return LinRel(B.dom_dim, B.codom_dim, inter, B.tol)
+
+
+def _form_compression(parts, D):
+    """Quadratic form of a nonneg selfadjoint relation, given its parts, compressed to columns D."""
+    ts = parts.operator_part_matrix
+    return herm(D.conj().T @ ts @ D)
+
+
+def _relation_min_lambda(parts_R, parts_M, tol: float):
+    """Minimal lambda with R <= lambda M in the form order, or None.
+
+    R, M nonnegative selfadjoint, given by their parts.  Feasible iff
+    dom M <= dom R and the kernel of M's form inside dom M sits in the kernel
+    of R's form; then lambda* = || A_M^(+1/2) A_R A_M^(+1/2) || with A_R, A_M
+    the compressed forms on dom M.
+    """
+    if not subspace_contains(parts_R.dom, parts_M.dom, tol=tol):
+        return None
+    D = parts_M.dom.basis
+    A_R = _form_compression(parts_R, D)
+    A_M = _form_compression(parts_M, D)
+    km = kernel_basis(A_M)
+    if km.dim:
+        leak = opnorm(herm(km.basis.conj().T @ A_R @ km.basis))
+        if leak > tol * (1.0 + opnorm(A_R)):
+            return None
+    amp = psd_power(A_M, -0.5, tol=tol)
+    return float(opnorm(amp @ A_R @ amp))
+
+
+def seb_relation_solve_reference(T: LinRel, B: LinRel, tol: float = DEFAULT_TOL) -> SebCertificate:
+    """Relation form of the Sebestyen solver.
+
+    Hypotheses (hard errors): mul B <= ker (T_s)* and T*B selfadjoint
+    nonnegative.  Feasible iff T*T <= lambda T*B holds in the form order for
+    some lambda; then X = lambda* G0 G0* with the contraction
+    G0 = T_s (lambda* (T*B)_s)^(+1/2) satisfies X B0-bar <= T_s, the chain
+    T* B0-bar = B0* X B0-bar = B0* T holds, and ker (T_s)* <= ker X.  When
+    dom T <= dom B0-bar, additionally T = X B0-bar (+) T_mul and
+    ker X = ker (T_s)*.
+    """
+    if T.dom_dim != B.dom_dim or T.codom_dim != B.codom_dim:
+        raise NotSquare("seb_relation_solve: T and B must share domain and codomain")
+    parts_T = rel_parts(T)
+    ts = parts_T.operator_part_matrix
+    ker_ts_adj = kernel_basis(ts.conj().T)
+    if not subspace_contains(ker_ts_adj, rel_parts(B).mul, tol=tol):
+        raise HypothesisFailed("seb_relation_solve: mul B is not contained in ker (T_s)*")
+    Tadj = rel_adjoint(T)
+    M_rel = rel_compose(Tadj, B)
+    mflags = rel_classify(M_rel, tol=tol)
+    if not (mflags.selfadjoint and mflags.nonnegative):
+        raise HypothesisFailed("seb_relation_solve: T*B is not selfadjoint nonnegative")
+    parts_M = rel_parts(M_rel)
+
+    lam = _relation_min_lambda(rel_parts(rel_compose(Tadj, T)), parts_M, tol)
+    if lam is None:
+        return SebCertificate(
+            feasible=False,
+            lambda_star=math.inf,
+            X=None,
+            G0=None,
+            residual_xb_t=math.inf,
+            norm_X=math.inf,
+        )
+
+    n_K = T.codom_dim
+    if lam <= 0.0:
+        X = np.zeros((n_K, n_K), dtype=np.complex128)
+        G0 = np.zeros((n_K, T.dom_dim), dtype=np.complex128)
+    else:
+        G0 = ts @ psd_power(lam * herm(parts_M.operator_part_matrix), -0.5, tol=tol)
+        X = herm(lam * (G0 @ G0.conj().T))
+
+    B0 = rel_restrict(B, parts_M.dom)
+    B0adj = rel_adjoint(B0)
+    XB0 = rel_compose(rel_from_matrix(X), B0)
+    incl_ts = rel_containment_residual(operator_part_relation(T, parts_T), XB0)
+    incl_t = rel_containment_residual(T, XB0)
+
+    lhs = rel_compose(Tadj, B0)
+    mid = rel_compose(B0adj, XB0)
+    rhs = rel_compose(B0adj, T)
+    chain_resid = max(rel_distance(lhs, mid), rel_distance(lhs, rhs))
+
+    ker_x_bound = opnorm(X @ ker_ts_adj.basis) if ker_ts_adj.dim else 0.0
+
+    checks = {
+        "inclusion_in_Ts": incl_ts,
+        "inclusion_in_T": incl_t,
+        "restricted_product_chain": chain_resid,
+        "ker_Ts_adj_in_ker_X": ker_x_bound,
+        "tol": tol,
+    }
+
+    if subspace_contains(rel_parts(B0).dom, parts_T.dom, tol=tol):
+        mul_pairs = np.vstack(
+            [np.zeros((T.dom_dim, parts_T.mul.dim)), parts_T.mul.basis]
+        )
+        T_built = rel_plusdot(XB0, mul_pairs)
+        checks["equality_mode"] = rel_distance(T_built, T)
+        kx = kernel_basis(X)
+        checks["ker_X_equals_ker_Ts_adj"] = nk.subspace_distance(kx, ker_ts_adj)
+
+    return SebCertificate(
+        feasible=True,
+        lambda_star=float(lam),
+        X=X,
+        G0=G0,
+        residual_xb_t=incl_t,
+        norm_X=opnorm(X),
+        checks=checks,
+    )
 
 
 def sylvester_dimension(eigs_T, eigs_S, tol=1e-9):

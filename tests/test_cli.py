@@ -236,6 +236,46 @@ def test_cli_malformed_job_exit_3(tmp_path, capsys, command, job):
     assert err.startswith("psdfactor: parse error: ") and err.count("\n") == 1
 
 
+_ZERO_TAIL = {"head": [], "tail": {"coeff": [0.0, 0.0], "power": "1"}}
+
+
+def _svd_does_not_converge(*args, **kwargs):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
+@pytest.mark.parametrize(
+    "command, job, patch, error",
+    [
+        pytest.param(
+            "factor",
+            {"op": "power_chain", "A": serialize.matrix_to_json(np.diag([2.0, 3.0])),
+             "B": serialize.matrix_to_json(np.diag([1.0, 2.0])), "n_max": 12},
+            None, "NoConvergence", id="power-chain-overflow",
+        ),
+        pytest.param("diag", {"op": "inverse", "t": _ZERO_TAIL}, None, "UnrepresentableSymbol", id="diag-inverse-zero-tail"),
+        pytest.param(
+            "diag", {"op": "reverse", "t": _ZERO_TAIL, "b": _ZERO_TAIL}, None, "UnrepresentableSymbol",
+            id="diag-reverse-zero-tails",
+        ),
+        pytest.param(
+            "factor", {"op": "douglas", "T": _ONE, "B": _ONE}, _svd_does_not_converge, "LinAlgError",
+            id="lapack-svd-no-convergence",
+        ),
+    ],
+)
+def test_cli_unfinishable_job_exit_3(tmp_path, monkeypatch, capsys, command, job, patch, error):
+    # Each of these used to exit 1, by a traceback or through a catch-all branch.
+    if patch is not None:
+        monkeypatch.setattr(np.linalg, "svd", patch)
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    code = cli.main([command, "--in", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"psdfactor: cannot finish the job: {error}: ") and err.count("\n") == 1
+
+
 def test_cli_wall_clock_covers_reading_the_job(tmp_path, monkeypatch, capsys):
     # A fake clock that only reading and parsing the job advances: the report must show it.
     now = [100.0]
