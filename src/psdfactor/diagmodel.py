@@ -170,27 +170,6 @@ class DiagSymbol:
     def values(self, N: int):
         return [self.value_at(n) for n in range(1, N + 1)]
 
-    def has_marker(self) -> bool:
-        return any(isinstance(v, _Marker) for v in self.head)
-
-    def is_real(self) -> bool:
-        for v in self.head:
-            if v is INF:
-                continue
-            if isinstance(v, _Marker) or complex(v).imag != 0:
-                return False
-        return self.tail_coeff.imag == 0
-
-    def is_nonneg(self) -> bool:
-        if not self.is_real():
-            return False
-        for v in self.head:
-            if v is INF:
-                continue
-            if complex(v).real < 0:
-                return False
-        return self.tail_coeff.real >= 0
-
 
 def tail_symbol(coeff, power) -> DiagSymbol:
     return DiagSymbol(head=(), tail_coeff=coeff, tail_power=Fraction(power))
@@ -209,15 +188,6 @@ class DiagRel:
     @classmethod
     def from_head(cls, head, tail_coeff=0, tail_power=0):
         return cls(DiagSymbol(head=tuple(head), tail_coeff=tail_coeff, tail_power=Fraction(tail_power)))
-
-    @property
-    def selfadjoint(self) -> bool:
-        sym = self.symbol
-        return sym.is_real() and not any(v in (TRIVIAL, FULL) for v in sym.head)
-
-    @property
-    def nonnegative(self) -> bool:
-        return self.selfadjoint and self.symbol.is_nonneg()
 
 
 @dataclass

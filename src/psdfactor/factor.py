@@ -9,8 +9,11 @@ objects and their residuals:
   and its minimal constant, with the PSD factor X built from the contraction
   G0 of the range construction, both from one eigendecomposition of the
   form of M = T*B in ``_seb_factor`` (one kernel-leak rule, norm_X = lambda*);
-* ``reverse_solve`` - the reversed inequality T*T >= eta B0-bar T, solved by
-  inverting the relations and dualizing the forward engine;
+* ``reverse_solve`` - the reversed inequality T*T >= eta B0-bar T (B*T
+  selfadjoint nonnegative, ker B* <= ker T* + mul T), which is one forward
+  relation solve of ((T*)^(-1), (B*)^(-1)) read through the unitary graph
+  swap (x; y) -> (y; x): the dual's gates, eta* = 1/lambda*, Y = X^(-1) and
+  the dual's residuals;
 * similarity and intertwining deciders (``psd_similarity_decide``,
   ``wsimilar_forms``, ``quasiaffine_decide``, ``quasisimilar_decide``) plus the
   package builders that reconstruct T from an intertwiner and a PSD target.
@@ -38,6 +41,7 @@ from .errors import (
     NotSquare,
 )
 from .linrel import (
+    GRAPH_ATOL,
     LinRel,
     operator_part_relation,
     rel_adjoint,
@@ -45,7 +49,6 @@ from .linrel import (
     rel_compose,
     rel_containment_residual,
     rel_distance,
-    rel_equal,
     rel_from_matrix,
     rel_inverse,
     rel_parts,
@@ -61,13 +64,13 @@ from .numkernel import (
     hausdorff_distance,
     kernel_basis,
     loewner_leq,
+    matrix_rank,
     opnorm,
     psd_power,
     psd_powers,
     spectrum,
     subspace_contains,
     subspace_intersect,
-    subspace_sum,
     svd_split,
     sylvester_intertwiners,
 )
@@ -134,9 +137,15 @@ class SebCertificate:
 class ReverseCertificate:
     """Verdict and witnesses for the reversed inequality T*T >= eta B0-bar T.
 
+    Posed under B*T selfadjoint nonnegative and ker B* <= ker T* + mul T.
     Y is a relation (generally unbounded/multivalued) whose inverse is a
     bounded PSD matrix; eta_star is the maximal constant, the reciprocal of
-    the minimal constant of the inverted forward problem.
+    the minimal constant of the inverted forward problem.  ``residuals`` are
+    that forward certificate's, read through the graph swap (x; y) -> (y; x),
+    which keeps relation distances: ``restricted_product_chain``,
+    ``adjoint_factorization`` and ``adjoint_operator_factorization`` (its
+    ``equality_mode``), ``mul_Y_matches`` (its ``ker_X_equals_ker_Ts_adj``),
+    ``dual_lambda_star`` and ``tol``.
     """
 
     feasible: bool
@@ -357,12 +366,16 @@ def seb_relation_solve(T: LinRel, B: LinRel, tol: float = DEFAULT_TOL) -> SebCer
     chain T* B0-bar = B0* X B0-bar = B0* T holds, ker (T_s)* <= ker X and
     norm_X = lambda* = ||X||.  When dom T <= dom B0-bar = dom M,
     additionally T = X B0-bar (+) T_mul and ker X = ker (T_s)*.
+    ker (T_s)* = (P_s ran T)^perp = ker T* + mul T is read off the graph
+    block P_s Y at the graph floor, the rule ``rel_parts`` uses for ker and
+    mul, so an operator part that is rounding dust counts as zero.
     """
     if T.dom_dim != B.dom_dim or T.codom_dim != B.codom_dim:
         raise NotSquare("seb_relation_solve: T and B must share domain and codomain")
     parts_T = rel_parts(T)
     ts = parts_T.operator_part_matrix
-    ker_ts_adj = kernel_basis(ts.conj().T)
+    Y = T.blocks()[1]
+    ker_ts_adj = kernel_basis((Y - parts_T.mul.projector() @ Y).conj().T, atol=GRAPH_ATOL)
     if not subspace_contains(ker_ts_adj, rel_parts(B).mul, tol=tol):
         raise HypothesisFailed("seb_relation_solve: mul B is not contained in ker (T_s)*")
     Tadj = rel_adjoint(T)
@@ -430,68 +443,48 @@ def _as_relation(x) -> LinRel:
 
 
 def reverse_solve(T, B, tol: float = DEFAULT_TOL) -> ReverseCertificate:
-    """Solve the reversed inequality T*T >= eta B0-bar T by duality.
+    """Solve the reversed inequality T*T >= eta B0-bar T as the inverted forward problem.
 
     Hypotheses (hard errors): B*T selfadjoint nonnegative and
-    ker B* <= ker T* + mul T.  With S = (T*)^(-1) and A = (B*)^(-1), the
-    forward relation solver applied to (S, A) yields X and lambda*; then
-    eta* = 1/lambda*, Y = X^(-1) (a relation, generally unbounded, with
-    bounded PSD inverse), and the chain B*T = B0-bar T = B0-bar Y B0* = T* B0*
-    is verified for B0 = B* restricted to pairs with values in ran B*T.  When
-    ran T* <= ran B0-bar the equality T* = B0-bar Y (+) (ker T* x {0}) holds
-    with mul Y = mul T + ker T*.
+    ker B* <= ker T* + mul T.  With S = (T*)^(-1) and A = (B*)^(-1) these are
+    the gates of ``seb_relation_solve(S, A)``, as S*A = (B*T)^(-1) and
+    ker (S_s)* = ker T* + mul T (mul T is orthogonal to ker T*), and inversion
+    keeps selfadjointness and nonnegativity.  The dual's X and lambda* give
+    eta* = 1/lambda* and Y = X^(-1) (a relation, generally unbounded, with
+    bounded PSD inverse).  The graph swap (x; y) -> (y; x) is unitary, so the
+    dual's residuals are this problem's.  Its B0' = A restricted to
+    dom S*A = ran B*T is the inverse of B0 = B* restricted to pairs with
+    values in ran B*T; its chain S* B0' = B0'* X B0' = B0'* S reads
+    B0-bar T = B0-bar Y B0* = T* B0*; when ran T* <= ran B*T its equality form
+    reads T* = B0-bar Y (+) (ker T* x {0}) and ker X = ker (S_s)* reads
+    mul Y = mul T + ker T*.  With ker T* = {0} also B0 = B*, and the equality
+    form is T* = B* Y.
     """
     T, B = _as_relation(T), _as_relation(B)
-    Badj = rel_adjoint(B)
     Tadj = rel_adjoint(T)
-    gateM = rel_compose(Badj, T)
-    gflags = rel_classify(gateM, tol=tol)
-    if not (gflags.selfadjoint and gflags.nonnegative):
-        raise HypothesisFailed("reverse_solve: B*T is not selfadjoint nonnegative")
-    parts_T = rel_parts(T)
-    parts_Tadj = rel_parts(Tadj)
-    kerTadj = parts_Tadj.ker
-    if not subspace_contains(subspace_sum(kerTadj, parts_T.mul), rel_parts(Badj).ker, tol=tol):
-        raise HypothesisFailed("reverse_solve: ker B* is not contained in ker T* + mul T")
-
-    S = rel_inverse(Tadj)
-    A = rel_inverse(Badj)
-    dual = seb_relation_solve(S, A, tol=tol)
+    try:
+        dual = seb_relation_solve(rel_inverse(Tadj), rel_inverse(rel_adjoint(B)), tol=tol)
+    except HypothesisFailed as exc:
+        raise HypothesisFailed(f"reverse_solve: on the dual ((T*)^-1, (B*)^-1), {exc}") from exc
     if not dual.feasible:
         return ReverseCertificate(feasible=False, eta_star=0.0, Y=None)
-    eta = math.inf if dual.lambda_star <= 0.0 else 1.0 / dual.lambda_star
-    Y = rel_inverse(rel_from_matrix(dual.X))
-
-    ran_M = rel_parts(gateM).ran  # = ran B0, as ran B*T <= ran B* = dom A
-    B0 = rel_inverse(rel_restrict(A, ran_M))
-    B0adj = rel_adjoint(B0)
-    chain = [
-        gateM,
-        rel_compose(B0, T),
-        rel_compose(B0, rel_compose(Y, B0adj)),
-        rel_compose(Tadj, B0adj),
-    ]
-    chain_resid = max(rel_distance(chain[0], r) for r in chain[1:])
     residuals = {
-        "restricted_product_chain": chain_resid,
+        "restricted_product_chain": dual.checks["restricted_product_chain"],
         "dual_lambda_star": dual.lambda_star,
         "tol": tol,
     }
-
-    if subspace_contains(ran_M, parts_Tadj.ran, tol=tol):
-        extra = np.vstack(
-            [kerTadj.basis, np.zeros((T.dom_dim, kerTadj.dim))]
-        )
-        built = rel_plusdot(rel_compose(B0, Y), extra)
-        residuals["adjoint_factorization"] = rel_distance(built, Tadj)
-        mulY = rel_parts(Y).mul
-        residuals["mul_Y_matches"] = nk.subspace_distance(mulY, subspace_sum(parts_T.mul, kerTadj))
-        if rel_equal(B0, Badj, tol=tol) and kerTadj.dim == 0:
-            residuals["adjoint_operator_factorization"] = rel_distance(
-                rel_compose(Badj, Y), Tadj
-            )
-
-    return ReverseCertificate(feasible=True, eta_star=eta, Y=Y, residuals=residuals)
+    if "equality_mode" in dual.checks:
+        residuals["adjoint_factorization"] = dual.checks["equality_mode"]
+        residuals["mul_Y_matches"] = dual.checks["ker_X_equals_ker_Ts_adj"]
+        # ker T* = {0} iff the second block of T*'s orthonormal graph basis is injective
+        if matrix_rank(Tadj.blocks()[1], atol=GRAPH_ATOL) == Tadj.graph_dim:
+            residuals["adjoint_operator_factorization"] = dual.checks["equality_mode"]
+    return ReverseCertificate(
+        feasible=True,
+        eta_star=math.inf if dual.lambda_star <= 0.0 else 1.0 / dual.lambda_star,
+        Y=rel_inverse(rel_from_matrix(dual.X)),
+        residuals=residuals,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +597,8 @@ def _check_intertwiner(G, left, right, tol, who):
     """Require an invertible G with G @ left = right @ G within tol scaled by the data.
 
     One singular-value pass of G gives its rank, ||G|| and cond(G); returns
-    (cond(G), ||left||, ||right||) for the callers' tolerance scales.
+    (cond(G), ||left||, ||right||) for the callers' tolerance scales and
+    ||G|| for ||G*G|| = ||G||^2.
     """
     s = np.linalg.svd(G, compute_uv=False)
     if G.shape[0] != G.shape[1] or nk.numerical_rank(s) != G.shape[0]:
@@ -614,7 +608,7 @@ def _check_intertwiner(G, left, right, tol, who):
     scale = (1.0 + norm_left + norm_right) * max(1.0, float(s[0]))
     if resid > tol * scale:
         raise NotIntertwining(f"{who}: intertwining residual {resid:.3e} exceeds tolerance")
-    return float(s[0] / s[-1]), norm_left, norm_right
+    return float(s[0] / s[-1]), norm_left, norm_right, float(s[0])
 
 
 def inclusionnfs_package(T, G, S, tol: float = DEFAULT_TOL) -> QAPackage:
@@ -625,7 +619,7 @@ def inclusionnfs_package(T, G, S, tol: float = DEFAULT_TOL) -> QAPackage:
     Hermitian-PSD gate for T*B_F holds automatically here.
     """
     T, G, S = as_matrix(T), as_matrix(G), as_matrix(S)
-    cond_G, _, _ = _check_intertwiner(G, T.conj().T, S, tol, "inclusionnfs_package")
+    cond_G, _, _, _ = _check_intertwiner(G, T.conj().T, S, tol, "inclusionnfs_package")
     Ginv = np.linalg.inv(G)
     A = herm(G.conj().T @ G)
     B_F = herm(Ginv @ S @ Ginv.conj().T)
@@ -656,12 +650,12 @@ def tba_package(T, G, S, tol: float = DEFAULT_TOL) -> QAPackage:
     reverse_solve(T, A_F).
     """
     T, G, S = as_matrix(T), as_matrix(G), as_matrix(S)
-    cond_G, norm_T, _ = _check_intertwiner(G, T, S, tol, "tba_package")
+    cond_G, norm_T, _, norm_G = _check_intertwiner(G, T, S, tol, "tba_package")
     X = herm(G.conj().T @ G)
     B = herm(np.linalg.inv(X))
     A_F = herm(G.conj().T @ S @ G)
     ctol = tol * cond_G ** 2 * (1.0 + norm_T)
-    lam = opnorm(X)
+    lam = norm_G ** 2
     XT = X @ T
     AFT = herm(A_F @ T)
     gap = herm(T.conj().T @ T - AFT / lam) if lam > 0 else herm(T.conj().T @ T)
@@ -745,13 +739,13 @@ def bounded_S_checks(T, G, S, tol: float = DEFAULT_TOL) -> BoundedSReport:
     form with the inverse quasi-affinity X^(-1) on the adjoint side.
     """
     T, G, S = as_matrix(T), as_matrix(G), as_matrix(S)
-    cond_G, norm_T, norm_S = _check_intertwiner(G, T, S, tol, "bounded_S_checks")
+    cond_G, norm_T, norm_S, norm_G = _check_intertwiner(G, T, S, tol, "bounded_S_checks")
     ctol = tol * cond_G ** 2 * (1.0 + norm_T + norm_S)
     Ginv = np.linalg.inv(G)
     X = herm(G.conj().T @ G)
     Xh, Xmh = psd_powers(X, 0.5, -0.5)
     A = herm(G.conj().T @ S @ G)
-    lam = opnorm(X)
+    lam = norm_G ** 2
     items = []
 
     def add(name, residual, tolerance=ctol):

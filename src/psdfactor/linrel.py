@@ -115,11 +115,15 @@ def rel_from_graph(vectors, dom_dim: int, codom_dim: int, tol: float = DEFAULT_T
 
 
 def rel_from_matrix(M, tol: float = DEFAULT_TOL) -> LinRel:
-    """Graph {(x, Mx)} of an everywhere-defined matrix."""
+    """Graph {(x, Mx)} of an everywhere-defined matrix.
+
+    The columns of (I; M) have singular values >= 1, so no rank cut applies:
+    a relative one would drop graph dimensions once ||M|| passes 1/RANK_RTOL.
+    """
     M = as_matrix(M)
     m, n = M.shape
     stacked = np.vstack([np.eye(n, dtype=np.complex128), M])
-    return rel_from_graph(stacked, n, m, tol)
+    return LinRel(n, m, span(stacked, rtol=0.0, tol=tol), tol)
 
 
 def rel_identity(n: int, tol: float = DEFAULT_TOL) -> LinRel:

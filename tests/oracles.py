@@ -14,7 +14,12 @@ reference is the earlier ``seb_relation_solve``: it forms T*T as a relation,
 decides ker M on the compressed form of T*T (an SVD of the form of M, the
 leak measured as ||T_s D V_ker||^2) and takes lambda* and G0 from two further
 PSD powers, where the library engine shares the one eigendecomposition of
-``seb_solve``.
+``seb_solve``.  The reversed reference is the earlier ``reverse_solve``: it
+calls the library forward engine on the dual problem ((T*)^(-1), (B*)^(-1))
+but tests both hypotheses and rebuilds the chain and the equality form in the
+terms of (T, B), with its own products, restriction and ``rel_parts``, where
+the library engine reads them off the dual's certificate through the graph
+swap.
 """
 
 import math
@@ -23,7 +28,7 @@ import numpy as np
 
 from psdfactor import numkernel as nk
 from psdfactor.errors import DimensionMismatch, HypothesisFailed, NotSquare
-from psdfactor.factor import SebCertificate
+from psdfactor.factor import ReverseCertificate, SebCertificate, _as_relation, seb_relation_solve
 from psdfactor.linrel import (
     GRAPH_ATOL,
     LinRel,
@@ -34,7 +39,9 @@ from psdfactor.linrel import (
     rel_compose,
     rel_containment_residual,
     rel_distance,
+    rel_equal,
     rel_from_matrix,
+    rel_inverse,
     rel_parts,
     rel_plusdot,
     rel_restrict,
@@ -50,6 +57,7 @@ from psdfactor.numkernel import (
     span,
     subspace_contains,
     subspace_intersect,
+    subspace_sum,
 )
 
 
@@ -392,6 +400,71 @@ def seb_relation_solve_reference(T: LinRel, B: LinRel, tol: float = DEFAULT_TOL)
         norm_X=opnorm(X),
         checks=checks,
     )
+
+
+def reverse_solve_reference(T, B, tol: float = DEFAULT_TOL) -> ReverseCertificate:
+    """Solve the reversed inequality T*T >= eta B0-bar T by duality.
+
+    Hypotheses (hard errors): B*T selfadjoint nonnegative and
+    ker B* <= ker T* + mul T.  With S = (T*)^(-1) and A = (B*)^(-1), the
+    forward relation solver applied to (S, A) yields X and lambda*; then
+    eta* = 1/lambda*, Y = X^(-1) (a relation, generally unbounded, with
+    bounded PSD inverse), and the chain B*T = B0-bar T = B0-bar Y B0* = T* B0*
+    is verified for B0 = B* restricted to pairs with values in ran B*T.  When
+    ran T* <= ran B0-bar the equality T* = B0-bar Y (+) (ker T* x {0}) holds
+    with mul Y = mul T + ker T*.
+    """
+    T, B = _as_relation(T), _as_relation(B)
+    Badj = rel_adjoint(B)
+    Tadj = rel_adjoint(T)
+    gateM = rel_compose(Badj, T)
+    gflags = rel_classify(gateM, tol=tol)
+    if not (gflags.selfadjoint and gflags.nonnegative):
+        raise HypothesisFailed("reverse_solve: B*T is not selfadjoint nonnegative")
+    parts_T = rel_parts(T)
+    parts_Tadj = rel_parts(Tadj)
+    kerTadj = parts_Tadj.ker
+    if not subspace_contains(subspace_sum(kerTadj, parts_T.mul), rel_parts(Badj).ker, tol=tol):
+        raise HypothesisFailed("reverse_solve: ker B* is not contained in ker T* + mul T")
+
+    S = rel_inverse(Tadj)
+    A = rel_inverse(Badj)
+    dual = seb_relation_solve(S, A, tol=tol)
+    if not dual.feasible:
+        return ReverseCertificate(feasible=False, eta_star=0.0, Y=None)
+    eta = math.inf if dual.lambda_star <= 0.0 else 1.0 / dual.lambda_star
+    Y = rel_inverse(rel_from_matrix(dual.X))
+
+    ran_M = rel_parts(gateM).ran  # = ran B0, as ran B*T <= ran B* = dom A
+    B0 = rel_inverse(rel_restrict(A, ran_M))
+    B0adj = rel_adjoint(B0)
+    chain = [
+        gateM,
+        rel_compose(B0, T),
+        rel_compose(B0, rel_compose(Y, B0adj)),
+        rel_compose(Tadj, B0adj),
+    ]
+    chain_resid = max(rel_distance(chain[0], r) for r in chain[1:])
+    residuals = {
+        "restricted_product_chain": chain_resid,
+        "dual_lambda_star": dual.lambda_star,
+        "tol": tol,
+    }
+
+    if subspace_contains(ran_M, parts_Tadj.ran, tol=tol):
+        extra = np.vstack(
+            [kerTadj.basis, np.zeros((T.dom_dim, kerTadj.dim))]
+        )
+        built = rel_plusdot(rel_compose(B0, Y), extra)
+        residuals["adjoint_factorization"] = rel_distance(built, Tadj)
+        mulY = rel_parts(Y).mul
+        residuals["mul_Y_matches"] = nk.subspace_distance(mulY, subspace_sum(parts_T.mul, kerTadj))
+        if rel_equal(B0, Badj, tol=tol) and kerTadj.dim == 0:
+            residuals["adjoint_operator_factorization"] = rel_distance(
+                rel_compose(Badj, Y), Tadj
+            )
+
+    return ReverseCertificate(feasible=True, eta_star=eta, Y=Y, residuals=residuals)
 
 
 def sylvester_dimension(eigs_T, eigs_S, tol=1e-9):

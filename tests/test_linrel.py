@@ -7,6 +7,7 @@ import pytest
 from psdfactor import numkernel as nk
 from psdfactor.errors import DimensionMismatch, NotNonnegSelfadjoint
 from psdfactor.linrel import (
+    GRAPH_ATOL,
     LinRel,
     operator_part_relation,
     rel_adjoint,
@@ -56,6 +57,8 @@ def test_rel_from_matrix_identity():
     R = rel_identity(2)
     assert R.graph_dim == 2
     assert rel_parts(R).ker.dim == 0
+    # a graph keeps every dimension however large the matrix
+    assert rel_from_matrix(np.diag([1.0, 1e11])).graph_dim == 2
 
 
 def test_parts_round_trip():
@@ -200,6 +203,52 @@ def test_classify_selfadjoint_closed_under_adjoint():
         assert flags.selfadjoint
         assert rel_classify(rel_adjoint(R)).selfadjoint
         assert rel_distance(rel_adjoint(R), R) <= 1e-10
+
+
+def test_inverse_adjoint_identities_behind_the_reverse_gates():
+    # reverse_solve takes its gates from the dual (S, A) = ((T*)^-1, (B*)^-1):
+    # ker (S_s)* = ker T* + mul T, and inversion keeps every classification flag
+    rng = np.random.default_rng(20)
+    for _ in range(40):
+        n = int(rng.integers(3, 7))
+        d = int(rng.integers(1, n - 1))
+        r = int(rng.integers(0, d))  # rank of the operator part < dim dom: ker T != 0
+        w = int(rng.integers(1, n - r))  # mul T != 0 and dim ran T = r + w < n: ker T* != 0
+        D = _cplx(rng, n, d)
+        pairs = np.vstack([D, _cplx(rng, n, r) @ _cplx(rng, r, n) @ D])
+        muls = np.vstack([np.zeros((n, w)), _cplx(rng, n, w)])
+        T = rel_from_graph(np.hstack([pairs, muls]), n, n)
+        parts_T, parts_Tadj = rel_parts(T), rel_parts(rel_adjoint(T))
+        assert parts_T.mul.dim == w and parts_T.ker.dim == d - r and parts_Tadj.ker.dim == n - r - w
+        S = rel_inverse(rel_adjoint(T))
+        # at the graph floor: with r = 0 the operator part of S is rounding dust
+        ker_ss_adj = nk.kernel_basis(rel_parts(S).operator_part_matrix.conj().T, atol=GRAPH_ATOL)
+        want = nk.subspace_sum(parts_Tadj.ker, parts_T.mul)
+        assert ker_ss_adj.dim == want.dim and nk.subspace_distance(ker_ss_adj, want) <= 1e-10
+
+    # selfadjoint nonnegative, selfadjoint indefinite (both with a mul part),
+    # symmetric but not selfadjoint (a PSD matrix on a proper domain), generic
+    expected = [(True, True, True), (True, False, True), (True, True, False), (False, False, False)]
+    for trial in range(40):
+        n = int(rng.integers(2, 6))
+        kind = trial % 4
+        Q = nk.span(_cplx(rng, n, n)).basis
+        w = rng.uniform(0.1, 2.0, n)
+        if kind in (0, 1):
+            k = int(rng.integers(1, n))
+            if kind == 1:
+                w[0] = -w[0]
+            U, W = Q[:, :k], Q[:, k:]
+            vecs = np.hstack([np.vstack([U, U * w[:k]]), np.vstack([np.zeros((n, n - k)), W])])
+        elif kind == 2:
+            D = Q[:, : n - 1]
+            vecs = np.vstack([D, (Q * w) @ Q.conj().T @ D])
+        else:
+            vecs = _cplx(rng, 2 * n, n)
+        R = rel_from_graph(vecs, n, n)
+        flags = rel_classify(R)
+        assert (flags.symmetric, flags.nonnegative, flags.selfadjoint) == expected[kind]
+        assert rel_classify(rel_inverse(R)) == flags
 
 
 def test_sqrt_examples():
