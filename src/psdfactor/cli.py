@@ -172,9 +172,9 @@ def _run_intertwine(job, tol, seed, trials, threads):
     T = _want(job, "T", "intertwine")
     S = _want(job, "S", "intertwine")
     if op == "sylvester":
-        inter = factor.sylvester_intertwiners(T, S, seed=seed)
+        inter = factor.sylvester_intertwiners(T, S, seed=seed, tol=tol)
         return {
-            "dimension": len(inter.basis),
+            "dimension": inter.dimension,
             "rank": inter.rank,
             "max_rank_element": payload_to_json(inter.max_rank_element),
         }

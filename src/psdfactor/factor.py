@@ -688,27 +688,35 @@ def quasiaffine_decide(T, S, tol: float = DEFAULT_TOL, seed: int = 0) -> QuasiAf
 
     In finite dimension injectivity plus dense range collapses to
     invertibility, so quasi-affinity is decided by whether the Sylvester
-    space {G : G T = S G} contains a full-rank element.
+    space {G : G T = S G} contains a full-rank element; ``tol`` decides
+    diagonalizability there (see ``sylvester_intertwiners``).
     """
     T, S = as_matrix(T), as_matrix(S)
     if T.shape != S.shape:
         raise NotSquare("quasiaffine_decide: T and S must have equal size")
-    inter = sylvester_intertwiners(T, S, seed=seed)
-    n = T.shape[0]
-    ok = inter.rank == n
-    return QuasiAffinity(affine=ok, G=inter.max_rank_element if ok else None, space_dim=len(inter.basis))
+    return _quasiaffine(T, S, tol, seed)
+
+
+def _quasiaffine(T, S, tol, seed, spec_S=None) -> QuasiAffinity:
+    inter = sylvester_intertwiners(T, S, seed=seed, tol=tol, spec_S=spec_S)
+    ok = inter.rank == T.shape[0]
+    return QuasiAffinity(affine=ok, G=inter.max_rank_element if ok else None, space_dim=inter.dimension)
 
 
 def quasisimilar_decide(T, S, tol: float = DEFAULT_TOL, seed: int = 0) -> QuasiSimilarity:
     """T quasi-similar to S = S* >= 0 iff both T and T* are quasi-affine to S.
 
-    Verifies the duality (G2 intertwines the adjoint pair backwards) and on
-    success emits the two reconstruction packages, which in finite dimension
-    realize T as an element of both product classes.
+    Both sides share one ``spectrum(S, tol)``.  Verifies the duality (G2
+    intertwines the adjoint pair backwards) and on success emits the two
+    reconstruction packages, which in finite dimension realize T as an
+    element of both product classes.
     """
     T, S = as_matrix(T), as_matrix(S)
-    qa1 = quasiaffine_decide(T, S, tol=tol, seed=seed)
-    qa2 = quasiaffine_decide(T.conj().T, S, tol=tol, seed=seed + 1)
+    if T.shape != S.shape:
+        raise NotSquare("quasisimilar_decide: T and S must have equal size")
+    spec_S = spectrum(S, tol)
+    qa1 = _quasiaffine(T, S, tol, seed, spec_S)
+    qa2 = _quasiaffine(T.conj().T, S, tol, seed + 1, spec_S)
     if not (qa1.affine and qa2.affine):
         return QuasiSimilarity(similar_pair=False, G1=qa1.G, G2=qa2.G)
     G1, G2 = qa1.G, qa2.G

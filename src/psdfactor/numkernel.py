@@ -11,7 +11,12 @@ Three global conventions keep kernels consistent across operations:
 
 * rank threshold: singular/eigen values below ``RANK_RTOL`` times the largest
   one are treated as zero everywhere (kernels, pseudo-inverses, PSD powers),
-  by :func:`numerical_rank` for singular values;
+  by :func:`numerical_rank` for singular values.  Where a matrix can be
+  rounding dust on the scale of its inputs, the cut is an absolute floor on
+  that scale instead: :func:`sylvester_intertwiners` cuts the kernels of
+  ``S - mu`` and ``(T - mu)*`` and clusters eigenvalues at
+  ``RANK_RTOL * max(||T||, ||S||)``, so ``T - mu = 0`` to rounding has the
+  full kernel rather than one measured against its own dust;
 * identity checks default to relative Frobenius tolerance ``DEFAULT_TOL``,
   overridable per call;
 * one Hermitian/PSD gate, :func:`hermitian_eig`, returns the spectrum it
@@ -145,11 +150,28 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class Intertwiners:
-    """Solution space of G T = S G plus a maximal-rank representative."""
+    """The space {G : G T = S G}, its dimension, maximal rank and an element of that rank.
 
-    basis: list
-    max_rank_element: np.ndarray
+    In eigenspace form the space is {sum_mu R_mu C_mu L_mu* : C_mu arbitrary}
+    over the ``blocks`` (R_mu, L_mu), one per shared eigenvalue cluster mu,
+    with R_mu an orthonormal basis of ker(S - mu) and L_mu one of
+    ker((T - mu)*).  Otherwise ``kernel`` holds the vectorized space, one
+    column per basis element (a p x n matrix in column-major order).  Dense
+    basis matrices are built only by :meth:`basis_matrices`.
+    """
+
+    dimension: int
     rank: int
+    max_rank_element: np.ndarray
+    blocks: tuple = ()
+    kernel: np.ndarray | None = None
+
+    def basis_matrices(self) -> list:
+        """The dimension-many basis matrices: R_mu[:, i] L_mu[:, j]* per block, or the kernel columns."""
+        p, n = self.max_rank_element.shape
+        if self.kernel is not None:
+            return [self.kernel[:, j].reshape((p, n), order="F") for j in range(self.kernel.shape[1])]
+        return [np.outer(r, l.conj()) for R, L in self.blocks for r in R.T for l in L.T]
 
 
 def hermitian_eig(
@@ -288,40 +310,116 @@ def spectrum(T, tol: float = DEFAULT_TOL) -> Spectrum:
     return Spectrum(eigenvalues=w, eigenvectors=v, diagonalizable=diagonalizable, eigvec_condition=cond, norm=norm)
 
 
-def sylvester_intertwiners(T, S, seed: int = 0, n_combos: int = 64) -> Intertwiners:
-    """Basis of {G : G T = S G} and a maximal-rank element of the span.
+def sylvester_intertwiners(
+    T, S, seed: int = 0, n_combos: int = 64, tol: float = DEFAULT_TOL, spec_S: Spectrum | None = None
+) -> Intertwiners:
+    """The Sylvester space {G : G T = S G} from the eigenspaces of S or T.
 
-    The space is the null space of the vectorized map G -> GT - SG.  The
-    maximal-rank representative is found over ``n_combos`` seeded random unit
-    combinations of the basis (maximal rank is attained on a Zariski-open
-    subset, so random combinations find it with overwhelming probability while
-    staying reproducible); ties in rank are broken by the smallest retained
-    singular value.
+    Every G = sum_mu R_mu C_mu L_mu*, with R_mu an orthonormal basis of
+    ker(S - mu) and L_mu one of ker((T - mu)*), intertwines; when S or T is
+    diagonalizable these are all of them.  The space then has dimension
+    sum dim R_mu dim L_mu and maximal rank sum min(dim R_mu, dim L_mu),
+    attained by G = sum R_mu[:, :r] L_mu[:, :r]*.  The clusters mu are S's
+    eigenvalues when ``spectrum(S, tol)`` calls S diagonalizable and the
+    R_mu together are a basis of C^p (full rank by :func:`numerical_rank`),
+    else T's when the same holds for T and the L_mu in C^n.  Kernels and
+    clusters are cut at the one absolute floor ``RANK_RTOL * max(||T||, ||S||)``.
+    ``spec_S`` passes in an already computed ``spectrum(S, tol)``.
+
+    Only when neither matrix qualifies is the space the null space of the
+    pn x pn map G -> G T - S G (cut at the same floor), and the maximal-rank
+    element the best of ``n_combos`` seeded random unit combinations of its
+    basis (maximal rank holds on a Zariski-open set); ties in rank go to the
+    larger smallest retained singular value.  ``seed`` and ``n_combos`` matter
+    only there.
     """
     T, S = as_matrix(T), as_matrix(S)
     _require_square(T, "sylvester_intertwiners")
     _require_square(S, "sylvester_intertwiners")
+    spec_S = spectrum(S, tol) if spec_S is None else spec_S
+    floor = RANK_RTOL * max(opnorm(T), spec_S.norm)
+    if spec_S.diagonalizable:
+        blocks = _eigenspace_blocks(spec_S.eigenvalues, T, S, floor)
+        if _fills([R for R, _ in blocks]):
+            return _from_blocks(blocks, S.shape[0], T.shape[0])
+    spec_T = spectrum(T, tol)
+    if spec_T.diagonalizable:
+        blocks = _eigenspace_blocks(spec_T.eigenvalues, T, S, floor)
+        if _fills([L for _, L in blocks]):
+            return _from_blocks(blocks, S.shape[0], T.shape[0])
+    return _kronecker_intertwiners(T, S, floor, seed, n_combos)
+
+
+def _fills(bases) -> bool:
+    """Are the eigenspace bases together a basis of the whole space, by the rank rule?
+
+    This also rejects a Jordan block of size 3 or more whose eigenvalues
+    scatter beyond ``spectrum``'s clustering: each scattered value has a
+    kernel of its own, but the kernels are nearly parallel.
+    """
+    V = np.hstack(bases)
+    return V.shape[0] == V.shape[1] and matrix_rank(V) == V.shape[0]
+
+
+def _kernel_at(A, floor) -> np.ndarray:
+    """Orthonormal basis of ker A: the right singular vectors of values <= floor.
+
+    LAPACK's zgesdd can fail to converge on a matrix whose adjoint it
+    decomposes; the retry reads ker A off the left singular vectors of A*.
+    """
+    try:
+        _, s, vh = np.linalg.svd(A)
+        v = vh.conj().T
+    except np.linalg.LinAlgError:
+        v, s, _ = np.linalg.svd(A.conj().T)
+    return v[:, numerical_rank(s, floor, rtol=0.0):]
+
+
+def _eigenspace_blocks(eigenvalues, T, S, floor) -> list:
+    """(ker(S - mu), ker((T - mu)*)) for each cluster mu of ``eigenvalues`` at the floor."""
+    blocks = []
+    for cluster in _cluster(eigenvalues, floor):
+        mu = sum(cluster) / len(cluster)
+        R = _kernel_at(S - mu * np.eye(S.shape[0]), floor)
+        L = _kernel_at((T - mu * np.eye(T.shape[0])).conj().T, floor)
+        blocks.append((R, L))
+    return blocks
+
+
+def _from_blocks(blocks, p, n) -> Intertwiners:
+    blocks = tuple((R, L) for R, L in blocks if R.shape[1] and L.shape[1])
+    G = np.zeros((p, n), dtype=np.complex128)
+    rank = 0
+    for R, L in blocks:
+        r = min(R.shape[1], L.shape[1])
+        G += R[:, :r] @ L[:, :r].conj().T
+        rank += r
+    dimension = sum(R.shape[1] * L.shape[1] for R, L in blocks)
+    return Intertwiners(dimension=dimension, rank=rank, max_rank_element=G, blocks=blocks)
+
+
+def _kronecker_intertwiners(T, S, floor, seed, n_combos) -> Intertwiners:
+    """The fallback for two non-diagonalizable matrices: a null space of size pn x pn."""
     n, p = T.shape[0], S.shape[0]
     M = np.kron(T.T, np.eye(p)) - np.kron(np.eye(n), S)
-    u, s, vh = np.linalg.svd(M)
-    null = vh[numerical_rank(s):, :].conj().T
-    basis = [null[:, j].reshape((p, n), order="F") for j in range(null.shape[1])]
-    if not basis:
-        return Intertwiners(basis=[], max_rank_element=np.zeros((p, n), dtype=np.complex128), rank=0)
+    _, s, vh = np.linalg.svd(M)
+    null = vh[numerical_rank(s, floor):, :].conj().T
+    dim = null.shape[1]
+    if not dim:
+        return Intertwiners(dimension=0, rank=0, max_rank_element=np.zeros((p, n), dtype=np.complex128), kernel=null)
     rng = np.random.default_rng(seed)
     best = None
     best_key = (-1, -1.0)
     for _ in range(n_combos):
-        c = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-        c /= np.linalg.norm(c)
-        cand = sum(ci * Gi for ci, Gi in zip(c, basis))
+        c = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        cand = (null @ (c / np.linalg.norm(c))).reshape((p, n), order="F")
         sv = np.linalg.svd(cand, compute_uv=False)
         r = numerical_rank(sv)
         key = (r, float(sv[r - 1]) if r > 0 else 0.0)
         if key > best_key:
             best_key = key
             best = cand
-    return Intertwiners(basis=basis, max_rank_element=best, rank=best_key[0])
+    return Intertwiners(dimension=dim, rank=best_key[0], max_rank_element=best, kernel=null)
 
 
 def hausdorff_distance(a, b) -> float:

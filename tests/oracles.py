@@ -19,10 +19,15 @@ calls the library forward engine on the dual problem ((T*)^(-1), (B*)^(-1))
 but tests both hypotheses and rebuilds the chain and the equality form in the
 terms of (T, B), with its own products, restriction and ``rel_parts``, where
 the library engine reads them off the dual's certificate through the graph
-swap.
+swap.  The Sylvester reference is the earlier ``sylvester_intertwiners``: the
+null space of the vectorized map G -> G T - S G, an SVD of size pn x pn, and
+a seeded random search for a maximal-rank element, where the library engine
+reads the space off the eigenspaces of S or T; the one edit is the
+data-scale floor ``RANK_RTOL * max(||T||, ||S||)`` on the null-space cut.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,10 +53,12 @@ from psdfactor.linrel import (
 )
 from psdfactor.numkernel import (
     DEFAULT_TOL,
+    RANK_RTOL,
     Subspace,
     herm,
     kernel_basis,
     moore_penrose,
+    numerical_rank,
     opnorm,
     psd_power,
     span,
@@ -465,6 +472,47 @@ def reverse_solve_reference(T, B, tol: float = DEFAULT_TOL) -> ReverseCertificat
             )
 
     return ReverseCertificate(feasible=True, eta_star=eta, Y=Y, residuals=residuals)
+
+
+@dataclass(frozen=True)
+class ReferenceIntertwiners:
+    basis: list
+    max_rank_element: np.ndarray
+    rank: int
+
+
+def sylvester_intertwiners_reference(T, S, seed: int = 0, n_combos: int = 64) -> ReferenceIntertwiners:
+    """Basis of {G : G T = S G} and a maximal-rank element of the span.
+
+    The space is the null space of the vectorized map G -> GT - SG, cut at
+    the data-scale floor RANK_RTOL * max(||T||, ||S||) as well as relative
+    to its largest singular value.  The maximal-rank representative is found
+    over ``n_combos`` seeded random unit combinations of the basis; ties in
+    rank are broken by the smallest retained singular value.
+    """
+    T, S = nk.as_matrix(T), nk.as_matrix(S)
+    n, p = T.shape[0], S.shape[0]
+    M = np.kron(T.T, np.eye(p)) - np.kron(np.eye(n), S)
+    u, s, vh = np.linalg.svd(M)
+    floor = RANK_RTOL * max(opnorm(T), opnorm(S))
+    null = vh[numerical_rank(s, floor):, :].conj().T
+    basis = [null[:, j].reshape((p, n), order="F") for j in range(null.shape[1])]
+    if not basis:
+        return ReferenceIntertwiners(basis=[], max_rank_element=np.zeros((p, n), dtype=np.complex128), rank=0)
+    rng = np.random.default_rng(seed)
+    best = None
+    best_key = (-1, -1.0)
+    for _ in range(n_combos):
+        c = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+        c /= np.linalg.norm(c)
+        cand = sum(ci * Gi for ci, Gi in zip(c, basis))
+        sv = np.linalg.svd(cand, compute_uv=False)
+        r = numerical_rank(sv)
+        key = (r, float(sv[r - 1]) if r > 0 else 0.0)
+        if key > best_key:
+            best_key = key
+            best = cand
+    return ReferenceIntertwiners(basis=basis, max_rank_element=best, rank=best_key[0])
 
 
 def sylvester_dimension(eigs_T, eigs_S, tol=1e-9):

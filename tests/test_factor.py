@@ -41,6 +41,7 @@ from oracles import (
     reverse_solve_reference,
     seb_relation_solve_reference,
     seb_solve_reference,
+    sylvester_dimension,
 )
 
 
@@ -184,27 +185,37 @@ def test_seb_matches_reference_solver():
     assert verdicts[True] >= 150 and verdicts[False] >= 50
 
 
+class _LinalgCalls(Counter):
+    """Decomposition counts by name; ``max_dim`` is the largest side of a decomposed matrix."""
+
+    max_dim = 0
+
+    def record(self, name, a):
+        self[name] += 1
+        self.max_dim = max([self.max_dim, *np.shape(a)])
+
+
 def _count_linalg(monkeypatch):
     """Count numpy.linalg decompositions by name for the rest of the test.
 
     ``norm`` counts only for the spectral norm, which runs an SVD; numpy's
     own internal calls (``cond`` -> ``svd``) are not seen twice.
     """
-    calls = Counter()
+    calls = _LinalgCalls()
     names = ("svd", "eig", "eigh", "eigvals", "eigvalsh", "inv", "pinv", "solve", "cond", "qr", "lstsq", "det")
     for name in names:
         fn = getattr(np.linalg, name)
 
-        def counted(*args, _fn=fn, _name=name, **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
+        def counted(a, *args, _fn=fn, _name=name, **kwargs):
+            calls.record(_name, a)
+            return _fn(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
     norm = np.linalg.norm
 
     def counted_norm(x, ord=None, *args, **kwargs):
         if ord in (2, -2, "nuc"):
-            calls["norm2"] += 1
+            calls.record("norm2", x)
         return norm(x, ord, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "norm", counted_norm)
@@ -238,6 +249,24 @@ def test_dense_engine_decomposition_counts(monkeypatch):
     # ||T|| and cond(G0) come from spectrum; one svd(T) for ran T and ker T
     assert sum(calls.values()) <= 9, calls
     assert calls["eig"] == 1 and calls["eigh"] == 1 and calls["cond"] == 1, calls
+
+    calls.clear()
+    calls.max_dim = 0
+    qa = factor.quasiaffine_decide(TS, S)
+    assert qa.affine and qa.space_dim == n
+    # the eigenspace construction decomposes nothing larger than n x n (n^2 x n^2 before)
+    assert calls.max_dim == n, calls.max_dim
+    # spectrum(S): eig, ||S|| and cond; ||T||; ker(S - mu) and ker((T - mu)*) for 12
+    # clusters; the rank of the R_mu together
+    assert sum(calls.values()) <= 29 and calls["eig"] == 1, calls
+    calls.clear()
+    qs = factor.quasisimilar_decide(TS, S)
+    assert qs.similar_pair
+    # one spectrum(S) for both sides (3), 2 x (||T||, 24 kernels and one rank), 3 norms
+    # for the duality check, and the two packages (61, with their seb_solve and reverse_solve)
+    assert sum(calls.values()) <= 116 and calls["eig"] == 1, calls
+    # the largest are the 2n x n graph bases of the reverse_solve in tba_package
+    assert calls.max_dim == 2 * n, calls.max_dim
 
 
 def test_relation_decomposition_counts(monkeypatch):
@@ -828,6 +857,48 @@ def test_quasisimilar_decide():
         assert qs.direct_package.diagnostics["reconstruction"] <= qs.direct_package.diagnostics["tol"]
         # spectra line up with the target through the pre-similarity chain
         assert hausdorff(np.linalg.eigvals(T), np.diag(D)) <= 1e-7
+
+
+def test_quasiaffine_scalar_target_has_the_full_space():
+    # T = G (c I) G^-1 is c I to rounding, so every G intertwines; a rank cut
+    # relative to the dust T - c I called the space empty (dimension 0 at n = 3)
+    rng = np.random.default_rng(24)
+    for n, c in ((2, 0.7), (3, 1.3), (5, 2.0), (8, 3.5)):
+        for _ in range(3):
+            G = conditioned_invertible(rng, n, 20.0)
+            T = G @ (c * np.eye(n)) @ np.linalg.inv(G)
+            qa = factor.quasiaffine_decide(T, c * np.eye(n))
+            assert qa.affine and qa.space_dim == n * n, (n, c, qa.space_dim)
+            assert frob(qa.G @ T - c * qa.G) <= 1e-12 * (1 + c) * opnorm(qa.G)
+
+
+def test_quasiaffine_close_eigenvalues_stay_apart():
+    # clustering at spectrum's 100 tol ||S|| merged 1 and 1 + 1e-7; the floor keeps them apart
+    for gap in (1e-5, 1e-7, 1e-9):
+        D = np.diag([1.0, 1.0 + gap])
+        qa = factor.quasiaffine_decide(D, D)
+        assert qa.affine and qa.space_dim == 2, gap
+        assert factor.quasisimilar_decide(D, D).similar_pair, gap
+
+
+def test_quasiaffine_large_space_without_a_dense_basis(monkeypatch):
+    # four levels of multiplicity 30: dimension 4 * 30^2 = 3600, rank n; the
+    # Kronecker form would need an SVD of a 14400 x 14400 matrix
+    rng = np.random.default_rng(25)
+    n = 120
+    d = np.repeat([0.5, 1.25, 2.0, 3.0], n // 4)
+    G = conditioned_invertible(rng, n, 10.0)
+    T = G @ np.diag(d) @ np.linalg.inv(G)
+    S = np.diag(d).astype(complex)
+    monkeypatch.setattr(nk.Intertwiners, "basis_matrices", None)
+    calls = _count_linalg(monkeypatch)
+    out = nk.sylvester_intertwiners(T, S)
+    assert out.dimension == sylvester_dimension(d, d) == 4 * 30**2
+    assert out.rank == n and out.kernel is None
+    assert calls.max_dim == n, calls.max_dim
+    assert frob(out.max_rank_element @ T - S @ out.max_rank_element) <= 1e-12 * (1 + 2 * opnorm(S)) * opnorm(out.max_rank_element)
+    qa = factor.quasiaffine_decide(T, S)
+    assert qa.affine and qa.space_dim == out.dimension
 
 
 # ------------------------------------------------------------ bounded S report

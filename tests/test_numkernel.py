@@ -1,12 +1,23 @@
 """Kernel primitives against trivial values and brute-force oracles."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from psdfactor import numkernel as nk
 from psdfactor.errors import NotHermitian, NotPSD, NotSquare
+from psdfactor.factor import quasiaffine_decide
 
-from oracles import charpoly_roots, penrose_residuals, random_psd, random_unitary, sylvester_dimension
+from oracles import (
+    charpoly_roots,
+    conditioned_invertible,
+    penrose_residuals,
+    random_psd,
+    random_unitary,
+    sylvester_dimension,
+    sylvester_intertwiners_reference,
+)
 
 
 def test_hermitian_eig_identity():
@@ -169,18 +180,18 @@ def test_spectrum_normal_matrix_condition():
 
 def test_sylvester_identity_pair():
     out = nk.sylvester_intertwiners(np.eye(2), np.eye(2))
-    assert len(out.basis) == 4 and out.rank == 2
+    assert out.dimension == 4 and out.rank == 2
 
 
 def test_sylvester_disjoint_spectra():
     out = nk.sylvester_intertwiners(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))
-    assert len(out.basis) == 0 and out.rank == 0
+    assert out.dimension == 0 and out.rank == 0
 
 
 def test_sylvester_dimension_formula():
     T = np.diag([1.0, 2.0])
     out = nk.sylvester_intertwiners(T, T)
-    assert len(out.basis) == sylvester_dimension([1, 2], [1, 2]) == 2
+    assert out.dimension == sylvester_dimension([1, 2], [1, 2]) == 2
     assert out.rank == 2
     rng = np.random.default_rng(17)
     eT = [1.0, 1.0, 2.0]
@@ -189,7 +200,7 @@ def test_sylvester_dimension_formula():
     Tm = (qt * eT) @ qt.conj().T
     Sm = (qs * eS) @ qs.conj().T
     out = nk.sylvester_intertwiners(Tm, Sm)
-    assert len(out.basis) == sylvester_dimension(eT, eS) == 3
+    assert out.dimension == sylvester_dimension(eT, eS) == 3
 
 
 def test_sylvester_basis_residuals():
@@ -199,7 +210,7 @@ def test_sylvester_basis_residuals():
         T = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         S = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         out = nk.sylvester_intertwiners(T, S)
-        for G in out.basis:
+        for G in out.basis_matrices():
             assert nk.frob(G @ T - S @ G) <= 1e-9 * (1 + nk.opnorm(T) + nk.opnorm(S))
 
 
@@ -209,6 +220,116 @@ def test_sylvester_seed_determinism():
     a = nk.sylvester_intertwiners(T, T, seed=5)
     b = nk.sylvester_intertwiners(T, T, seed=5)
     assert np.array_equal(a.max_rank_element, b.max_rank_element)
+    # two Jordan blocks: the seeded search of the Kronecker fallback
+    J = np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0]])
+    a = nk.sylvester_intertwiners(J, J, seed=5)
+    b = nk.sylvester_intertwiners(J, J, seed=5)
+    assert a.kernel is not None and a.rank == 3
+    assert np.array_equal(a.max_rank_element, b.max_rank_element)
+
+
+def test_sylvester_scalar_pair_has_the_full_space():
+    # T ~ c I to rounding: G T = T G for every G, so the dimension is n^2
+    rng = np.random.default_rng(32)
+    for n, c in ((2, 1.0), (3, 1.3), (6, 0.25), (9, 4.0)):
+        G = conditioned_invertible(rng, n, 20.0)
+        T = G @ (c * np.eye(n)) @ np.linalg.inv(G)
+        out = nk.sylvester_intertwiners(T, T)
+        assert out.dimension == n * n and out.rank == n, (n, c, out.dimension)
+
+
+def test_sylvester_kernel_survives_an_svd_failure(monkeypatch):
+    # LAPACK's zgesdd sometimes fails to converge (seen on a 200 x 200 T - mu at
+    # two BLAS threads); the kernel is then read off an SVD of the adjoint
+    rng = np.random.default_rng(34)
+    S = np.diag([0.5, 1.0, 2.0]).astype(complex)  # no cluster for spectrum to rank-test
+    G = conditioned_invertible(rng, 3, 5.0)
+    T = G @ S @ np.linalg.inv(G)
+    expected = nk.sylvester_intertwiners(T, S)
+    svd, failed = np.linalg.svd, []
+
+    def flaky(a, *args, **kwargs):
+        if not failed:
+            failed.append(a)
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", flaky)
+    out = nk.sylvester_intertwiners(T, S)
+    assert failed and (out.dimension, out.rank) == (expected.dimension, expected.rank) == (3, 3)
+    G1 = out.max_rank_element
+    assert nk.frob(G1 @ T - S @ G1) <= 1e-12 * (1 + 2 * nk.opnorm(S)) * nk.opnorm(G1)
+
+
+LEVELS = (0.0, 0.5, 1.5, 2.5)
+SYLVESTER_FAMILIES = ("hermitian", "diagonal", "nonnormal", "jordan_T", "jordan_S", "jordan_both", "equal")
+
+
+def _planted(rng, vals, jordan):
+    """G J G^-1 with J = diag(vals) sorted, linked into Jordan blocks at some equal
+    neighbours when ``jordan``; returns the matrix and whether a link was made."""
+    vals = np.sort(vals)
+    J = np.diag(vals).astype(complex)
+    links = [i for i in range(len(vals) - 1) if vals[i] == vals[i + 1]]
+    linked = False
+    if jordan and links:
+        for i in rng.choice(links, size=int(rng.integers(1, len(links) + 1)), replace=False):
+            J[i, i + 1] = 1.0
+        linked = True
+    G = conditioned_invertible(rng, len(vals), 5.0)
+    return G @ J @ np.linalg.inv(G), linked
+
+
+def _sylvester_pair(rng, family):
+    """(T, S, eigenvalues of T, of S); an eigenvalue list is None for a matrix with a Jordan block.
+
+    Levels repeat and include 0; half the pairs share their spectrum with multiplicity.
+    """
+    n = int(rng.integers(1, 13))
+    tv = rng.choice(LEVELS, size=n)
+    sv = rng.permutation(tv) if rng.random() < 0.5 else rng.choice(LEVELS, size=n)
+    T, t_jordan = _planted(rng, tv, family in ("jordan_T", "jordan_both"))
+    if family == "hermitian":
+        U = random_unitary(rng, n)
+        S, s_jordan = (U * sv) @ U.conj().T, False
+    elif family in ("diagonal", "jordan_T"):
+        S, s_jordan = np.diag(sv).astype(complex), False
+    elif family == "equal":
+        kind = rng.integers(3)
+        if kind == 2:
+            tv = np.full(n, LEVELS[rng.integers(len(LEVELS))])
+            T, t_jordan = _planted(rng, tv, False)
+        elif kind == 1:
+            T, t_jordan = _planted(rng, tv, True)
+        S, s_jordan, sv = T, t_jordan, tv
+    else:
+        S, s_jordan = _planted(rng, sv, family in ("jordan_S", "jordan_both"))
+    return T, S, None if t_jordan else tv, None if s_jordan else sv
+
+
+def test_sylvester_matches_kronecker_reference():
+    rng = np.random.default_rng(33)
+    paths = Counter()
+    for family in SYLVESTER_FAMILIES:
+        for _ in range(75):
+            T, S, eT, eS = _sylvester_pair(rng, family)
+            n = T.shape[0]
+            out = nk.sylvester_intertwiners(T, S)
+            ref = sylvester_intertwiners_reference(T, S)
+            assert (out.dimension, out.rank) == (len(ref.basis), ref.rank), (family, eT, eS)
+            assert quasiaffine_decide(T, S).affine == (ref.rank == n), family
+            scale = 1e-12 * (1.0 + nk.opnorm(T) + nk.opnorm(S))
+            basis = out.basis_matrices()
+            assert len(basis) == out.dimension
+            for G in basis + [out.max_rank_element]:
+                assert nk.frob(G @ T - S @ G) <= scale * nk.opnorm(G), family
+            if eT is not None or eS is not None:
+                # one side diagonalizable: eigenspace form, no Kronecker matrix
+                assert out.kernel is None, family
+            if eT is not None and eS is not None:
+                assert out.dimension == sylvester_dimension(eT, eS), family
+            paths[family, "kronecker" if out.kernel is not None else "eigenspaces"] += 1
+    assert paths["jordan_both", "kronecker"] >= 50 and paths["jordan_S", "eigenspaces"] == 75, paths
 
 
 def test_subspace_operations():
