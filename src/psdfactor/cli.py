@@ -5,15 +5,16 @@
 
 ``--in -`` reads the job from stdin.  The tolerance is the first one given
 of ``--tol``, the job's ``"tol"`` key and the environment variable
-``PSDFACTOR_TOL``, else ``1e-8``; it must be a finite nonnegative number.
+``PSDFACTOR_TOL``, else ``1e-8``; it must be a finite nonnegative number
+and every matrix and relation gate, ``rel sqrt`` included, runs at it.
 ``--seed`` and ``--trials`` likewise win over the job's ``"seed"`` and
 ``"trials"`` keys (defaults 0 and 100) and must be nonnegative integers;
 ``--threads`` (default 1) must be an integer >= 1.
 Exit codes: 0 = completed (feasible and infeasible both count), 2 = a
 hypothesis gate failed, 3 = malformed input, a malformed tolerance, seed,
 trial count or thread count included, or a job the engines cannot finish
-(a result outside the float range or the symbol class, LAPACK
-non-convergence); every exit 3 prints one line to stderr.
+(a result outside the float range or the symbol class, mismatched shapes,
+LAPACK non-convergence); every exit 2 or 3 prints one line to stderr.
 
 Reports are deterministic: a fixed JobSpec yields a byte-identical report
 apart from the ``wall_clock_s`` field, independent of ``--threads``.
@@ -61,7 +62,6 @@ from .linrel import (
 from .numkernel import DEFAULT_TOL, span
 from .serialize import (
     loads,
-    matrix_from_json,
     payload_from_json,
     payload_to_json,
 )
@@ -118,15 +118,22 @@ def _as_rel(payload) -> LinRel:
     return payload if isinstance(payload, LinRel) else rel_from_matrix(payload)
 
 
-def _want(job, key, where):
+_OPERAND = (np.ndarray, LinRel)
+
+
+def _want(job, key, where, kinds=np.ndarray):
+    """The payload ``job[key]``, which must be of ``kinds`` (default: a matrix)."""
     if key not in job:
         raise ParseError(f"{where}: missing required input {key!r}")
-    return payload_from_json(job[key], f"{where}.{key}")
+    value = payload_from_json(job[key], f"{where}.{key}")
+    if not isinstance(value, kinds):
+        raise ParseError(f"{where}.{key}: a {type(value).__name__} payload is not accepted here")
+    return value
 
 
 def _run_seb(job, tol, seed, trials, threads):
-    T = _want(job, "T", "seb")
-    B = _want(job, "B", "seb")
+    T = _want(job, "T", "seb", _OPERAND)
+    B = _want(job, "B", "seb", _OPERAND)
     if isinstance(T, LinRel) or isinstance(B, LinRel):
         cert = factor.seb_relation_solve(_as_rel(T), _as_rel(B), tol=tol)
     else:
@@ -143,8 +150,8 @@ def _run_seb(job, tol, seed, trials, threads):
 
 
 def _run_reverse(job, tol, seed, trials, threads):
-    T = _as_rel(_want(job, "T", "reverse"))
-    B = _as_rel(_want(job, "B", "reverse"))
+    T = _as_rel(_want(job, "T", "reverse", _OPERAND))
+    B = _as_rel(_want(job, "B", "reverse", _OPERAND))
     cert = factor.reverse_solve(T, B, tol=tol)
     return {
         "feasible": cert.feasible,
@@ -198,7 +205,7 @@ def _run_factor(job, tol, seed, trials, threads):
         sol = factor.douglas_solve(_want(job, "T", op), _want(job, "B", op), tol=tol)
         return {"feasible": sol.feasible, "Y": _maybe(sol.Y), "c": _num(sol.c)}
     if op == "ldeux":
-        hint = payload_from_json(job["Y_hint"], "ldeux.Y_hint") if "Y_hint" in job else None
+        hint = _want(job, "Y_hint", op) if "Y_hint" in job else None
         cert = factor.ldeux_certify(_want(job, "T", op), Y_hint=hint, tol=tol)
         return {
             "in_class": cert.in_class,
@@ -269,13 +276,13 @@ def _package_json(pkg):
 def _run_rel(job, tol, seed, trials, threads):
     op = job.get("op")
     if op in ("adjoint", "inverse", "sqrt", "moore_penrose", "parts", "classify"):
-        T = _as_rel(_want(job, "T", f"rel.{op}"))
+        T = _as_rel(_want(job, "T", f"rel.{op}", _OPERAND))
         if op == "adjoint":
             return {"result": payload_to_json(rel_adjoint(T))}
         if op == "inverse":
             return {"result": payload_to_json(rel_inverse(T))}
         if op == "sqrt":
-            return {"result": payload_to_json(rel_sqrt(T))}
+            return {"result": payload_to_json(rel_sqrt(T, tol=tol))}
         if op == "moore_penrose":
             return {"result": payload_to_json(rel_moore_penrose(T))}
         if op == "classify":
@@ -294,16 +301,16 @@ def _run_rel(job, tol, seed, trials, threads):
             "operator_part": payload_to_json(parts.operator_part_matrix),
         }
     if op == "compose":
-        S = _as_rel(_want(job, "S", "rel.compose"))
-        T = _as_rel(_want(job, "T", "rel.compose"))
+        S = _as_rel(_want(job, "S", "rel.compose", _OPERAND))
+        T = _as_rel(_want(job, "T", "rel.compose", _OPERAND))
         return {"result": payload_to_json(rel_compose(S, T))}
     if op == "restrict":
-        B = _as_rel(_want(job, "B", "rel.restrict"))
-        D = matrix_from_json(job["D"], "rel.restrict.D")
+        B = _as_rel(_want(job, "B", "rel.restrict", _OPERAND))
+        D = _want(job, "D", "rel.restrict")
         return {"result": payload_to_json(rel_restrict(B, span(D, ambient_dim=B.dom_dim)))}
     if op == "order_leq":
-        lo = _as_rel(_want(job, "Tlo", "rel.order_leq"))
-        hi = _as_rel(_want(job, "Thi", "rel.order_leq"))
+        lo = _as_rel(_want(job, "Tlo", "rel.order_leq", _OPERAND))
+        hi = _as_rel(_want(job, "Thi", "rel.order_leq", _OPERAND))
         return {"leq": rel_order_leq(lo, hi, tol=tol), "tol": tol}
     raise ParseError(f"rel: unknown op {op!r}")
 
@@ -311,10 +318,8 @@ def _run_rel(job, tol, seed, trials, threads):
 def _run_diag(job, tol, seed, trials, threads):
     op = job.get("op")
     if op in ("seb", "reverse", "compose", "order_leq"):
-        t = _want(job, "t", f"diag.{op}")
-        b = _want(job, "b", f"diag.{op}")
-        if not isinstance(t, DiagRel) or not isinstance(b, DiagRel):
-            raise ParseError("diag: inputs must be symbols")
+        t = _want(job, "t", f"diag.{op}", DiagRel)
+        b = _want(job, "b", f"diag.{op}", DiagRel)
         if op == "seb":
             res = diag_seb_solve(t, b)
             return {
@@ -335,13 +340,11 @@ def _run_diag(job, tol, seed, trials, threads):
             return {"result": payload_to_json(diag_compose(t, b))}
         return {"leq": diag_order_leq(t, b)}
     if op in ("adjoint", "inverse"):
-        t = _want(job, "t", f"diag.{op}")
+        t = _want(job, "t", f"diag.{op}", DiagRel)
         out = diag_adjoint(t) if op == "adjoint" else diag_inverse(t)
         return {"result": payload_to_json(out)}
     if op == "truncate":
-        t = _want(job, "t", "diag.truncate")
-        if not isinstance(t, DiagRel):
-            raise ParseError("diag: inputs must be symbols")
+        t = _want(job, "t", "diag.truncate", DiagRel)
         N = _count(job.get("N", 10), "job 'N'", least=t.symbol.head_len)
         out = diag_truncate(t, N)
         return {"result": payload_to_json(out)}
@@ -350,12 +353,9 @@ def _run_diag(job, tol, seed, trials, threads):
 
 def _run_proptest(job, tol, seed, trials, threads):
     suite = job.get("suite")
-    if not suite:
-        raise ParseError("proptest: missing 'suite'")
-    try:
-        return proptests.run_suite(suite, trials=trials, seed=seed, tol=tol, threads=threads)
-    except KeyError as exc:
-        raise ParseError(str(exc)) from exc
+    if not isinstance(suite, str) or suite not in proptests.SUITES:
+        raise ParseError(f"proptest: 'suite' {suite!r} is not one of {sorted(proptests.SUITES)}")
+    return proptests.run_suite(suite, trials=trials, seed=seed, tol=tol, threads=threads)
 
 
 _COMMANDS = {
@@ -425,7 +425,7 @@ def main(argv=None) -> int:
     except HypothesisError as exc:
         print(f"psdfactor: hypothesis failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    except (PsdFactorError, np.linalg.LinAlgError) as exc:
+    except (PsdFactorError, np.linalg.LinAlgError, ValueError, ArithmeticError) as exc:
         message = " ".join(str(exc).split())
         print(f"psdfactor: cannot finish the job: {type(exc).__name__}: {message}", file=sys.stderr)
         return EXIT_INPUT

@@ -123,15 +123,15 @@ def point_compose(a, b):
     return complex(a) * complex(b)
 
 
-def point_relation(v, tol: float = 1e-12) -> LinRel:
+def point_relation(v) -> LinRel:
     """The value as a relation on C^1 (the one-dimensional oracle bridge)."""
     if v is INF:
-        return rel_from_graph(np.array([[0.0], [1.0]]), 1, 1, tol)
+        return rel_from_graph(np.array([[0.0], [1.0]]), 1, 1)
     if v is TRIVIAL:
-        return rel_from_graph(np.zeros((2, 0)), 1, 1, tol)
+        return rel_from_graph(np.zeros((2, 0)), 1, 1)
     if v is FULL:
-        return rel_from_graph(np.eye(2), 1, 1, tol)
-    return rel_from_graph(np.array([[1.0], [complex(v)]]), 1, 1, tol)
+        return rel_from_graph(np.eye(2), 1, 1)
+    return rel_from_graph(np.array([[1.0], [complex(v)]]), 1, 1)
 
 
 def _coerce_entry(v):
@@ -308,7 +308,8 @@ def diag_order_leq(D1, D2) -> bool:
 def diag_seb_solve(T, B, tol: float = 1e-12) -> DiagSebResult:
     """Pointwise Sebestyen solve |t(n)|^2 <= lambda conj(t(n)) b(n).
 
-    Hypothesis (hard error): conj(t) b selfadjoint nonnegative at every
+    Hypotheses (hard errors): conj(t) b selfadjoint nonnegative and
+    mul B <= ker (T_s)* (b(n) = INF needs t(n) = INF or TRIVIAL) at every
     index by the relation rules.  Feasible iff the ratio sup |t(n)|/|b(n)|
     over binding indices is finite, which for the tails means
     tail_power(t) <= tail_power(b); the solution symbol x = t/b is bounded
@@ -334,7 +335,9 @@ def diag_seb_solve(T, B, tol: float = 1e-12) -> DiagSebResult:
                 raise HypothesisFailed(
                     f"diag_seb_solve: (T*B) at index {n} is {m}, not nonnegative"
                 )
-        if b is INF or t is INF:
+        if b is INF and not (isinstance(t, _Marker) or _is_zero(t)):
+            raise HypothesisFailed(f"diag_seb_solve: mul B at index {n} is not in ker (T_s)*")
+        if isinstance(b, _Marker) or isinstance(t, _Marker):
             head_x.append(0j)
             continue
         t, b = complex(t), complex(b)
@@ -406,7 +409,7 @@ def diag_reverse_solve(T, B, tol: float = 1e-12) -> DiagReverseResult:
                 raise HypothesisFailed(
                     f"diag_reverse_solve: (B*T) at index {n} is {m}, not nonnegative"
                 )
-        if t is INF:
+        if isinstance(t, _Marker):
             head_y.append(INF)
             continue
         t = complex(t)
@@ -415,12 +418,12 @@ def diag_reverse_solve(T, B, tol: float = 1e-12) -> DiagReverseResult:
                 feasible = False  # a finite form cannot dominate the infinite one
             head_y.append(0j)
             continue
-        b = complex(b)
-        if b == 0:
+        if b is FULL or _is_zero(b):
             if t != 0:
                 feasible = False  # kernel condition ker b <= ker t fails
             head_y.append(INF)
             continue
+        b = complex(b)
         if t == 0:
             head_y.append(0j)
             continue

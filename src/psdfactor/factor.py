@@ -611,6 +611,23 @@ def _check_intertwiner(G, left, right, tol, who):
     return float(s[0] / s[-1]), norm_left, norm_right, float(s[0])
 
 
+def _direct_side(T, G, S, lam, tol):
+    """X = G*G, X^(1/2), X^(-1/2), A = G* S G, herm(A T) and the residuals both
+    direct-side reports give, for G T = S G and lam = ||G||^2 = ||X||."""
+    X = herm(G.conj().T @ G)
+    Xh, Xmh = psd_powers(X, 0.5, -0.5, tol=tol)
+    A = herm(G.conj().T @ S @ G)
+    XT = X @ T
+    AT = herm(A @ T)
+    gap = herm(T.conj().T @ T - AT / lam) if lam > 0 else herm(T.conj().T @ T)
+    residuals = {
+        "xt_equals_tadjx": frob(XT - T.conj().T @ X),
+        "xt_psd_margin": float(np.linalg.eigvalsh(herm(XT))[0]),
+        "reversed_inequality_margin": float(np.linalg.eigvalsh(gap)[0]),
+    }
+    return X, Xh, Xmh, A, AT, residuals
+
+
 def inclusionnfs_package(T, G, S, tol: float = DEFAULT_TOL) -> QAPackage:
     """Adjoint-side package: from G T* = S G build A = G*G and the
     representing factor B_F = G^(-1) S (G^(-1))* with A B_F = T.
@@ -651,25 +668,16 @@ def tba_package(T, G, S, tol: float = DEFAULT_TOL) -> QAPackage:
     """
     T, G, S = as_matrix(T), as_matrix(G), as_matrix(S)
     cond_G, norm_T, _, norm_G = _check_intertwiner(G, T, S, tol, "tba_package")
-    X = herm(G.conj().T @ G)
+    X, Xh, Xmh, A_F, _, residuals = _direct_side(T, G, S, norm_G ** 2, tol)
     B = herm(np.linalg.inv(X))
-    A_F = herm(G.conj().T @ S @ G)
-    ctol = tol * cond_G ** 2 * (1.0 + norm_T)
-    lam = norm_G ** 2
-    XT = X @ T
-    AFT = herm(A_F @ T)
-    gap = herm(T.conj().T @ T - AFT / lam) if lam > 0 else herm(T.conj().T @ T)
-    Xh, Xmh = psd_powers(X, 0.5, -0.5, tol=tol)
     S0 = herm(Xh @ T @ Xmh)
     diag = {
         "reconstruction": frob(B @ A_F - T),
-        "xt_equals_tadjx": frob(XT - T.conj().T @ X),
-        "xt_psd_margin": float(np.linalg.eigvalsh(herm(XT))[0]),
-        "reversed_inequality_margin": float(np.linalg.eigvalsh(gap)[0]),
-        "lambda": lam,
+        **residuals,
+        "lambda": norm_G ** 2,
         "S0": S0,
         "E_F": herm(Xh @ S0 @ Xh),
-        "tol": ctol,
+        "tol": tol * cond_G ** 2 * (1.0 + norm_T),
     }
     try:
         rev = reverse_solve(rel_from_matrix(T), rel_from_matrix(A_F), tol=tol)
@@ -750,10 +758,7 @@ def bounded_S_checks(T, G, S, tol: float = DEFAULT_TOL) -> BoundedSReport:
     cond_G, norm_T, norm_S, norm_G = _check_intertwiner(G, T, S, tol, "bounded_S_checks")
     ctol = tol * cond_G ** 2 * (1.0 + norm_T + norm_S)
     Ginv = np.linalg.inv(G)
-    X = herm(G.conj().T @ G)
-    Xh, Xmh = psd_powers(X, 0.5, -0.5)
-    A = herm(G.conj().T @ S @ G)
-    lam = norm_G ** 2
+    _, Xh, Xmh, _, AT, residuals = _direct_side(T, G, S, norm_G ** 2, tol)
     items = []
 
     def add(name, residual, tolerance=ctol):
@@ -766,13 +771,10 @@ def bounded_S_checks(T, G, S, tol: float = DEFAULT_TOL) -> BoundedSReport:
     C2 = Xmh @ T.conj().T @ Xh
     add("polar_normalization_equality", frob(C1 - C2))
     add("polar_normalization_psd", max(0.0, -float(np.linalg.eigvalsh(herm(C2))[0])))
-    XT = X @ T
-    add("xt_equals_tadjx", frob(XT - T.conj().T @ X))
-    add("xt_psd", max(0.0, -float(np.linalg.eigvalsh(herm(XT))[0])))
-    AT = herm(A @ T)
-    gap = herm(T.conj().T @ T - AT / lam) if lam > 0 else herm(T.conj().T @ T)
+    add("xt_equals_tadjx", residuals["xt_equals_tadjx"])
+    add("xt_psd", max(0.0, -residuals["xt_psd_margin"]))
     add("at_hermitian_psd", max(0.0, -float(np.linalg.eigvalsh(AT)[0])))
-    add("reversed_inequality_margin", max(0.0, -float(np.linalg.eigvalsh(gap)[0])))
+    add("reversed_inequality_margin", max(0.0, -residuals["reversed_inequality_margin"]))
     add("joint_form_T_side", frob(C1 - herm(C1)))
     # (X^(-1))^(+-1/2) = X^(-+1/2): the adjoint-side joint form is C2 - C1
     add("joint_form_Tadj_side", frob(C2 - C1))

@@ -14,7 +14,8 @@ Operations follow their componentwise definitions on the graph blocks
 (X; Y): the parts take one SVD of X and one of Y, the product and the
 restriction one null space of coefficients each.  Blocks of an orthonormal
 basis have scale 1, so those null spaces cut at s > RANK_RTOL max(s_max, 1):
-a block of pure rounding dust counts as zero.
+a block of pure rounding dust counts as zero.  A relation carries no
+tolerance: its predicates and gates take ``tol`` from the caller.
 """
 
 from __future__ import annotations
@@ -80,7 +81,6 @@ class LinRel:
     dom_dim: int
     codom_dim: int
     graph: Subspace
-    tol: float = DEFAULT_TOL
 
     @property
     def graph_dim(self) -> int:
@@ -108,13 +108,12 @@ class RelFlags:
     selfadjoint: bool
 
 
-def rel_from_graph(vectors, dom_dim: int, codom_dim: int, tol: float = DEFAULT_TOL) -> LinRel:
+def rel_from_graph(vectors, dom_dim: int, codom_dim: int) -> LinRel:
     """Relation spanned by stacked (x; y) columns (orthonormalized here)."""
-    g = span(vectors, ambient_dim=dom_dim + codom_dim, tol=tol)
-    return LinRel(dom_dim, codom_dim, g, tol)
+    return LinRel(dom_dim, codom_dim, span(vectors, ambient_dim=dom_dim + codom_dim))
 
 
-def rel_from_matrix(M, tol: float = DEFAULT_TOL) -> LinRel:
+def rel_from_matrix(M) -> LinRel:
     """Graph {(x, Mx)} of an everywhere-defined matrix.
 
     The columns of (I; M) have singular values >= 1, so no rank cut applies:
@@ -123,21 +122,21 @@ def rel_from_matrix(M, tol: float = DEFAULT_TOL) -> LinRel:
     M = as_matrix(M)
     m, n = M.shape
     stacked = np.vstack([np.eye(n, dtype=np.complex128), M])
-    return LinRel(n, m, span(stacked, rtol=0.0, tol=tol), tol)
+    return LinRel(n, m, span(stacked, rtol=0.0))
 
 
-def rel_identity(n: int, tol: float = DEFAULT_TOL) -> LinRel:
-    return rel_from_matrix(np.eye(n), tol)
+def rel_identity(n: int) -> LinRel:
+    return rel_from_matrix(np.eye(n))
 
 
-def rel_zero(n: int, m: int, tol: float = DEFAULT_TOL) -> LinRel:
-    return rel_from_matrix(np.zeros((m, n)), tol)
+def rel_zero(n: int, m: int) -> LinRel:
+    return rel_from_matrix(np.zeros((m, n)))
 
 
-def rel_mul_everything(n: int, m: int, tol: float = DEFAULT_TOL) -> LinRel:
+def rel_mul_everything(n: int, m: int) -> LinRel:
     """The relation {0} x C^m from C^n to C^m."""
     vecs = np.vstack([np.zeros((n, m)), np.eye(m)])
-    return rel_from_graph(vecs, n, m, tol)
+    return rel_from_graph(vecs, n, m)
 
 
 def rel_parts(T: LinRel) -> RelParts:
@@ -165,21 +164,21 @@ def operator_part_relation(T: LinRel, parts: RelParts | None = None) -> LinRel:
     parts = rel_parts(T) if parts is None else parts
     D = parts.dom.basis
     vecs = np.vstack([D, parts.operator_part_matrix @ D])
-    return rel_from_graph(vecs, T.dom_dim, T.codom_dim, T.tol)
+    return rel_from_graph(vecs, T.dom_dim, T.codom_dim)
 
 
 def rel_adjoint(T: LinRel) -> LinRel:
     """graph(T*) = orthogonal complement of J graph(T), J(x, y) = (y, -x) unitary."""
     X, Y = T.blocks()
-    flipped = Subspace(T.dom_dim + T.codom_dim, np.vstack([Y, -X]), T.tol)
-    return LinRel(T.codom_dim, T.dom_dim, nk.subspace_complement(flipped), T.tol)
+    flipped = Subspace(T.dom_dim + T.codom_dim, np.vstack([Y, -X]))
+    return LinRel(T.codom_dim, T.dom_dim, nk.subspace_complement(flipped))
 
 
 def rel_inverse(T: LinRel) -> LinRel:
     """graph(T^(-1)) = {(y, x) : (x, y) in T}, with the swapped basis kept."""
     X, Y = T.blocks()
-    g = Subspace(T.dom_dim + T.codom_dim, np.vstack([Y, X]), T.tol)
-    return LinRel(T.codom_dim, T.dom_dim, g, T.tol)
+    g = Subspace(T.dom_dim + T.codom_dim, np.vstack([Y, X]))
+    return LinRel(T.codom_dim, T.dom_dim, g)
 
 
 def rel_compose(S: LinRel, T: LinRel) -> LinRel:
@@ -200,7 +199,7 @@ def rel_compose(S: LinRel, T: LinRel) -> LinRel:
     graph = span(
         np.vstack([Xt @ N[:gt], Ys @ N[gt:]]), ambient_dim=T.dom_dim + S.codom_dim, atol=GRAPH_ATOL
     )
-    return LinRel(T.dom_dim, S.codom_dim, graph, min(S.tol, T.tol))
+    return LinRel(T.dom_dim, S.codom_dim, graph)
 
 
 def rel_restrict(B: LinRel, D: Subspace) -> LinRel:
@@ -209,10 +208,10 @@ def rel_restrict(B: LinRel, D: Subspace) -> LinRel:
         raise DimensionMismatch("rel_restrict: subspace lives in the wrong space")
     X, _ = B.blocks()
     N = kernel_basis(X - D.basis @ (D.basis.conj().T @ X), atol=RANK_RTOL).basis
-    return LinRel(B.dom_dim, B.codom_dim, Subspace(B.graph.ambient_dim, B.graph.basis @ N), B.tol)
+    return LinRel(B.dom_dim, B.codom_dim, Subspace(B.graph.ambient_dim, B.graph.basis @ N))
 
 
-def rel_classify(T: LinRel, tol=None) -> RelFlags:
+def rel_classify(T: LinRel, tol: float = DEFAULT_TOL) -> RelFlags:
     """Symmetry/nonnegativity of the graph form <y, x>, and selfadjointness.
 
     With graph basis pairs (x_i, y_i), the form matrix is F = X* Y; the
@@ -222,7 +221,6 @@ def rel_classify(T: LinRel, tol=None) -> RelFlags:
     """
     if T.dom_dim != T.codom_dim:
         raise NotSquare("rel_classify: relation is not square")
-    tol = T.tol if tol is None else tol
     X, Y = T.blocks()
     F = X.conj().T @ Y
     sym = nk.frob(F - F.conj().T) <= tol * (1.0 + nk.frob(F))
@@ -234,21 +232,21 @@ def rel_classify(T: LinRel, tol=None) -> RelFlags:
     return RelFlags(symmetric=sym, nonnegative=nonneg, selfadjoint=selfadj)
 
 
-def _require_nonneg_selfadjoint(T, who, tol=None):
+def _require_nonneg_selfadjoint(T, who, tol: float = DEFAULT_TOL):
     flags = rel_classify(T, tol=tol)
     if not (flags.selfadjoint and flags.nonnegative):
         raise NotNonnegSelfadjoint(f"{who}: relation is not nonnegative selfadjoint")
 
 
-def rel_sqrt(T: LinRel) -> LinRel:
-    """Square root of a nonnegative selfadjoint relation.
+def rel_sqrt(T: LinRel, tol: float = DEFAULT_TOL) -> LinRel:
+    """Square root of a nonnegative selfadjoint relation, gated at ``tol``.
 
     The operator part gets its PSD square root on dom T; the multivalued part
     is preserved, matching (T^(1/2))_s = (T_s)^(1/2).
     """
-    _require_nonneg_selfadjoint(T, "rel_sqrt")
+    _require_nonneg_selfadjoint(T, "rel_sqrt", tol)
     parts = rel_parts(T)
-    root = psd_power(herm(parts.operator_part_matrix), 0.5)
+    root = psd_power(herm(parts.operator_part_matrix), 0.5, tol)
     D = parts.dom.basis
     M = parts.mul.basis
     n = T.dom_dim
@@ -258,7 +256,7 @@ def rel_sqrt(T: LinRel) -> LinRel:
             np.vstack([np.zeros((n, M.shape[1])), M]),
         ]
     )
-    return rel_from_graph(vecs, n, n, T.tol)
+    return rel_from_graph(vecs, n, n)
 
 
 def resolvent_contraction(T: LinRel) -> np.ndarray:
@@ -276,16 +274,15 @@ def resolvent_contraction(T: LinRel) -> np.ndarray:
     return herm(C)
 
 
-def rel_order_leq(Tlo: LinRel, Thi: LinRel, tol=None) -> bool:
+def rel_order_leq(Tlo: LinRel, Thi: LinRel, tol: float = DEFAULT_TOL) -> bool:
     """Form order Tlo <= Thi for nonnegative selfadjoint relations.
 
     Decided by the resolvent criterion: (I + Thi)^(-1) <= (I + Tlo)^(-1) in
     the Loewner order; the purely multivalued relation dominates everything
     since its resolvent transform is 0.
     """
-    tol = Tlo.tol if tol is None else tol
-    _require_nonneg_selfadjoint(Tlo, "rel_order_leq", tol=tol)
-    _require_nonneg_selfadjoint(Thi, "rel_order_leq", tol=tol)
+    _require_nonneg_selfadjoint(Tlo, "rel_order_leq", tol)
+    _require_nonneg_selfadjoint(Thi, "rel_order_leq", tol)
     Clo = resolvent_contraction(Tlo)
     Chi = resolvent_contraction(Thi)
     flag, _ = nk.loewner_leq(Chi, Clo, tol=tol)
@@ -295,13 +292,13 @@ def rel_order_leq(Tlo: LinRel, Thi: LinRel, tol=None) -> bool:
 def rel_scale(T: LinRel, c: float) -> LinRel:
     """The relation cT = {(x, cy)}."""
     X, Y = T.blocks()
-    return rel_from_graph(np.vstack([X, c * Y]), T.dom_dim, T.codom_dim, T.tol)
+    return rel_from_graph(np.vstack([X, c * Y]), T.dom_dim, T.codom_dim)
 
 
 def rel_plusdot(R: LinRel, extra_pairs) -> LinRel:
     """Componentwise sum of graph(R) with extra stacked (x; y) columns."""
     vecs = np.hstack([R.graph.basis, as_matrix(extra_pairs)]) if np.asarray(extra_pairs).size else R.graph.basis
-    return rel_from_graph(vecs, R.dom_dim, R.codom_dim, R.tol)
+    return rel_from_graph(vecs, R.dom_dim, R.codom_dim)
 
 
 def rel_moore_penrose(T: LinRel) -> LinRel:
@@ -315,11 +312,10 @@ def rel_moore_penrose(T: LinRel) -> LinRel:
     which for single-valued T collapse to the classical ones.
     """
     parts = rel_parts(T)
-    return rel_from_matrix(moore_penrose(parts.operator_part_matrix), T.tol)
+    return rel_from_matrix(moore_penrose(parts.operator_part_matrix))
 
 
-def rel_equal(A: LinRel, B: LinRel, tol=None) -> bool:
-    tol = A.tol if tol is None else tol
+def rel_equal(A: LinRel, B: LinRel, tol: float = DEFAULT_TOL) -> bool:
     return (
         A.dom_dim == B.dom_dim
         and A.codom_dim == B.codom_dim
@@ -331,9 +327,8 @@ def rel_distance(A: LinRel, B: LinRel) -> float:
     return subspace_distance(A.graph, B.graph)
 
 
-def rel_contains(big: LinRel, small: LinRel, tol=None) -> bool:
+def rel_contains(big: LinRel, small: LinRel, tol: float = DEFAULT_TOL) -> bool:
     """graph(small) <= graph(big) by projection residual."""
-    tol = big.tol if tol is None else tol
     return subspace_contains(big.graph, small.graph, tol=tol)
 
 

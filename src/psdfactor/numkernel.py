@@ -17,8 +17,8 @@ Three global conventions keep kernels consistent across operations:
   ``S - mu`` and ``(T - mu)*`` and clusters eigenvalues at
   ``RANK_RTOL * max(||T||, ||S||)``, so ``T - mu = 0`` to rounding has the
   full kernel rather than one measured against its own dust;
-* identity checks default to relative Frobenius tolerance ``DEFAULT_TOL``,
-  overridable per call;
+* a tolerance comes only from the call (default ``DEFAULT_TOL``, relative
+  Frobenius for identity checks); a :class:`Subspace` carries none;
 * one Hermitian/PSD gate, :func:`hermitian_eig`, returns the spectrum it
   tested.  H passes as Hermitian when ||H - H*||_F <= tol (1 + ||H||_F) and as
   PSD when its smallest eigenvalue is >= -tol (1 + ||H||), with ||H|| the
@@ -279,9 +279,10 @@ def spectrum(T, tol: float = DEFAULT_TOL) -> Spectrum:
 
     Eigenvalues within 100*tol*||T|| of each other are clustered; T is
     diagonalizable iff for each cluster (mean value lam, multiplicity m)
-    rank(T - lam I) = n - m, ranks taken at the same 100*tol threshold.
-    Rank tests degrade gracefully near Jordan blocks, unlike eigenvector
-    inversion, which is why they decide the flag.
+    rank(T - lam I) = n - m, ranks taken at the same 100*tol threshold, and
+    cond(V) <= 1/RANK_RTOL for the eigenvector matrix V: a Jordan block of
+    size 3 or more scatters its eigenvalue past the clustering, and only
+    cond(V) shows it.
     """
     T = as_matrix(T)
     _require_square(T, "spectrum")
@@ -307,11 +308,15 @@ def spectrum(T, tol: float = DEFAULT_TOL) -> Spectrum:
             diagonalizable = False
             break
     cond = float(np.linalg.cond(v, 2)) if diagonalizable else float("inf")
+    diagonalizable = cond <= 1.0 / RANK_RTOL
     return Spectrum(eigenvalues=w, eigenvectors=v, diagonalizable=diagonalizable, eigvec_condition=cond, norm=norm)
 
 
+_KRONECKER_COMBOS = 64
+
+
 def sylvester_intertwiners(
-    T, S, seed: int = 0, n_combos: int = 64, tol: float = DEFAULT_TOL, spec_S: Spectrum | None = None
+    T, S, seed: int = 0, tol: float = DEFAULT_TOL, spec_S: Spectrum | None = None
 ) -> Intertwiners:
     """The Sylvester space {G : G T = S G} from the eigenspaces of S or T.
 
@@ -328,10 +333,9 @@ def sylvester_intertwiners(
 
     Only when neither matrix qualifies is the space the null space of the
     pn x pn map G -> G T - S G (cut at the same floor), and the maximal-rank
-    element the best of ``n_combos`` seeded random unit combinations of its
-    basis (maximal rank holds on a Zariski-open set); ties in rank go to the
-    larger smallest retained singular value.  ``seed`` and ``n_combos`` matter
-    only there.
+    element the best of ``_KRONECKER_COMBOS`` random unit combinations of its
+    basis, seeded by ``seed`` (maximal rank holds on a Zariski-open set);
+    ties in rank go to the larger smallest retained singular value.
     """
     T, S = as_matrix(T), as_matrix(S)
     _require_square(T, "sylvester_intertwiners")
@@ -347,7 +351,7 @@ def sylvester_intertwiners(
         blocks = _eigenspace_blocks(spec_T.eigenvalues, T, S, floor)
         if _fills([L for _, L in blocks]):
             return _from_blocks(blocks, S.shape[0], T.shape[0])
-    return _kronecker_intertwiners(T, S, floor, seed, n_combos)
+    return _kronecker_intertwiners(T, S, floor, seed)
 
 
 def _fills(bases) -> bool:
@@ -398,7 +402,7 @@ def _from_blocks(blocks, p, n) -> Intertwiners:
     return Intertwiners(dimension=dimension, rank=rank, max_rank_element=G, blocks=blocks)
 
 
-def _kronecker_intertwiners(T, S, floor, seed, n_combos) -> Intertwiners:
+def _kronecker_intertwiners(T, S, floor, seed) -> Intertwiners:
     """The fallback for two non-diagonalizable matrices: a null space of size pn x pn."""
     n, p = T.shape[0], S.shape[0]
     M = np.kron(T.T, np.eye(p)) - np.kron(np.eye(n), S)
@@ -410,7 +414,7 @@ def _kronecker_intertwiners(T, S, floor, seed, n_combos) -> Intertwiners:
     rng = np.random.default_rng(seed)
     best = None
     best_key = (-1, -1.0)
-    for _ in range(n_combos):
+    for _ in range(_KRONECKER_COMBOS):
         c = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         cand = (null @ (c / np.linalg.norm(c))).reshape((p, n), order="F")
         sv = np.linalg.svd(cand, compute_uv=False)
@@ -445,7 +449,6 @@ class Subspace:
 
     ambient_dim: int
     basis: np.ndarray
-    tol: float = DEFAULT_TOL
 
     @property
     def dim(self) -> int:
@@ -455,13 +458,7 @@ class Subspace:
         return self.basis @ self.basis.conj().T
 
 
-def span(
-    vectors,
-    ambient_dim=None,
-    rtol: float = RANK_RTOL,
-    atol: float = 0.0,
-    tol: float = DEFAULT_TOL,
-) -> Subspace:
+def span(vectors, ambient_dim=None, rtol: float = RANK_RTOL, atol: float = 0.0) -> Subspace:
     """Orthonormalize a spanning set of column vectors into a Subspace.
 
     ``atol`` is an absolute singular-value floor; pass it when the columns
@@ -474,17 +471,17 @@ def span(
     if A.shape[0] != ambient_dim:
         raise ValueError("ambient dimension mismatch")
     if A.shape[1] == 0 or not A.any():
-        return Subspace(ambient_dim, np.zeros((ambient_dim, 0), dtype=np.complex128), tol)
+        return zero_space(ambient_dim)
     u, s, _ = np.linalg.svd(A, full_matrices=False)
-    return Subspace(ambient_dim, u[:, : numerical_rank(s, atol, rtol)].copy(), tol)
+    return Subspace(ambient_dim, u[:, : numerical_rank(s, atol, rtol)].copy())
 
 
-def full_space(n: int, tol: float = DEFAULT_TOL) -> Subspace:
-    return Subspace(n, np.eye(n, dtype=np.complex128), tol)
+def full_space(n: int) -> Subspace:
+    return Subspace(n, np.eye(n, dtype=np.complex128))
 
 
-def zero_space(n: int, tol: float = DEFAULT_TOL) -> Subspace:
-    return Subspace(n, np.zeros((n, 0), dtype=np.complex128), tol)
+def zero_space(n: int) -> Subspace:
+    return Subspace(n, np.zeros((n, 0), dtype=np.complex128))
 
 
 def numerical_rank(s, atol: float = 0.0, rtol: float = RANK_RTOL) -> int:
@@ -546,7 +543,7 @@ def subspace_complement(sp: Subspace) -> Subspace:
     if sp.dim == 0:
         return full_space(sp.ambient_dim)
     u, s, _ = np.linalg.svd(sp.basis, full_matrices=True)
-    return Subspace(sp.ambient_dim, u[:, sp.dim:].copy(), sp.tol)
+    return Subspace(sp.ambient_dim, u[:, sp.dim:].copy())
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
@@ -559,9 +556,8 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     return span(a.basis @ null[: a.dim, :], ambient_dim=a.ambient_dim)
 
 
-def subspace_contains(big: Subspace, small: Subspace, tol=None) -> bool:
+def subspace_contains(big: Subspace, small: Subspace, tol: float = DEFAULT_TOL) -> bool:
     """small <= big, decided by the projection residual of small's basis."""
-    tol = big.tol if tol is None else tol
     return subspace_containment_residual(big, small) <= tol
 
 
@@ -579,6 +575,5 @@ def subspace_distance(a: Subspace, b: Subspace) -> float:
     return opnorm(a.projector() - b.projector())
 
 
-def subspace_equal(a: Subspace, b: Subspace, tol=None) -> bool:
-    tol = a.tol if tol is None else tol
+def subspace_equal(a: Subspace, b: Subspace, tol: float = DEFAULT_TOL) -> bool:
     return a.dim == b.dim and subspace_distance(a, b) <= tol

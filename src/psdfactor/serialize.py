@@ -93,6 +93,8 @@ def relation_from_json(obj, where="relation"):
         basis = matrix_from_json(obj["graph_basis"], f"{where}.graph_basis")
     except (TypeError, KeyError) as exc:
         raise ParseError(f"{where}: missing field {exc}") from exc
+    if not isinstance(n, int) or not isinstance(m, int) or n < 0 or m < 0:
+        raise ParseError(f"{where}: n and m must be nonnegative integers")
     if basis.shape[0] != n + m:
         raise ParseError(f"{where}: graph basis must have n+m = {n + m} rows")
     gram = basis.conj().T @ basis
@@ -118,8 +120,10 @@ def symbol_from_json(obj, where="symbol"):
     try:
         head_raw = obj["head"]
         tail = obj.get("tail", {"coeff": [0.0, 0.0], "power": "0"})
-    except TypeError as exc:
-        raise ParseError(f"{where}: expected an object") from exc
+    except (TypeError, KeyError) as exc:
+        raise ParseError(f"{where}: expected an object with a head") from exc
+    if not isinstance(head_raw, list) or not isinstance(tail, dict):
+        raise ParseError(f"{where}: head must be a list and tail an object")
     head = []
     for i, v in enumerate(head_raw):
         if isinstance(v, str):

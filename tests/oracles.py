@@ -237,8 +237,8 @@ def rel_parts_reference(T: LinRel) -> RelParts:
     (dom T)^perp.
     """
     X, Y = T.blocks()
-    dom = span(X, ambient_dim=T.dom_dim, atol=GRAPH_ATOL, tol=T.tol)
-    ran = span(Y, ambient_dim=T.codom_dim, atol=GRAPH_ATOL, tol=T.tol)
+    dom = span(X, ambient_dim=T.dom_dim, atol=GRAPH_ATOL)
+    ran = span(Y, ambient_dim=T.codom_dim, atol=GRAPH_ATOL)
     mul = _second_component_at_zero(X, Y, T.codom_dim)
     ker = _second_component_at_zero(Y, X, T.dom_dim)
     P_s = np.eye(T.codom_dim, dtype=np.complex128) - mul.projector()
@@ -281,7 +281,7 @@ def rel_compose_reference(S: LinRel, T: LinRel) -> LinRel:
     B = inter.basis
     proj = np.vstack([B[:nH, :], B[nH + nK :, :]])
     graph = span(proj, ambient_dim=nH + nL, atol=GRAPH_ATOL)
-    return LinRel(nH, nL, graph, min(S.tol, T.tol))
+    return LinRel(nH, nL, graph)
 
 
 def rel_restrict_reference(B: LinRel, D: Subspace) -> LinRel:
@@ -293,7 +293,7 @@ def rel_restrict_reference(B: LinRel, D: Subspace) -> LinRel:
     big[: B.dom_dim, : D.dim] = D.basis
     big[B.dom_dim :, D.dim :] = np.eye(B.codom_dim)
     inter = subspace_intersect(B.graph, span(big, ambient_dim=amb))
-    return LinRel(B.dom_dim, B.codom_dim, inter, B.tol)
+    return LinRel(B.dom_dim, B.codom_dim, inter)
 
 
 def _form_compression(parts, D):

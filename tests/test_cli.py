@@ -1,14 +1,20 @@
 """Wire formats and the batch front-end: round trips, exit codes, determinism."""
 
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
 import types
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psdfactor import cli, serialize
 from psdfactor.diagmodel import INF, DiagRel, DiagSymbol
@@ -406,3 +412,117 @@ def test_cli_rel_ops_strict_json(tmp_path, capsys, job):
     out, err = capsys.readouterr()
     assert code == 0, err
     assert _strict_json(out)["results"]
+
+
+@pytest.mark.parametrize("op", ["classify", "sqrt"])
+def test_cli_rel_gates_at_the_job_tolerance(tmp_path, capsys, op):
+    # diag(1, 2) with 1e-6 at (0, 1) is nonnegative selfadjoint at tol 1e-4;
+    # rel sqrt used to gate at the tolerance stored on the relation (1e-8) and exit 2
+    T = np.diag([1.0, 2.0])
+    T[0, 1] = 1e-6
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"op": op, "T": serialize.matrix_to_json(T)}))
+    code = cli.main(["rel", "--in", str(path), "--tol", "1e-4"])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    assert json.loads(out)["results"]
+
+
+# ------------------------------------------------------------- the exit-code contract
+
+_M2 = serialize.matrix_to_json(np.diag([2.0, 1.0]))
+_M3 = serialize.matrix_to_json(np.diag([3.0, 1.0]))
+_I2 = serialize.matrix_to_json(np.eye(2))
+_HEAD = {"head": [[1.0, 0.0], "inf"], "tail": {"coeff": [1.0, 0.0], "power": "1"}}
+
+# One small valid job per command and op; the contract test mutates these.
+_VALID_JOBS = [
+    ("seb", {"T": _M2, "B": _M3}),
+    ("seb", {"T": _R, "B": _R}),
+    ("reverse", {"T": _M2, "B": _M3}),
+    ("wsimilar", {"T": _M2}),
+    ("intertwine", {"op": "sylvester", "T": _M2, "S": _M2, "seed": 1}),
+    ("intertwine", {"op": "quasiaffine", "T": _M2, "S": _M2}),
+    ("intertwine", {"op": "quasisimilar", "T": _M2, "S": _M2}),
+    ("factor", {"op": "douglas", "T": _M2, "B": _M3}),
+    ("factor", {"op": "ldeux", "T": _M2, "Y_hint": _I2}),
+    ("factor", {"op": "psd_similarity", "T": _M2}),
+    ("factor", {"op": "presimilar", "A": _M2, "B": _M3}),
+    ("factor", {"op": "spectra_swap", "A": _M2, "B": _M3}),
+    ("factor", {"op": "power_chain", "A": _M2, "B": _M3, "n_max": 2}),
+    ("factor", {"op": "inclusionnfs", "T": _M2, "G": _I2, "S": _M2}),
+    ("factor", {"op": "tba", "T": _M2, "G": _I2, "S": _M2}),
+    ("factor", {"op": "bounded_s", "T": _M2, "G": _I2, "S": _M2}),
+    ("rel", {"op": "sqrt", "T": _R, "tol": 1e-6}),
+    ("rel", {"op": "parts", "T": _R}),
+    ("rel", {"op": "compose", "S": _M2, "T": _R}),
+    ("rel", {"op": "restrict", "B": _R, "D": serialize.matrix_to_json(np.array([[1.0], [0.0]]))}),
+    ("rel", {"op": "order_leq", "Tlo": _M2, "Thi": _R}),
+    ("diag", {"op": "seb", "t": _HEAD, "b": "n2"}),
+    ("diag", {"op": "reverse", "t": "n2", "b": _HEAD}),
+    ("diag", {"op": "compose", "t": _HEAD, "b": "sqrt_n"}),
+    ("diag", {"op": "order_leq", "t": "one", "b": _HEAD}),
+    ("diag", {"op": "inverse", "t": _HEAD}),
+    ("diag", {"op": "truncate", "t": _HEAD, "N": 3}),
+    ("proptest", {"suite": "relation_involution", "trials": 2, "seed": 3}),
+]
+
+# Fields that size a job: a large value there asks for a large job, which is valid.
+_SIZE_KEYS = {"N", "n_max", "trials", "rows", "cols", "n", "m"}
+
+_SCALARS = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.sampled_from(["", "abc", "inf", "full", "trivial", "n", "1/0", "1e400", "-1"]),
+    st.sampled_from([0, -0.0, -1, 1.5, 1e-320, 1e308, -1e308, 10**400, float("inf"), float("nan")]),
+    st.sampled_from([[], {}, [1.0], [1.0, 2.0, 3.0], {"rows": 1}]),
+)
+_SIZES = st.one_of(st.integers(-2, 4), st.booleans(), st.none(), st.sampled_from(["abc", 1.5, -0.0]))
+_SHAPES = st.sampled_from(
+    [serialize.matrix_to_json(np.eye(k)) for k in (0, 1, 3)] + [serialize.matrix_to_json(np.ones((2, 3)))]
+)
+
+
+def _paths(obj, path=()):
+    yield path
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+@st.composite
+def _mutated_jobs(draw):
+    command, job = draw(st.sampled_from(_VALID_JOBS))
+    job = json.loads(json.dumps(job))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(job))[1:]
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        parent = job
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        kind = draw(st.sampled_from(["drop", "scalar", "shape"]))
+        if kind == "drop" and isinstance(parent, dict):
+            del parent[key]
+        elif kind == "shape" and isinstance(parent[key], dict) and "rows" in parent[key]:
+            parent[key] = copy.deepcopy(draw(_SHAPES))
+        else:
+            parent[key] = copy.deepcopy(draw(_SIZES if key in _SIZE_KEYS else _SCALARS))
+    return command, job
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(_mutated_jobs())
+def test_cli_contract_on_mutated_jobs(case):
+    # Every job ends in exit 0 with a JSON report, or exit 2 or 3 with one line on stderr.
+    command, job = case
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(json.dumps(job))), redirect_stdout(out), redirect_stderr(err):
+        code = cli.main([command, "--in", "-"])
+    assert code in (0, 2, 3), (code, err.getvalue())
+    if code == 0:
+        json.loads(out.getvalue())
+    else:
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1, err.getvalue()

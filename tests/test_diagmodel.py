@@ -1,6 +1,7 @@
 """Diagonal symbol model: extended-value algebra, closed-form solvers, and
 commutation with the matrix/relation engines under truncation."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -222,11 +223,53 @@ def test_diag_seb_hypothesis_gate():
 
 
 def test_diag_seb_with_inf_entries():
-    t = DiagRel.from_head([INF, 1.0], tail_coeff=1, tail_power=0)
+    t = DiagRel.from_head([INF, INF], tail_coeff=1, tail_power=0)
     b = DiagRel.from_head([2.0, INF], tail_coeff=1, tail_power=0)
     res = diag_seb_solve(t, b)
     assert res.feasible
     assert res.X.value_at(1) == 0j and res.X.value_at(2) == 0j
+    # b(2) = INF against t(2) = 1: mul B is not in ker (T_s)*, a hypothesis
+    with pytest.raises(HypothesisFailed):
+        diag_seb_solve(DiagRel.from_head([INF, 1.0], 1, 0), b)
+
+
+def _outcome(solve, T, B):
+    """("raise",) on a failed hypothesis, else the verdict and the optimal constant."""
+    try:
+        res = solve(T, B)
+    except HypothesisFailed:
+        return ("raise",)
+    return res.feasible, getattr(res, "lambda_star", getattr(res, "eta_star", None))
+
+
+def _agree(a, b):
+    return a[0] == b[0] and (a[0] is not True or abs(a[1] - b[1]) <= 1e-9 * (1 + a[1]))
+
+
+@pytest.mark.parametrize(
+    "values, head_len, N",
+    [([INF, 0.0, 0.5, 1.5], 3, 4), ([INF, TRIVIAL, FULL, 0.0, 0.5], 1, 2)],
+    ids=["values", "markers"],
+)
+def test_diag_seb_agrees_with_relation_engine(values, head_len, N):
+    # every head pair, tail 1 n^0: the same hypotheses, verdict and lambda* as the truncation
+    heads = list(itertools.product(values, repeat=head_len))
+    for ht, hb in itertools.product(heads, heads):
+        T, B = DiagRel.from_head(ht, 1, 0), DiagRel.from_head(hb, 1, 0)
+        sym = _outcome(diag_seb_solve, T, B)
+        rel = _outcome(factor.seb_relation_solve, diag_truncate(T, N, True), diag_truncate(B, N, True))
+        assert _agree(sym, rel), (ht, hb, sym, rel)
+
+
+def test_diag_reverse_takes_marker_entries():
+    # a TRIVIAL or FULL entry used to end in a TypeError; where both engines
+    # finish they agree (b(n) = 0 against t(n) != 0 is a verdict here and a
+    # hypothesis for reverse_solve)
+    for t, b in itertools.product([INF, TRIVIAL, FULL, 0.0, 0.5], repeat=2):
+        T, B = DiagRel.from_head([t], 1, 0), DiagRel.from_head([b], 1, 0)
+        sym = _outcome(diag_reverse_solve, T, B)
+        rel = _outcome(factor.reverse_solve, diag_truncate(T, 2, True), diag_truncate(B, 2, True))
+        assert "raise" in sym + rel or _agree(sym, rel), (t, b, sym, rel)
 
 
 def test_diag_reverse_examples():

@@ -169,6 +169,18 @@ def test_spectrum_jordan_block():
     assert np.allclose(spec.eigenvalues, [0, 0], atol=1e-8)
 
 
+@pytest.mark.parametrize("k", [3, 4])
+def test_spectrum_large_jordan_block(k):
+    # G J G^-1 with one k x k Jordan block at 0.5: the eigenvalues scatter by
+    # about eps^(1/k), past the clustering, and only cond(V) >= 1e10 shows it
+    J = 0.5 * np.eye(k) + np.eye(k, k=1)
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        G = conditioned_invertible(rng, k, rng.uniform(1.0, 10.0))
+        spec = nk.spectrum(G @ J @ np.linalg.inv(G))
+        assert not spec.diagonalizable, (seed, spec.eigvec_condition)
+
+
 def test_spectrum_normal_matrix_condition():
     rng = np.random.default_rng(21)
     q = random_unitary(rng, 5)
