@@ -6,15 +6,18 @@
 ``--in -`` reads the job from stdin.  The tolerance is the first one given
 of ``--tol``, the job's ``"tol"`` key and the environment variable
 ``PSDFACTOR_TOL``, else ``1e-8``; it must be a finite nonnegative number
-and every matrix and relation gate, ``rel sqrt`` included, runs at it.
+and every matrix, relation and symbol gate, ``rel sqrt`` and the ``diag``
+engines included, runs at it.
 ``--seed`` and ``--trials`` likewise win over the job's ``"seed"`` and
 ``"trials"`` keys (defaults 0 and 100) and must be nonnegative integers;
 ``--threads`` (default 1) must be an integer >= 1.
 Exit codes: 0 = completed (feasible and infeasible both count), 2 = a
-hypothesis gate failed, 3 = malformed input, a malformed tolerance, seed,
-trial count or thread count included, or a job the engines cannot finish
-(a result outside the float range or the symbol class, mismatched shapes,
-LAPACK non-convergence); every exit 2 or 3 prints one line to stderr.
+hypothesis gate failed, operands of mismatched shapes included, 3 =
+malformed input, a malformed tolerance, seed, trial count or thread count
+included, or a job the engines cannot finish (a result outside the float
+range or the symbol class, LAPACK non-convergence; numpy overflow and
+invalid operations raise ``FloatingPointError`` inside every job); every
+exit 2 or 3 prints one line to stderr.
 
 Reports are deterministic: a fixed JobSpec yields a byte-identical report
 apart from the ``wall_clock_s`` field, independent of ``--threads``.
@@ -48,10 +51,10 @@ from .diagmodel import (
 from .errors import HypothesisError, ParseError, PsdFactorError
 from .linrel import (
     LinRel,
+    as_relation,
     rel_adjoint,
     rel_classify,
     rel_compose,
-    rel_from_matrix,
     rel_inverse,
     rel_moore_penrose,
     rel_order_leq,
@@ -114,10 +117,6 @@ def _maybe(value):
     return None if value is None else payload_to_json(value)
 
 
-def _as_rel(payload) -> LinRel:
-    return payload if isinstance(payload, LinRel) else rel_from_matrix(payload)
-
-
 _OPERAND = (np.ndarray, LinRel)
 
 
@@ -135,7 +134,7 @@ def _run_seb(job, tol, seed, trials, threads):
     T = _want(job, "T", "seb", _OPERAND)
     B = _want(job, "B", "seb", _OPERAND)
     if isinstance(T, LinRel) or isinstance(B, LinRel):
-        cert = factor.seb_relation_solve(_as_rel(T), _as_rel(B), tol=tol)
+        cert = factor.seb_relation_solve(as_relation(T), as_relation(B), tol=tol)
     else:
         cert = factor.seb_solve(T, B, tol=tol)
     return {
@@ -150,8 +149,8 @@ def _run_seb(job, tol, seed, trials, threads):
 
 
 def _run_reverse(job, tol, seed, trials, threads):
-    T = _as_rel(_want(job, "T", "reverse", _OPERAND))
-    B = _as_rel(_want(job, "B", "reverse", _OPERAND))
+    T = as_relation(_want(job, "T", "reverse", _OPERAND))
+    B = as_relation(_want(job, "B", "reverse", _OPERAND))
     cert = factor.reverse_solve(T, B, tol=tol)
     return {
         "feasible": cert.feasible,
@@ -276,7 +275,7 @@ def _package_json(pkg):
 def _run_rel(job, tol, seed, trials, threads):
     op = job.get("op")
     if op in ("adjoint", "inverse", "sqrt", "moore_penrose", "parts", "classify"):
-        T = _as_rel(_want(job, "T", f"rel.{op}", _OPERAND))
+        T = as_relation(_want(job, "T", f"rel.{op}", _OPERAND))
         if op == "adjoint":
             return {"result": payload_to_json(rel_adjoint(T))}
         if op == "inverse":
@@ -301,16 +300,16 @@ def _run_rel(job, tol, seed, trials, threads):
             "operator_part": payload_to_json(parts.operator_part_matrix),
         }
     if op == "compose":
-        S = _as_rel(_want(job, "S", "rel.compose", _OPERAND))
-        T = _as_rel(_want(job, "T", "rel.compose", _OPERAND))
+        S = as_relation(_want(job, "S", "rel.compose", _OPERAND))
+        T = as_relation(_want(job, "T", "rel.compose", _OPERAND))
         return {"result": payload_to_json(rel_compose(S, T))}
     if op == "restrict":
-        B = _as_rel(_want(job, "B", "rel.restrict", _OPERAND))
+        B = as_relation(_want(job, "B", "rel.restrict", _OPERAND))
         D = _want(job, "D", "rel.restrict")
         return {"result": payload_to_json(rel_restrict(B, span(D, ambient_dim=B.dom_dim)))}
     if op == "order_leq":
-        lo = _as_rel(_want(job, "Tlo", "rel.order_leq", _OPERAND))
-        hi = _as_rel(_want(job, "Thi", "rel.order_leq", _OPERAND))
+        lo = as_relation(_want(job, "Tlo", "rel.order_leq", _OPERAND))
+        hi = as_relation(_want(job, "Thi", "rel.order_leq", _OPERAND))
         return {"leq": rel_order_leq(lo, hi, tol=tol), "tol": tol}
     raise ParseError(f"rel: unknown op {op!r}")
 
@@ -321,7 +320,7 @@ def _run_diag(job, tol, seed, trials, threads):
         t = _want(job, "t", f"diag.{op}", DiagRel)
         b = _want(job, "b", f"diag.{op}", DiagRel)
         if op == "seb":
-            res = diag_seb_solve(t, b)
+            res = diag_seb_solve(t, b, tol)
             return {
                 "feasible": res.feasible,
                 "lambda_star": _num(res.lambda_star),
@@ -329,7 +328,7 @@ def _run_diag(job, tol, seed, trials, threads):
                 "checks": res.checks,
             }
         if op == "reverse":
-            res = diag_reverse_solve(t, b)
+            res = diag_reverse_solve(t, b, tol)
             return {
                 "feasible": res.feasible,
                 "eta_star": _num(res.eta_star),
@@ -389,7 +388,9 @@ def run_job(
 ) -> dict:
     """Run one job; ``wall_clock_s`` counts from ``started`` (a ``time.monotonic()``), else from now."""
     t0 = time.monotonic() if started is None else started
-    results = _COMMANDS[command](job, tol, seed, trials, threads)
+    # an overflow or an invalid operation ends the job (exit 3), not the report
+    with np.errstate(over="raise", invalid="raise"):
+        results = _COMMANDS[command](job, tol, seed, trials, threads)
     report = {
         "command": command,
         "tol": tol,

@@ -12,11 +12,15 @@ restriction of a diagonal relation to span{e_n}:
 Arithmetic on entries is defined by one-dimensional relation composition,
 never by IEEE semantics, so the mul/ker bookkeeping stays exact; the power
 tail makes suprema, infima and eventual comparisons exactly decidable while
-still producing genuinely unbounded operators.
+still producing genuinely unbounded operators.  ``diag_seb_solve`` is the one
+pointwise solver with gates: the reversed ``diag_reverse_solve`` is its dual
+solve of ((T*)^(-1), (B*)^(-1)), as ``factor.reverse_solve`` is that of
+``factor.seb_relation_solve``.  Gates decide at the caller's ``tol``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -24,6 +28,7 @@ import numpy as np
 
 from .errors import HypothesisFailed, NotNonneg, UnrepresentableSymbol
 from .linrel import LinRel, rel_from_graph
+from .numkernel import DEFAULT_TOL, Subspace
 
 __all__ = [
     "INF",
@@ -305,7 +310,7 @@ def diag_order_leq(D1, D2) -> bool:
     return _tail_leq(s1.tail_coeff.real, s1.tail_power, s2.tail_coeff.real, s2.tail_power, start)
 
 
-def diag_seb_solve(T, B, tol: float = 1e-12) -> DiagSebResult:
+def diag_seb_solve(T, B, tol: float = DEFAULT_TOL) -> DiagSebResult:
     """Pointwise Sebestyen solve |t(n)|^2 <= lambda conj(t(n)) b(n).
 
     Hypotheses (hard errors): conj(t) b selfadjoint nonnegative and
@@ -381,86 +386,39 @@ def diag_seb_solve(T, B, tol: float = 1e-12) -> DiagSebResult:
     )
 
 
-def diag_reverse_solve(T, B, tol: float = 1e-12) -> DiagReverseResult:
-    """Pointwise reversed inequality |t(n)|^2 >= eta conj(b(n)) t(n).
+def diag_reverse_solve(T, B, tol: float = DEFAULT_TOL) -> DiagReverseResult:
+    """Reversed inequality |t(n)|^2 >= eta conj(b(n)) t(n) as the inverted forward problem.
 
-    Hypothesis (hard error): conj(b) t selfadjoint nonnegative by the
-    relation rules.  Feasible iff the kernel condition holds (b(n) = 0
-    forces t(n) in {0, INF}) and inf |t(n)|/|b(n)| over binding indices is
-    positive; y = conj(t)/conj(b), with INF where both vanish or where t is
-    INF, exhibiting the unbounded multivalued solution whose inverse is a
-    bounded PSD symbol.
+    Hypotheses (hard errors): conj(b) t selfadjoint nonnegative and
+    ker B* <= ker T* + mul T (b(n) = 0 needs t(n) = 0, INF or a marker).
+    With S = (T*)^(-1) and A = (B*)^(-1) these are the gates of
+    ``diag_seb_solve(S, A)``, as for ``factor.reverse_solve``; a zero tail
+    of B against a nonzero tail of T fails the second along the tail before
+    anything is inverted.  The dual's x and lambda* give eta* = 1/lambda*
+    (inf when lambda* = 0) and y = 1/x, which is INF exactly where e_n is in
+    mul Y; Y^(-1) = x is the bounded PSD symbol.  A zero tail of T makes the
+    tail of Y all INF, which the symbol class cannot hold
+    (UnrepresentableSymbol).
     """
     s_t, s_b = _sym(T), _sym(B)
-    start = max(s_t.head_len, s_b.head_len) + 1
-    head_y = []
-    eta = float("inf")
-    feasible = True
-    for n in range(1, start):
-        t, b = s_t.value_at(n), s_b.value_at(n)
-        m = point_compose(point_adjoint(b), t)
-        if m is TRIVIAL or m is FULL:
-            raise HypothesisFailed(
-                f"diag_reverse_solve: (B*T) at index {n} is {m!r}, not selfadjoint"
-            )
-        if m is not INF:
-            m = complex(m)
-            if abs(m.imag) > tol * abs(m) or m.real < -tol * abs(m):
-                raise HypothesisFailed(
-                    f"diag_reverse_solve: (B*T) at index {n} is {m}, not nonnegative"
-                )
-        if isinstance(t, _Marker):
-            head_y.append(INF)
-            continue
-        t = complex(t)
-        if b is INF:
-            if t != 0:
-                feasible = False  # a finite form cannot dominate the infinite one
-            head_y.append(0j)
-            continue
-        if b is FULL or _is_zero(b):
-            if t != 0:
-                feasible = False  # kernel condition ker b <= ker t fails
-            head_y.append(INF)
-            continue
-        b = complex(b)
-        if t == 0:
-            head_y.append(0j)
-            continue
-        head_y.append(t.conjugate() / b.conjugate())
-        eta = min(eta, abs(t) / abs(b))
-
-    ct, pt = s_t.tail_coeff, s_t.tail_power
-    cb, pb = s_b.tail_coeff, s_b.tail_power
-    m_tail = cb.conjugate() * ct
-    if abs(m_tail.imag) > tol * abs(m_tail) or m_tail.real < -tol * abs(m_tail):
-        raise HypothesisFailed("diag_reverse_solve: tail of B*T is not real nonnegative")
-    if cb == 0 and ct == 0:
-        raise UnrepresentableSymbol(
-            "diag_reverse_solve: both tails vanish, so Y needs an all-infinity tail"
-        )
-    if cb == 0:
-        feasible = False
-        y_tail, y_pow = 0j, Fraction(0)
-    elif ct == 0:
-        y_tail, y_pow = 0j, Fraction(0)
-    elif pt < pb:
-        feasible = False  # the infimum decays to zero along the tail
-        y_tail, y_pow = 0j, Fraction(0)
-    else:
-        y_tail, y_pow = ct.conjugate() / cb.conjugate(), pt - pb
-        ratio_at_start = abs(ct / cb) * float(start) ** float(pt - pb)
-        eta = min(eta, abs(ct / cb) if pt == pb else ratio_at_start)
-
-    if not feasible:
+    if s_b.tail_coeff == 0 and s_t.tail_coeff != 0:
+        raise HypothesisFailed("diag_reverse_solve: ker B* is not in ker T* + mul T along the tail")
+    S, A = diag_inverse(diag_adjoint(s_t)), diag_inverse(diag_adjoint(s_b))
+    try:
+        dual = diag_seb_solve(S, A, tol)
+    except HypothesisFailed as exc:
+        raise HypothesisFailed(f"diag_reverse_solve: on the dual ((T*)^-1, (B*)^-1), {exc}") from exc
+    if not dual.feasible:
         return DiagReverseResult(feasible=False, eta_star=0.0, Y=None)
-    Y = DiagSymbol(head=tuple(head_y), tail_coeff=y_tail, tail_power=y_pow)
-    y_unbounded = (y_pow > 0 and y_tail != 0) or any(v is INF for v in head_y)
+    Y = diag_inverse(dual.X).symbol
     return DiagReverseResult(
         feasible=True,
-        eta_star=eta,
+        eta_star=math.inf if dual.lambda_star == 0.0 else 1.0 / dual.lambda_star,
         Y=Y,
-        checks={"Y_unbounded": y_unbounded, "Yinv_bounded_psd": True},
+        checks={
+            "Y_unbounded": Y.tail_power > 0 or any(v is INF for v in Y.head),
+            "Yinv_bounded_psd": dual.checks["X_bounded"],
+        },
     )
 
 
@@ -472,8 +430,6 @@ def diag_truncate(D, N: int, force_relation: bool = False):
     index, the pair (e_n, v e_n), the mul component (0, e_n) for INF, both
     generators for FULL, and nothing for TRIVIAL.
     """
-    from .numkernel import Subspace
-
     sym = _sym(D)
     if N < sym.head_len:
         raise ValueError(f"diag_truncate: N={N} is below the head length {sym.head_len}")

@@ -43,6 +43,7 @@ from .errors import (
 from .linrel import (
     GRAPH_ATOL,
     LinRel,
+    as_relation,
     operator_part_relation,
     rel_adjoint,
     rel_classify,
@@ -247,6 +248,16 @@ class BoundedSReport:
     all_passed: bool
 
 
+def _operands(who, *Ms, square=True):
+    """The operands as matrices of one shape, square unless ``square`` is off, else NotSquare."""
+    Ms = [as_matrix(M) for M in Ms]
+    shapes = [M.shape for M in Ms]
+    if len(set(shapes)) > 1 or (square and shapes[0][0] != shapes[0][1]):
+        kind = "square matrices of one size" if square else "matrices of one shape"
+        raise NotSquare(f"{who}: operands of shapes {', '.join(map(str, shapes))} are not {kind}")
+    return Ms
+
+
 # ---------------------------------------------------------------------------
 # Douglas-type majorization
 # ---------------------------------------------------------------------------
@@ -259,9 +270,7 @@ def douglas_solve(T, B, tol: float = DEFAULT_TOL) -> DouglasSolution:
     ran Y <= ran T and ker B* <= ker Y; c = ||Y|| is the least constant with
     T*T <= c^2 B*B.
     """
-    T, B = as_matrix(T), as_matrix(B)
-    if T.shape != B.shape:
-        raise NotSquare(f"douglas_solve: shape mismatch {T.shape} vs {B.shape}")
+    T, B = _operands("douglas_solve", T, B, square=False)
     split = svd_split(B)
     kb = split.ker
     if kb.dim and opnorm(T @ kb.basis) > tol * (1.0 + opnorm(T)):
@@ -327,9 +336,7 @@ def seb_solve(T, B, tol: float = DEFAULT_TOL) -> SebCertificate:
     is the contraction of the range construction, X = lambda* G0 G0*.
     T = 0 short-circuits to lambda* = 0, X = 0.
     """
-    T, B = as_matrix(T), as_matrix(B)
-    if T.shape != B.shape:
-        raise NotSquare(f"seb_solve: shape mismatch {T.shape} vs {B.shape}")
+    T, B = _operands("seb_solve", T, B, square=False)
     M = T.conj().T @ B
     leak, lam, X, G0 = _seb_factor(T, M, tol, "seb_solve: T*B")
     if X is None:
@@ -438,10 +445,6 @@ def seb_relation_solve(T: LinRel, B: LinRel, tol: float = DEFAULT_TOL) -> SebCer
 # ---------------------------------------------------------------------------
 
 
-def _as_relation(x) -> LinRel:
-    return x if isinstance(x, LinRel) else rel_from_matrix(as_matrix(x))
-
-
 def reverse_solve(T, B, tol: float = DEFAULT_TOL) -> ReverseCertificate:
     """Solve the reversed inequality T*T >= eta B0-bar T as the inverted forward problem.
 
@@ -460,7 +463,7 @@ def reverse_solve(T, B, tol: float = DEFAULT_TOL) -> ReverseCertificate:
     mul Y = mul T + ker T*.  With ker T* = {0} also B0 = B*, and the equality
     form is T* = B* Y.
     """
-    T, B = _as_relation(T), _as_relation(B)
+    T, B = as_relation(T), as_relation(B)
     Tadj = rel_adjoint(T)
     try:
         dual = seb_relation_solve(rel_inverse(Tadj), rel_inverse(rel_adjoint(B)), tol=tol)
@@ -503,9 +506,7 @@ def psd_similarity_decide(T, tol: float = DEFAULT_TOL) -> PsdSimilarity:
 
 def _psd_similarity(T, tol: float):
     """psd_similarity_decide's verdict and the spectrum of T it was read off."""
-    T = as_matrix(T)
-    if T.shape[0] != T.shape[1]:
-        raise NotSquare("psd_similarity_decide: T must be square")
+    (T,) = _operands("psd_similarity_decide", T)
     spec = spectrum(T, tol=tol)
     dtol = 100.0 * tol * max(spec.norm, 1e-300)
     w = spec.eigenvalues
@@ -570,7 +571,7 @@ def presimilar_S(A, B, tol: float = 1e-7):
     sigma(AB) = sigma(S) at tol (a nonempty resolvent set is automatic in
     finite dimension).
     """
-    A, B = as_matrix(A), as_matrix(B)
+    A, B = _operands("presimilar_S", A, B)
     Ah = psd_power(A, 0.5)
     S = herm(Ah @ B @ Ah)
     T = A @ B
@@ -581,7 +582,7 @@ def presimilar_S(A, B, tol: float = 1e-7):
 
 def spectra_swap_check(A, B, tol: float = 1e-7) -> bool:
     """sigma(AB) u {0} = sigma(BA) u {0} at Hausdorff tolerance tol."""
-    A, B = as_matrix(A), as_matrix(B)
+    A, B = _operands("spectra_swap_check", A, B)
     wa = np.append(np.linalg.eigvals(A @ B), 0.0)
     wb = np.append(np.linalg.eigvals(B @ A), 0.0)
     scale = max(1.0, opnorm(A) * opnorm(B))
@@ -601,7 +602,7 @@ def _check_intertwiner(G, left, right, tol, who):
     ||G|| for ||G*G|| = ||G||^2.
     """
     s = np.linalg.svd(G, compute_uv=False)
-    if G.shape[0] != G.shape[1] or nk.numerical_rank(s) != G.shape[0]:
+    if nk.numerical_rank(s) != G.shape[0]:
         raise NotInvertible(f"{who}: the intertwiner is not invertible")
     norm_left, norm_right = opnorm(left), opnorm(right)
     resid = frob(G @ left - right @ G)
@@ -635,7 +636,7 @@ def inclusionnfs_package(T, G, S, tol: float = DEFAULT_TOL) -> QAPackage:
     Cross-checks the induced inequality by running seb_solve(T, B_F); the
     Hermitian-PSD gate for T*B_F holds automatically here.
     """
-    T, G, S = as_matrix(T), as_matrix(G), as_matrix(S)
+    T, G, S = _operands("inclusionnfs_package", T, G, S)
     cond_G, _, _, _ = _check_intertwiner(G, T.conj().T, S, tol, "inclusionnfs_package")
     Ginv = np.linalg.inv(G)
     A = herm(G.conj().T @ G)
@@ -666,7 +667,7 @@ def tba_package(T, G, S, tol: float = DEFAULT_TOL) -> QAPackage:
     when its relation-level hypotheses hold, re-derived through
     reverse_solve(T, A_F).
     """
-    T, G, S = as_matrix(T), as_matrix(G), as_matrix(S)
+    T, G, S = _operands("tba_package", T, G, S)
     cond_G, norm_T, _, norm_G = _check_intertwiner(G, T, S, tol, "tba_package")
     X, Xh, Xmh, A_F, _, residuals = _direct_side(T, G, S, norm_G ** 2, tol)
     B = herm(np.linalg.inv(X))
@@ -699,9 +700,7 @@ def quasiaffine_decide(T, S, tol: float = DEFAULT_TOL, seed: int = 0) -> QuasiAf
     space {G : G T = S G} contains a full-rank element; ``tol`` decides
     diagonalizability there (see ``sylvester_intertwiners``).
     """
-    T, S = as_matrix(T), as_matrix(S)
-    if T.shape != S.shape:
-        raise NotSquare("quasiaffine_decide: T and S must have equal size")
+    T, S = _operands("quasiaffine_decide", T, S)
     return _quasiaffine(T, S, tol, seed)
 
 
@@ -719,9 +718,7 @@ def quasisimilar_decide(T, S, tol: float = DEFAULT_TOL, seed: int = 0) -> QuasiS
     reconstruction packages, which in finite dimension realize T as an
     element of both product classes.
     """
-    T, S = as_matrix(T), as_matrix(S)
-    if T.shape != S.shape:
-        raise NotSquare("quasisimilar_decide: T and S must have equal size")
+    T, S = _operands("quasisimilar_decide", T, S)
     spec_S = spectrum(S, tol)
     qa1 = _quasiaffine(T, S, tol, seed, spec_S)
     qa2 = _quasiaffine(T.conj().T, S, tol, seed + 1, spec_S)
@@ -754,7 +751,7 @@ def bounded_S_checks(T, G, S, tol: float = DEFAULT_TOL) -> BoundedSReport:
     T*T >= (1/lambda) A T with A = G* S G, lambda = ||G*G||; and the joint
     form with the inverse quasi-affinity X^(-1) on the adjoint side.
     """
-    T, G, S = as_matrix(T), as_matrix(G), as_matrix(S)
+    T, G, S = _operands("bounded_S_checks", T, G, S)
     cond_G, norm_T, norm_S, norm_G = _check_intertwiner(G, T, S, tol, "bounded_S_checks")
     ctol = tol * cond_G ** 2 * (1.0 + norm_T + norm_S)
     Ginv = np.linalg.inv(G)
@@ -797,7 +794,7 @@ def ldeux_certify(T, Y_hint=None, tol: float = DEFAULT_TOL) -> LdeuxCertificate:
     """
     T = as_matrix(T)
     if Y_hint is not None:
-        Y = as_matrix(Y_hint)
+        T, Y = _operands("ldeux_certify", T, Y_hint)
         nk.hermitian_eig(Y, tol, psd=True, who="ldeux_certify: Y_hint")
         M = T.conj().T @ Y
         if frob(M - Y @ T) > tol * (1.0 + frob(M)):
@@ -830,7 +827,7 @@ def power_chain(A, B, n_max: int, tol: float = DEFAULT_TOL) -> PowerChain:
     residuals track ||T^(2^n) - A S_n||_F per level.  Raises NoConvergence
     at the first level whose S_n, residual or margin leaves the float range.
     """
-    A, B = as_matrix(A), as_matrix(B)
+    A, B = _operands("power_chain", A, B)
     nk.hermitian_eig(A, tol, psd=True, who="power_chain: A")
     wB = nk.hermitian_eig(B, tol, psd=True, who="power_chain: B").eigenvalues
     T = A @ B

@@ -45,6 +45,7 @@ __all__ = [
     "LinRel",
     "RelParts",
     "RelFlags",
+    "as_relation",
     "rel_from_matrix",
     "rel_from_graph",
     "rel_identity",
@@ -123,6 +124,11 @@ def rel_from_matrix(M) -> LinRel:
     m, n = M.shape
     stacked = np.vstack([np.eye(n, dtype=np.complex128), M])
     return LinRel(n, m, span(stacked, rtol=0.0))
+
+
+def as_relation(x) -> LinRel:
+    """A relation as it is, a matrix as its graph."""
+    return x if isinstance(x, LinRel) else rel_from_matrix(x)
 
 
 def rel_identity(n: int) -> LinRel:

@@ -198,10 +198,12 @@ def run_suite(name: str, trials: int, seed: int, tol: float = 1e-8, threads: int
     if name not in SUITES:
         raise KeyError(f"unknown proptest suite {name!r}; have {sorted(SUITES)}")
     fn = SUITES[name]
+    errstate = np.geterr()  # pool threads do not inherit it
 
     def one(i):
         rng = np.random.default_rng(trial_seed(seed, i))
-        out = fn(rng, tol)
+        with np.errstate(**errstate):
+            out = fn(rng, tol)
         out["trial"] = i
         out["trial_seed"] = trial_seed(seed, i)
         return out

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .diagmodel import FULL, INF, TRIVIAL, DiagRel, DiagSymbol, _Marker
+from .diagmodel import _MARKERS, DiagRel, DiagSymbol, _Marker
 from .errors import ParseError
 from .linrel import LinRel, rel_from_graph
 from .numkernel import Subspace, as_matrix
@@ -34,9 +34,6 @@ __all__ = [
     "payload_from_json",
     "loads",
 ]
-
-_MARKER_NAMES = {"inf": INF, "trivial": TRIVIAL, "full": FULL}
-
 
 def complex_to_json(z):
     z = complex(z)
@@ -127,9 +124,9 @@ def symbol_from_json(obj, where="symbol"):
     head = []
     for i, v in enumerate(head_raw):
         if isinstance(v, str):
-            if v not in _MARKER_NAMES:
+            if v not in _MARKERS:
                 raise ParseError(f"{where}.head[{i}]: unknown marker {v!r}")
-            head.append(_MARKER_NAMES[v])
+            head.append(_MARKERS[v])
         else:
             head.append(complex_from_json(v, f"{where}.head[{i}]"))
     coeff = complex_from_json(tail.get("coeff", [0.0, 0.0]), f"{where}.tail.coeff")

@@ -19,7 +19,10 @@ calls the library forward engine on the dual problem ((T*)^(-1), (B*)^(-1))
 but tests both hypotheses and rebuilds the chain and the equality form in the
 terms of (T, B), with its own products, restriction and ``rel_parts``, where
 the library engine reads them off the dual's certificate through the graph
-swap.  The Sylvester reference is the earlier ``sylvester_intertwiners``: the
+swap.  The diagonal reversed reference is the earlier ``diag_reverse_solve``:
+a pointwise loop over the head with its own gates, kernel condition and tail
+algebra, where the library engine reads the result off the dual
+``diag_seb_solve`` of ((T*)^(-1), (B*)^(-1)).  The Sylvester reference is the earlier ``sylvester_intertwiners``: the
 null space of the vectorized map G -> G T - S G, an SVD of size pn x pn, and
 a seeded random search for a maximal-rank element, where the library engine
 reads the space off the eigenspaces of S or T; the one edit is the
@@ -28,16 +31,30 @@ data-scale floor ``RANK_RTOL * max(||T||, ||S||)`` on the null-space cut.
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from psdfactor import numkernel as nk
-from psdfactor.errors import DimensionMismatch, HypothesisFailed, NotSquare
-from psdfactor.factor import ReverseCertificate, SebCertificate, _as_relation, seb_relation_solve
+from psdfactor.diagmodel import (
+    FULL,
+    INF,
+    TRIVIAL,
+    DiagReverseResult,
+    DiagSymbol,
+    _is_zero,
+    _Marker,
+    _sym,
+    point_adjoint,
+    point_compose,
+)
+from psdfactor.errors import DimensionMismatch, HypothesisFailed, NotSquare, UnrepresentableSymbol
+from psdfactor.factor import ReverseCertificate, SebCertificate, seb_relation_solve
 from psdfactor.linrel import (
     GRAPH_ATOL,
     LinRel,
     RelParts,
+    as_relation,
     operator_part_relation,
     rel_adjoint,
     rel_classify,
@@ -421,7 +438,7 @@ def reverse_solve_reference(T, B, tol: float = DEFAULT_TOL) -> ReverseCertificat
     ran T* <= ran B0-bar the equality T* = B0-bar Y (+) (ker T* x {0}) holds
     with mul Y = mul T + ker T*.
     """
-    T, B = _as_relation(T), _as_relation(B)
+    T, B = as_relation(T), as_relation(B)
     Badj = rel_adjoint(B)
     Tadj = rel_adjoint(T)
     gateM = rel_compose(Badj, T)
@@ -472,6 +489,89 @@ def reverse_solve_reference(T, B, tol: float = DEFAULT_TOL) -> ReverseCertificat
             )
 
     return ReverseCertificate(feasible=True, eta_star=eta, Y=Y, residuals=residuals)
+
+
+def diag_reverse_solve_reference(T, B, tol: float = 1e-12) -> DiagReverseResult:
+    """Pointwise reversed inequality |t(n)|^2 >= eta conj(b(n)) t(n).
+
+    Hypothesis (hard error): conj(b) t selfadjoint nonnegative by the
+    relation rules.  Feasible iff the kernel condition holds (b(n) = 0
+    forces t(n) in {0, INF}) and inf |t(n)|/|b(n)| over binding indices is
+    positive; y = conj(t)/conj(b), with INF where both vanish or where t is
+    INF, exhibiting the unbounded multivalued solution whose inverse is a
+    bounded PSD symbol.
+    """
+    s_t, s_b = _sym(T), _sym(B)
+    start = max(s_t.head_len, s_b.head_len) + 1
+    head_y = []
+    eta = float("inf")
+    feasible = True
+    for n in range(1, start):
+        t, b = s_t.value_at(n), s_b.value_at(n)
+        m = point_compose(point_adjoint(b), t)
+        if m is TRIVIAL or m is FULL:
+            raise HypothesisFailed(
+                f"diag_reverse_solve: (B*T) at index {n} is {m!r}, not selfadjoint"
+            )
+        if m is not INF:
+            m = complex(m)
+            if abs(m.imag) > tol * abs(m) or m.real < -tol * abs(m):
+                raise HypothesisFailed(
+                    f"diag_reverse_solve: (B*T) at index {n} is {m}, not nonnegative"
+                )
+        if isinstance(t, _Marker):
+            head_y.append(INF)
+            continue
+        t = complex(t)
+        if b is INF:
+            if t != 0:
+                feasible = False  # a finite form cannot dominate the infinite one
+            head_y.append(0j)
+            continue
+        if b is FULL or _is_zero(b):
+            if t != 0:
+                feasible = False  # kernel condition ker b <= ker t fails
+            head_y.append(INF)
+            continue
+        b = complex(b)
+        if t == 0:
+            head_y.append(0j)
+            continue
+        head_y.append(t.conjugate() / b.conjugate())
+        eta = min(eta, abs(t) / abs(b))
+
+    ct, pt = s_t.tail_coeff, s_t.tail_power
+    cb, pb = s_b.tail_coeff, s_b.tail_power
+    m_tail = cb.conjugate() * ct
+    if abs(m_tail.imag) > tol * abs(m_tail) or m_tail.real < -tol * abs(m_tail):
+        raise HypothesisFailed("diag_reverse_solve: tail of B*T is not real nonnegative")
+    if cb == 0 and ct == 0:
+        raise UnrepresentableSymbol(
+            "diag_reverse_solve: both tails vanish, so Y needs an all-infinity tail"
+        )
+    if cb == 0:
+        feasible = False
+        y_tail, y_pow = 0j, Fraction(0)
+    elif ct == 0:
+        y_tail, y_pow = 0j, Fraction(0)
+    elif pt < pb:
+        feasible = False  # the infimum decays to zero along the tail
+        y_tail, y_pow = 0j, Fraction(0)
+    else:
+        y_tail, y_pow = ct.conjugate() / cb.conjugate(), pt - pb
+        ratio_at_start = abs(ct / cb) * float(start) ** float(pt - pb)
+        eta = min(eta, abs(ct / cb) if pt == pb else ratio_at_start)
+
+    if not feasible:
+        return DiagReverseResult(feasible=False, eta_star=0.0, Y=None)
+    Y = DiagSymbol(head=tuple(head_y), tail_coeff=y_tail, tail_power=y_pow)
+    y_unbounded = (y_pow > 0 and y_tail != 0) or any(v is INF for v in head_y)
+    return DiagReverseResult(
+        feasible=True,
+        eta_star=eta,
+        Y=Y,
+        checks={"Y_unbounded": y_unbounded, "Yinv_bounded_psd": True},
+    )
 
 
 @dataclass(frozen=True)

@@ -414,15 +414,28 @@ def test_cli_rel_ops_strict_json(tmp_path, capsys, job):
     assert _strict_json(out)["results"]
 
 
-@pytest.mark.parametrize("op", ["classify", "sqrt"])
-def test_cli_rel_gates_at_the_job_tolerance(tmp_path, capsys, op):
+_NEAR_HERMITIAN = np.diag([1.0, 2.0])
+_NEAR_HERMITIAN[0, 1] = 1e-6
+# t(1) = 1 - 1e-9 i against b = 1: conj(t) b is nonnegative at tol 1e-4
+_NEAR_REAL = {"head": [[1.0, 1e-9]], "tail": {"coeff": [1, 0], "power": "0"}}
+
+
+@pytest.mark.parametrize(
+    "command, job",
+    [
+        pytest.param("rel", {"op": "classify", "T": serialize.matrix_to_json(_NEAR_HERMITIAN)}, id="classify"),
+        pytest.param("rel", {"op": "sqrt", "T": serialize.matrix_to_json(_NEAR_HERMITIAN)}, id="sqrt"),
+        pytest.param("diag", {"op": "seb", "t": _NEAR_REAL, "b": "one"}, id="diag-seb"),
+        pytest.param("diag", {"op": "reverse", "t": _NEAR_REAL, "b": "one"}, id="diag-reverse"),
+    ],
+)
+def test_cli_rel_gates_at_the_job_tolerance(tmp_path, capsys, command, job):
     # diag(1, 2) with 1e-6 at (0, 1) is nonnegative selfadjoint at tol 1e-4;
-    # rel sqrt used to gate at the tolerance stored on the relation (1e-8) and exit 2
-    T = np.diag([1.0, 2.0])
-    T[0, 1] = 1e-6
+    # rel sqrt used to gate at the tolerance stored on the relation (1e-8) and
+    # the diag engines at their own fixed 1e-12, and all three exited 2
     path = tmp_path / "job.json"
-    path.write_text(json.dumps({"op": op, "T": serialize.matrix_to_json(T)}))
-    code = cli.main(["rel", "--in", str(path), "--tol", "1e-4"])
+    path.write_text(json.dumps(job))
+    code = cli.main([command, "--in", str(path), "--tol", "1e-4"])
     out, err = capsys.readouterr()
     assert code == 0, err
     assert json.loads(out)["results"]
@@ -434,6 +447,55 @@ _M2 = serialize.matrix_to_json(np.diag([2.0, 1.0]))
 _M3 = serialize.matrix_to_json(np.diag([3.0, 1.0]))
 _I2 = serialize.matrix_to_json(np.eye(2))
 _HEAD = {"head": [[1.0, 0.0], "inf"], "tail": {"coeff": [1.0, 0.0], "power": "1"}}
+
+_N3 = serialize.matrix_to_json(np.diag([3.0, 2.0, 1.0]))
+
+
+@pytest.mark.parametrize(
+    "job",
+    [
+        pytest.param({"op": "power_chain", "A": _M2, "B": _N3}, id="power_chain"),
+        pytest.param({"op": "ldeux", "T": _M2, "Y_hint": _N3}, id="ldeux"),
+        pytest.param({"op": "spectra_swap", "A": _M2, "B": _N3}, id="spectra_swap"),
+        pytest.param({"op": "presimilar", "A": _M2, "B": _N3}, id="presimilar"),
+        pytest.param({"op": "inclusionnfs", "T": _M2, "G": _N3, "S": _M2}, id="inclusionnfs"),
+        pytest.param({"op": "tba", "T": _M2, "G": _N3, "S": _M2}, id="tba"),
+        pytest.param({"op": "bounded_s", "T": _M2, "G": _N3, "S": _M2}, id="bounded_s"),
+    ],
+)
+def test_cli_mismatched_shapes_exit_2(tmp_path, capsys, job):
+    # Operands of different sizes are a NotSquare hypothesis failure, as for seb and
+    # douglas; these seven used to exit 3 through numpy's matmul ValueError.
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    code = cli.main(["factor", "--in", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("psdfactor: hypothesis failure: NotSquare: ") and err.count("\n") == 1
+
+
+_HUGE = serialize.matrix_to_json(np.diag([1e308, 1.0]))
+
+
+@pytest.mark.parametrize(
+    "command, job",
+    [
+        pytest.param("seb", {"T": _HUGE, "B": _I2}, id="seb"),
+        pytest.param("wsimilar", {"T": serialize.matrix_to_json(np.array([[1e308, 1e308], [0.0, 1.0]]))}, id="wsimilar"),
+        pytest.param("factor", {"op": "tba", "T": _HUGE, "G": _I2, "S": _HUGE}, id="tba"),
+    ],
+)
+def test_cli_float_range_ends_in_one_line(command, job):
+    # Run in a subprocess, where numpy's RuntimeWarnings reach stderr. These used
+    # to report feasible with lambda* = 0 (seb), write a bare NaN (wsimilar) or
+    # exit 3 after five warning lines (tba).
+    proc = run_cli([command, "--in", "-"], stdin=json.dumps(job))
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("psdfactor: cannot finish the job: FloatingPointError: ")
+    assert proc.stderr.count("\n") == 1, proc.stderr
+
 
 # One small valid job per command and op; the contract test mutates these.
 _VALID_JOBS = [

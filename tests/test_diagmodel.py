@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import diag_reverse_solve_reference
 from psdfactor import factor
 from psdfactor.diagmodel import (
     FULL,
@@ -28,6 +29,7 @@ from psdfactor.diagmodel import (
 )
 from psdfactor.errors import HypothesisFailed, NotNonneg, UnrepresentableSymbol
 from psdfactor.linrel import (
+    LinRel,
     rel_adjoint,
     rel_compose,
     rel_distance,
@@ -35,6 +37,7 @@ from psdfactor.linrel import (
     rel_from_matrix,
     rel_inverse,
     rel_order_leq,
+    rel_parts,
 )
 
 VALUES = [0j, 1.5 + 0j, 2.0 - 1.0j, INF, TRIVIAL, FULL]
@@ -113,8 +116,6 @@ def test_diag_truncate_examples():
         rel_compose(rel_from_matrix(np.diag([0.0, 0.0])), rel_from_matrix(np.eye(2))),
         tol=2,
     ) or True  # structural check below is the real assertion
-    from psdfactor.linrel import rel_parts
-
     parts = rel_parts(R)
     assert parts.mul.dim == 1 and abs(parts.mul.basis[0, 0]) == 1.0
     with pytest.raises(ValueError):
@@ -233,43 +234,55 @@ def test_diag_seb_with_inf_entries():
         diag_seb_solve(DiagRel.from_head([INF, 1.0], 1, 0), b)
 
 
-def _outcome(solve, T, B):
-    """("raise",) on a failed hypothesis, else the verdict and the optimal constant."""
+def _outcome(solve, T, B, N=2):
+    """("raise",) on a failed hypothesis, else the verdict, the optimal constant
+    and the indices n <= N with e_n in mul of the solution (INF in a symbol)."""
     try:
         res = solve(T, B)
     except HypothesisFailed:
         return ("raise",)
-    return res.feasible, getattr(res, "lambda_star", getattr(res, "eta_star", None))
+    sol = res.X if hasattr(res, "X") else res.Y
+    if isinstance(sol, DiagSymbol):
+        mul = {n for n in range(1, N + 1) if sol.value_at(n) is INF}
+    elif isinstance(sol, LinRel):
+        P = rel_parts(sol).mul.projector()
+        mul = {n for n in range(1, N + 1) if np.linalg.norm(P[:, n - 1]) >= 1 - 1e-9}
+    else:
+        mul = set()  # no solution, or a matrix
+    return res.feasible, getattr(res, "lambda_star", getattr(res, "eta_star", None)), mul
 
 
 def _agree(a, b):
-    return a[0] == b[0] and (a[0] is not True or abs(a[1] - b[1]) <= 1e-9 * (1 + a[1]))
+    return a[0] == b[0] and (a[0] is not True or (abs(a[1] - b[1]) <= 1e-9 * (1 + a[1]) and a[2] == b[2]))
 
 
 @pytest.mark.parametrize(
-    "values, head_len, N",
-    [([INF, 0.0, 0.5, 1.5], 3, 4), ([INF, TRIVIAL, FULL, 0.0, 0.5], 1, 2)],
-    ids=["values", "markers"],
+    "solve, rel_solve, values, head_len, N",
+    [
+        pytest.param(diag_seb_solve, factor.seb_relation_solve, [INF, 0.0, 0.5, 1.5], 3, 4, id="values"),
+        pytest.param(diag_seb_solve, factor.seb_relation_solve, [INF, TRIVIAL, FULL, 0.0, 0.5], 1, 2, id="markers"),
+        pytest.param(diag_reverse_solve, factor.reverse_solve, [INF, 0.0, 0.5, 1.5], 2, 4, id="reverse-values"),
+        pytest.param(diag_reverse_solve, factor.reverse_solve, [INF, TRIVIAL, FULL, 0.0, 0.5], 1, 2, id="reverse-markers"),
+    ],
 )
-def test_diag_seb_agrees_with_relation_engine(values, head_len, N):
-    # every head pair, tail 1 n^0: the same hypotheses, verdict and lambda* as the truncation
+def test_diag_seb_agrees_with_relation_engine(solve, rel_solve, values, head_len, N):
+    # every head pair, tail 1 n^0: the same hypotheses, verdict, optimal constant
+    # and INF entries (e_n in mul of the solution) as the truncation
     heads = list(itertools.product(values, repeat=head_len))
     for ht, hb in itertools.product(heads, heads):
         T, B = DiagRel.from_head(ht, 1, 0), DiagRel.from_head(hb, 1, 0)
-        sym = _outcome(diag_seb_solve, T, B)
-        rel = _outcome(factor.seb_relation_solve, diag_truncate(T, N, True), diag_truncate(B, N, True))
+        sym = _outcome(solve, T, B, N)
+        rel = _outcome(rel_solve, diag_truncate(T, N, True), diag_truncate(B, N, True), N)
         assert _agree(sym, rel), (ht, hb, sym, rel)
 
 
 def test_diag_reverse_takes_marker_entries():
-    # a TRIVIAL or FULL entry used to end in a TypeError; where both engines
-    # finish they agree (b(n) = 0 against t(n) != 0 is a verdict here and a
-    # hypothesis for reverse_solve)
+    # a TRIVIAL or FULL entry used to end in a TypeError; both engines agree
     for t, b in itertools.product([INF, TRIVIAL, FULL, 0.0, 0.5], repeat=2):
         T, B = DiagRel.from_head([t], 1, 0), DiagRel.from_head([b], 1, 0)
         sym = _outcome(diag_reverse_solve, T, B)
         rel = _outcome(factor.reverse_solve, diag_truncate(T, 2, True), diag_truncate(B, 2, True))
-        assert "raise" in sym + rel or _agree(sym, rel), (t, b, sym, rel)
+        assert _agree(sym, rel), (t, b, sym, rel)
 
 
 def test_diag_reverse_examples():
@@ -289,8 +302,35 @@ def test_diag_reverse_kernel_condition_and_inf():
     res = diag_reverse_solve(t, b)
     assert res.feasible
     assert res.Y.value_at(1) is INF  # mul Y picks up ker T*
-    bad = diag_reverse_solve(DiagRel.from_head([1.0], 1, 1), DiagRel.from_head([0.0], 1, 1))
-    assert not bad.feasible
+    # b(1) = 0 against t(1) = 1: ker B* is not in ker T* + mul T, a hypothesis
+    with pytest.raises(HypothesisFailed):
+        diag_reverse_solve(DiagRel.from_head([1.0], 1, 1), DiagRel.from_head([0.0], 1, 1))
+
+
+def test_diag_reverse_matches_reference_solver():
+    # positive entries, where reading the dual forward solve keeps the pointwise
+    # semantics: the same verdict and checks, eta* and Y within 1e-15 relative
+    rng = np.random.default_rng(10)
+    feasible = 0
+    for _ in range(2000):
+        T, B = (
+            DiagRel(DiagSymbol(
+                head=tuple(float(x) for x in rng.uniform(0.1, 3, size=int(rng.integers(0, 4)))),
+                tail_coeff=float(rng.uniform(0.1, 3)),
+                tail_power=Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4))),
+            ))
+            for _ in range(2)
+        )
+        new, ref = diag_reverse_solve(T, B), diag_reverse_solve_reference(T, B)
+        assert new.feasible == ref.feasible and new.checks == ref.checks
+        if not ref.feasible:
+            continue
+        feasible += 1
+        assert abs(new.eta_star - ref.eta_star) <= 1e-15 * ref.eta_star
+        assert new.Y.tail_power == ref.Y.tail_power and len(new.Y.head) == len(ref.Y.head)
+        for y, want in zip((*new.Y.head, new.Y.tail_coeff), (*ref.Y.head, ref.Y.tail_coeff)):
+            assert abs(y - want) <= 1e-15 * abs(want)
+    assert 500 <= feasible <= 1500
 
 
 def test_diag_duality_reciprocal():
