@@ -6,8 +6,8 @@
 ``--in -`` reads the job from stdin.  The tolerance is the first one given
 of ``--tol``, the job's ``"tol"`` key and the environment variable
 ``PSDFACTOR_TOL``, else ``1e-8``; it must be a finite nonnegative number
-and every matrix, relation and symbol gate, ``rel sqrt`` and the ``diag``
-engines included, runs at it.
+and every gate and test of the job, ``rel sqrt``, the ``diag`` engines and
+the ``presimilar`` and ``spectra_swap`` spectra included, runs at it.
 ``--seed`` and ``--trials`` likewise win over the job's ``"seed"`` and
 ``"trials"`` keys (defaults 0 and 100) and must be nonnegative integers;
 ``--threads`` (default 1) must be an integer >= 1.
@@ -62,7 +62,7 @@ from .linrel import (
     rel_restrict,
     rel_sqrt,
 )
-from .numkernel import DEFAULT_TOL, span
+from .numkernel import DEFAULT_TOL, span, sylvester_intertwiners
 from .serialize import (
     loads,
     payload_from_json,
@@ -178,17 +178,17 @@ def _run_intertwine(job, tol, seed, trials, threads):
     T = _want(job, "T", "intertwine")
     S = _want(job, "S", "intertwine")
     if op == "sylvester":
-        inter = factor.sylvester_intertwiners(T, S, seed=seed, tol=tol)
+        inter = sylvester_intertwiners(T, S, seed=seed, tol=tol)
         return {
             "dimension": inter.dimension,
             "rank": inter.rank,
             "max_rank_element": payload_to_json(inter.max_rank_element),
         }
     if op == "quasiaffine":
-        qa = factor.quasiaffine_decide(T, S, tol=tol, seed=seed)
+        qa = factor.quasiaffine_decide(T, S, tol=tol)
         return {"affine": qa.affine, "G": _maybe(qa.G), "space_dim": qa.space_dim}
     if op == "quasisimilar":
-        qs = factor.quasisimilar_decide(T, S, tol=tol, seed=seed)
+        qs = factor.quasisimilar_decide(T, S, tol=tol)
         return {
             "similar_pair": qs.similar_pair,
             "G1": _maybe(qs.G1),
@@ -217,11 +217,11 @@ def _run_factor(job, tol, seed, trials, threads):
         sim = factor.psd_similarity_decide(_want(job, "T", op), tol=tol)
         return {"accept": sim.accept, "G": _maybe(sim.G), "S": _maybe(sim.S)}
     if op == "presimilar":
-        S, match = factor.presimilar_S(_want(job, "A", op), _want(job, "B", op))
-        return {"S": payload_to_json(S), "spectra_match": match, "tol": 1e-7}
+        S, match = factor.presimilar_S(_want(job, "A", op), _want(job, "B", op), tol=tol)
+        return {"S": payload_to_json(S), "spectra_match": match, "tol": tol}
     if op == "spectra_swap":
-        flag = factor.spectra_swap_check(_want(job, "A", op), _want(job, "B", op))
-        return {"swap_ok": flag, "tol": 1e-7}
+        flag = factor.spectra_swap_check(_want(job, "A", op), _want(job, "B", op), tol=tol)
+        return {"swap_ok": flag, "tol": tol}
     if op == "power_chain":
         chain = factor.power_chain(
             _want(job, "A", op),
@@ -235,41 +235,29 @@ def _run_factor(job, tol, seed, trials, threads):
             "residuals": [{"value": r, "tol": tol} for r in chain.residuals],
             "psd_margins": chain.psd_margins,
         }
-    if op == "inclusionnfs":
-        pkg = factor.inclusionnfs_package(
-            _want(job, "T", op), _want(job, "G", op), _want(job, "S", op), tol=tol
-        )
-        return _package_json(pkg)
-    if op == "tba":
-        pkg = factor.tba_package(
-            _want(job, "T", op), _want(job, "G", op), _want(job, "S", op), tol=tol
-        )
-        return _package_json(pkg)
-    if op == "bounded_s":
-        rep = factor.bounded_S_checks(
-            _want(job, "T", op), _want(job, "G", op), _want(job, "S", op), tol=tol
-        )
+    if op in ("inclusionnfs", "tba", "bounded_s"):
+        # an intertwiner G of T (inclusionnfs: of T*) with a target S = S* >= 0
+        T, G, S = (_want(job, key, op) for key in ("T", "G", "S"))
+        if op == "bounded_s":
+            rep = factor.bounded_S_checks(T, G, S, tol=tol)
+            return {
+                "all_passed": rep.all_passed,
+                "items": [
+                    {"name": it.name, "residual": it.residual, "tol": it.tol, "passed": it.passed}
+                    for it in rep.items
+                ],
+            }
+        package = factor.inclusionnfs_package if op == "inclusionnfs" else factor.tba_package
+        pkg = package(T, G, S, tol=tol)
+        diag = {k: payload_to_json(v) if isinstance(v, np.ndarray) else _num(v) for k, v in pkg.diagnostics.items()}
         return {
-            "all_passed": rep.all_passed,
-            "items": [
-                {"name": it.name, "residual": it.residual, "tol": it.tol, "passed": it.passed}
-                for it in rep.items
-            ],
+            "direction": pkg.direction,
+            "A": payload_to_json(pkg.A),
+            "B_F": _maybe(pkg.B_F),
+            "A_F": _maybe(pkg.A_F),
+            "diagnostics": diag,
         }
     raise ParseError(f"factor: unknown op {op!r}")
-
-
-def _package_json(pkg):
-    diag = {}
-    for k, v in pkg.diagnostics.items():
-        diag[k] = payload_to_json(v) if isinstance(v, np.ndarray) else _num(v)
-    return {
-        "direction": pkg.direction,
-        "A": payload_to_json(pkg.A),
-        "B_F": _maybe(pkg.B_F),
-        "A_F": _maybe(pkg.A_F),
-        "diagnostics": diag,
-    }
 
 
 def _run_rel(job, tol, seed, trials, threads):

@@ -73,7 +73,6 @@ from .numkernel import (
     subspace_contains,
     subspace_intersect,
     svd_split,
-    sylvester_intertwiners,
 )
 
 __all__ = [
@@ -309,7 +308,7 @@ def _seb_factor(Ts, A, tol: float, who: str, D=None):
     """
     eig = nk.hermitian_eig(A, tol, psd=True, who=who, error=HypothesisFailed)
     w, V = eig.eigenvalues, eig.eigenvectors
-    cut = RANK_RTOL * (max(-w[0], w[-1]) if w.size else 0.0)
+    cut = RANK_RTOL * eig.norm
     TD = Ts if D is None else Ts @ D
 
     leak = opnorm(TD @ V[:, np.abs(w) <= cut])
@@ -564,15 +563,15 @@ def wsimilar_forms(T, tol: float = DEFAULT_TOL) -> WSimilarForms:
     return forms
 
 
-def presimilar_S(A, B, tol: float = 1e-7):
+def presimilar_S(A, B, tol: float = DEFAULT_TOL):
     """S = A^(1/2) B A^(1/2) and the pre-similarity T A^(1/2) = A^(1/2) S.
 
     Returns (S, spectra_match) where spectra_match is the Hausdorff test
     sigma(AB) = sigma(S) at tol (a nonempty resolvent set is automatic in
-    finite dimension).
+    finite dimension); A passes the PSD gate at the same tol.
     """
     A, B = _operands("presimilar_S", A, B)
-    Ah = psd_power(A, 0.5)
+    Ah = psd_power(A, 0.5, tol=tol)
     S = herm(Ah @ B @ Ah)
     T = A @ B
     dist = hausdorff_distance(np.linalg.eigvals(T), np.linalg.eigvals(S))
@@ -580,7 +579,7 @@ def presimilar_S(A, B, tol: float = 1e-7):
     return S, bool(dist <= tol * scale)
 
 
-def spectra_swap_check(A, B, tol: float = 1e-7) -> bool:
+def spectra_swap_check(A, B, tol: float = DEFAULT_TOL) -> bool:
     """sigma(AB) u {0} = sigma(BA) u {0} at Hausdorff tolerance tol."""
     A, B = _operands("spectra_swap_check", A, B)
     wa = np.append(np.linalg.eigvals(A @ B), 0.0)
@@ -595,16 +594,20 @@ def spectra_swap_check(A, B, tol: float = 1e-7) -> bool:
 
 
 def _check_intertwiner(G, left, right, tol, who):
-    """Require an invertible G with G @ left = right @ G within tol scaled by the data.
+    """Require right = S = S* >= 0 (the PSD gate, which gives ||S||) and an
+    invertible G with G @ left = right @ G within tol scaled by the data.
 
     One singular-value pass of G gives its rank, ||G|| and cond(G); returns
-    (cond(G), ||left||, ||right||) for the callers' tolerance scales and
-    ||G|| for ||G*G|| = ||G||^2.
+    (cond(G), ||left||, ||S||) for the callers' tolerance scales and ||G||
+    for ||G*G|| = ||G||^2.
     """
+    eig_S = nk.hermitian_eig(right, tol, psd=True, who=f"{who}: S")
+    if not G.size:
+        raise ValueError(f"{who}: empty operands")
     s = np.linalg.svd(G, compute_uv=False)
     if nk.numerical_rank(s) != G.shape[0]:
         raise NotInvertible(f"{who}: the intertwiner is not invertible")
-    norm_left, norm_right = opnorm(left), opnorm(right)
+    norm_left, norm_right = opnorm(left), eig_S.norm
     resid = frob(G @ left - right @ G)
     scale = (1.0 + norm_left + norm_right) * max(1.0, float(s[0]))
     if resid > tol * scale:
@@ -692,52 +695,49 @@ def tba_package(T, G, S, tol: float = DEFAULT_TOL) -> QAPackage:
     )
 
 
-def quasiaffine_decide(T, S, tol: float = DEFAULT_TOL, seed: int = 0) -> QuasiAffinity:
-    """Does an invertible G with G T = S G exist?
+def quasiaffine_decide(T, S, tol: float = DEFAULT_TOL) -> QuasiAffinity:
+    """Does an invertible G with G T = S G exist, for a target S = S* >= 0?
 
     In finite dimension injectivity plus dense range collapses to
     invertibility, so quasi-affinity is decided by whether the Sylvester
-    space {G : G T = S G} contains a full-rank element; ``tol`` decides
-    diagonalizability there (see ``sylvester_intertwiners``).
+    space {G : G T = S G}, read off the PSD gate of S at ``tol`` by
+    ``numkernel.hermitian_intertwiners``, contains a full-rank element.
     """
     T, S = _operands("quasiaffine_decide", T, S)
-    return _quasiaffine(T, S, tol, seed)
+    return _quasiaffine(T, nk.hermitian_eig(S, tol, psd=True, who="quasiaffine_decide: S"))
 
 
-def _quasiaffine(T, S, tol, seed, spec_S=None) -> QuasiAffinity:
-    inter = sylvester_intertwiners(T, S, seed=seed, tol=tol, spec_S=spec_S)
+def _quasiaffine(T, eig_S) -> QuasiAffinity:
+    inter = nk.hermitian_intertwiners(T, eig_S)
     ok = inter.rank == T.shape[0]
     return QuasiAffinity(affine=ok, G=inter.max_rank_element if ok else None, space_dim=inter.dimension)
 
 
-def quasisimilar_decide(T, S, tol: float = DEFAULT_TOL, seed: int = 0) -> QuasiSimilarity:
+def quasisimilar_decide(T, S, tol: float = DEFAULT_TOL) -> QuasiSimilarity:
     """T quasi-similar to S = S* >= 0 iff both T and T* are quasi-affine to S.
 
-    Both sides share one ``spectrum(S, tol)``.  Verifies the duality (G2
-    intertwines the adjoint pair backwards) and on success emits the two
-    reconstruction packages, which in finite dimension realize T as an
-    element of both product classes.
+    Both sides read their Sylvester spaces off one PSD gate of S.  Verifies
+    the duality (G2 intertwines the adjoint pair backwards) and on success
+    emits the two reconstruction packages, which in finite dimension realize
+    T as an element of both product classes.
     """
     T, S = _operands("quasisimilar_decide", T, S)
-    spec_S = spectrum(S, tol)
-    qa1 = _quasiaffine(T, S, tol, seed, spec_S)
-    qa2 = _quasiaffine(T.conj().T, S, tol, seed + 1, spec_S)
+    eig_S = nk.hermitian_eig(S, tol, psd=True, who="quasisimilar_decide: S")
+    qa1 = _quasiaffine(T, eig_S)
+    qa2 = _quasiaffine(T.conj().T, eig_S)
     if not (qa1.affine and qa2.affine):
         return QuasiSimilarity(similar_pair=False, G1=qa1.G, G2=qa2.G)
     G1, G2 = qa1.G, qa2.G
-    dual_resid = frob(G2.conj().T @ S - T @ G2.conj().T)
-    adj_pkg = inclusionnfs_package(T, G2, S, tol=tol)
-    dir_pkg = tba_package(T, G1, S, tol=tol)
     checks = {
-        "duality_residual": dual_resid,
-        "tol": tol * (1.0 + opnorm(T) + opnorm(S)) * max(1.0, opnorm(G2)),
+        "duality_residual": frob(G2.conj().T @ S - T @ G2.conj().T),
+        "tol": tol * (1.0 + opnorm(T) + eig_S.norm) * max(1.0, opnorm(G2)),
     }
     return QuasiSimilarity(
         similar_pair=True,
         G1=G1,
         G2=G2,
-        adjoint_package=adj_pkg,
-        direct_package=dir_pkg,
+        adjoint_package=inclusionnfs_package(T, G2, S, tol=tol),
+        direct_package=tba_package(T, G1, S, tol=tol),
         checks=checks,
     )
 

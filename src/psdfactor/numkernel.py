@@ -13,10 +13,10 @@ Three global conventions keep kernels consistent across operations:
   one are treated as zero everywhere (kernels, pseudo-inverses, PSD powers),
   by :func:`numerical_rank` for singular values.  Where a matrix can be
   rounding dust on the scale of its inputs, the cut is an absolute floor on
-  that scale instead: :func:`sylvester_intertwiners` cuts the kernels of
-  ``S - mu`` and ``(T - mu)*`` and clusters eigenvalues at
-  ``RANK_RTOL * max(||T||, ||S||)``, so ``T - mu = 0`` to rounding has the
-  full kernel rather than one measured against its own dust;
+  that scale instead: :func:`sylvester_intertwiners` (and its Hermitian
+  form) cuts the kernels of ``S - mu`` and ``(T - mu)*`` and clusters
+  eigenvalues at ``RANK_RTOL * max(||T||, ||S||)``, so ``T - mu = 0`` to
+  rounding has the full kernel rather than one measured against its own dust;
 * a tolerance comes only from the call (default ``DEFAULT_TOL``, relative
   Frobenius for identity checks); a :class:`Subspace` carries none;
 * one Hermitian/PSD gate, :func:`hermitian_eig`, returns the spectrum it
@@ -58,6 +58,7 @@ __all__ = [
     "loewner_leq",
     "spectrum",
     "sylvester_intertwiners",
+    "hermitian_intertwiners",
     "hausdorff_distance",
     "numerical_rank",
     "svd_split",
@@ -118,10 +119,11 @@ def _require_hermitian(a, tol, who, error=NotHermitian):
 
 @dataclass(frozen=True)
 class HermEig:
-    """Spectral decomposition H = V diag(w) V* with w ascending, V unitary."""
+    """Spectral decomposition H = V diag(w) V* with w ascending, V unitary, and ||H|| = max |w|."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    norm: float
 
 
 @dataclass(frozen=True)
@@ -193,9 +195,10 @@ def hermitian_eig(
         w, v = np.linalg.eigh(herm(H))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergence(str(exc)) from exc
-    if psd and w.size and w[0] < -tol * (1.0 + max(-w[0], w[-1])):
+    norm = float(max(-w[0], w[-1])) if w.size else 0.0
+    if psd and w.size and w[0] < -tol * (1.0 + norm):
         raise error(f"{who}: min eigenvalue {w[0]:.3e} below -tol*(1 + ||H||)")
-    return HermEig(eigenvalues=w, eigenvectors=v)
+    return HermEig(eigenvalues=w, eigenvectors=v, norm=norm)
 
 
 def psd_powers(P, *alphas: float, tol: float = DEFAULT_TOL) -> tuple:
@@ -261,17 +264,12 @@ def loewner_leq(P, Q, tol: float = DEFAULT_TOL):
     return margin >= -tol * (1.0 + max(-margin, float(w[-1]))), margin
 
 
-def _cluster(values, ctol):
-    """Greedy chain clustering of complex values at distance ctol."""
+def _clusters(values, ctol) -> list:
+    """Greedy chain clustering of complex values at distance ctol: (index run, mean) in (real, imag) order."""
     order = np.lexsort((values.imag, values.real))
-    clusters = []
-    for idx in order:
-        z = values[idx]
-        if clusters and abs(z - clusters[-1][-1]) <= ctol:
-            clusters[-1].append(z)
-        else:
-            clusters.append([z])
-    return clusters
+    gaps = np.abs(np.diff(values[order])) > ctol
+    runs = np.split(order, np.flatnonzero(gaps) + 1) if order.size else []
+    return [(run, sum(values[run]) / len(run)) for run in runs]
 
 
 def spectrum(T, tol: float = DEFAULT_TOL) -> Spectrum:
@@ -297,14 +295,12 @@ def spectrum(T, tol: float = DEFAULT_TOL) -> Spectrum:
     norm = opnorm(T)
     dtol = 100.0 * tol * max(norm, 1e-300)
     diagonalizable = True
-    for cluster in _cluster(w, dtol):
-        m = len(cluster)
-        if m == 1:
+    for run, lam in _clusters(w, dtol):
+        if len(run) == 1:
             continue
-        lam = sum(cluster) / m
         s = np.linalg.svd(T - lam * np.eye(n), compute_uv=False)
         rank = int(np.count_nonzero(s > dtol))
-        if rank != n - m:
+        if rank != n - len(run):
             diagonalizable = False
             break
     cond = float(np.linalg.cond(v, 2)) if diagonalizable else float("inf")
@@ -315,9 +311,7 @@ def spectrum(T, tol: float = DEFAULT_TOL) -> Spectrum:
 _KRONECKER_COMBOS = 64
 
 
-def sylvester_intertwiners(
-    T, S, seed: int = 0, tol: float = DEFAULT_TOL, spec_S: Spectrum | None = None
-) -> Intertwiners:
+def sylvester_intertwiners(T, S, seed: int = 0, tol: float = DEFAULT_TOL) -> Intertwiners:
     """The Sylvester space {G : G T = S G} from the eigenspaces of S or T.
 
     Every G = sum_mu R_mu C_mu L_mu*, with R_mu an orthonormal basis of
@@ -329,7 +323,6 @@ def sylvester_intertwiners(
     R_mu together are a basis of C^p (full rank by :func:`numerical_rank`),
     else T's when the same holds for T and the L_mu in C^n.  Kernels and
     clusters are cut at the one absolute floor ``RANK_RTOL * max(||T||, ||S||)``.
-    ``spec_S`` passes in an already computed ``spectrum(S, tol)``.
 
     Only when neither matrix qualifies is the space the null space of the
     pn x pn map G -> G T - S G (cut at the same floor), and the maximal-rank
@@ -340,7 +333,7 @@ def sylvester_intertwiners(
     T, S = as_matrix(T), as_matrix(S)
     _require_square(T, "sylvester_intertwiners")
     _require_square(S, "sylvester_intertwiners")
-    spec_S = spectrum(S, tol) if spec_S is None else spec_S
+    spec_S = spectrum(S, tol)
     floor = RANK_RTOL * max(opnorm(T), spec_S.norm)
     if spec_S.diagonalizable:
         blocks = _eigenspace_blocks(spec_S.eigenvalues, T, S, floor)
@@ -352,6 +345,26 @@ def sylvester_intertwiners(
         if _fills([L for _, L in blocks]):
             return _from_blocks(blocks, S.shape[0], T.shape[0])
     return _kronecker_intertwiners(T, S, floor, seed)
+
+
+def hermitian_intertwiners(T, eig: HermEig) -> Intertwiners:
+    """:func:`sylvester_intertwiners` for a Hermitian S = V diag(w) V*, read off its eigh.
+
+    Per cluster mu of w at the floor RANK_RTOL * max(||T||, ||S||), R_mu is
+    its columns of V and L_mu is ker((T - mu)*) at the floor.  The R_mu
+    together are V, so these blocks give the whole space whatever T is.
+    """
+    T = as_matrix(T)
+    _require_square(T, "hermitian_intertwiners")
+    if not T.size:
+        raise ValueError("hermitian_intertwiners: empty matrix")
+    w, V = eig.eigenvalues, eig.eigenvectors
+    floor = RANK_RTOL * max(opnorm(T), eig.norm)
+    blocks = [
+        (V[:, run], _kernel_at((T - mu * np.eye(T.shape[0])).conj().T, floor))
+        for run, mu in _clusters(w, floor)
+    ]
+    return _from_blocks(blocks, V.shape[0], T.shape[0])
 
 
 def _fills(bases) -> bool:
@@ -382,8 +395,7 @@ def _kernel_at(A, floor) -> np.ndarray:
 def _eigenspace_blocks(eigenvalues, T, S, floor) -> list:
     """(ker(S - mu), ker((T - mu)*)) for each cluster mu of ``eigenvalues`` at the floor."""
     blocks = []
-    for cluster in _cluster(eigenvalues, floor):
-        mu = sum(cluster) / len(cluster)
+    for _, mu in _clusters(eigenvalues, floor):
         R = _kernel_at(S - mu * np.eye(S.shape[0]), floor)
         L = _kernel_at((T - mu * np.eye(T.shape[0])).conj().T, floor)
         blocks.append((R, L))

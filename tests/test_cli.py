@@ -243,6 +243,7 @@ def test_cli_malformed_job_exit_3(tmp_path, capsys, command, job):
 
 
 _ZERO_TAIL = {"head": [], "tail": {"coeff": [0.0, 0.0], "power": "1"}}
+_EMPTY = serialize.matrix_to_json(np.zeros((0, 0)))
 
 
 def _svd_does_not_converge(*args, **kwargs):
@@ -267,10 +268,21 @@ def _svd_does_not_converge(*args, **kwargs):
             "factor", {"op": "douglas", "T": _ONE, "B": _ONE}, _svd_does_not_converge, "LinAlgError",
             id="lapack-svd-no-convergence",
         ),
+        *[
+            pytest.param(command, {"op": op, "T": _EMPTY, "G": _EMPTY, "S": _EMPTY}, None, "ValueError", id=f"{op}-empty")
+            for command, op in (
+                ("intertwine", "quasiaffine"),
+                ("intertwine", "quasisimilar"),
+                ("factor", "inclusionnfs"),
+                ("factor", "tba"),
+                ("factor", "bounded_s"),
+            )
+        ],
     ],
 )
 def test_cli_unfinishable_job_exit_3(tmp_path, monkeypatch, capsys, command, job, patch, error):
-    # Each of these used to exit 1, by a traceback or through a catch-all branch.
+    # Each of these used to exit 1, by a traceback or through a catch-all branch;
+    # of the empty jobs, the deciders exited 3 through LAPACK's empty-array error.
     if patch is not None:
         monkeypatch.setattr(np.linalg, "svd", patch)
     path = tmp_path / "job.json"
@@ -427,12 +439,18 @@ _NEAR_REAL = {"head": [[1.0, 1e-9]], "tail": {"coeff": [1, 0], "power": "0"}}
         pytest.param("rel", {"op": "sqrt", "T": serialize.matrix_to_json(_NEAR_HERMITIAN)}, id="sqrt"),
         pytest.param("diag", {"op": "seb", "t": _NEAR_REAL, "b": "one"}, id="diag-seb"),
         pytest.param("diag", {"op": "reverse", "t": _NEAR_REAL, "b": "one"}, id="diag-reverse"),
+        pytest.param(
+            "intertwine",
+            {"op": "quasiaffine", "T": serialize.matrix_to_json(_NEAR_HERMITIAN), "S": serialize.matrix_to_json(_NEAR_HERMITIAN)},
+            id="quasiaffine",
+        ),
     ],
 )
 def test_cli_rel_gates_at_the_job_tolerance(tmp_path, capsys, command, job):
     # diag(1, 2) with 1e-6 at (0, 1) is nonnegative selfadjoint at tol 1e-4;
     # rel sqrt used to gate at the tolerance stored on the relation (1e-8) and
-    # the diag engines at their own fixed 1e-12, and all three exited 2
+    # the diag engines at their own fixed 1e-12, and all three exited 2; the
+    # quasi-affinity target passes the same PSD gate at the job tolerance
     path = tmp_path / "job.json"
     path.write_text(json.dumps(job))
     code = cli.main([command, "--in", str(path), "--tol", "1e-4"])
@@ -473,6 +491,37 @@ def test_cli_mismatched_shapes_exit_2(tmp_path, capsys, job):
     assert code == 2
     assert out == ""
     assert err.startswith("psdfactor: hypothesis failure: NotSquare: ") and err.count("\n") == 1
+
+
+def _gate_jobs(S):
+    """The five ops whose target must be S = S* >= 0, each on an intertwining (T, G = I, S)."""
+    S_json, St_json = serialize.matrix_to_json(S), serialize.matrix_to_json(S.T)
+    return [
+        ("intertwine", {"op": "quasiaffine", "T": S_json, "S": S_json}),
+        ("intertwine", {"op": "quasisimilar", "T": S_json, "S": S_json}),
+        ("factor", {"op": "inclusionnfs", "T": St_json, "G": _I2, "S": S_json}),
+        ("factor", {"op": "tba", "T": S_json, "G": _I2, "S": S_json}),
+        ("factor", {"op": "bounded_s", "T": S_json, "G": _I2, "S": S_json}),
+    ]
+
+
+@pytest.mark.parametrize(
+    "command, job",
+    [
+        pytest.param(command, job, id=f"{job['op']}-{kind}")
+        for kind, S in (("indefinite", np.diag([-1.0, 2.0])), ("nonnormal", np.array([[1.0, 1.0], [0.0, 2.0]])))
+        for command, job in _gate_jobs(S)
+    ],
+)
+def test_cli_psd_target_gate_exit_2(tmp_path, capsys, command, job):
+    # quasi-affinity targets are S = S* >= 0; these jobs used to exit 0
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    code = cli.main([command, "--in", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("psdfactor: hypothesis failure: NotPSD: ") and err.count("\n") == 1, err
 
 
 _HUGE = serialize.matrix_to_json(np.diag([1e308, 1.0]))

@@ -34,6 +34,7 @@ from psdfactor.linrel import (
     rel_compose,
     rel_distance,
     rel_equal,
+    rel_from_graph,
     rel_from_matrix,
     rel_inverse,
     rel_order_leq,
@@ -111,11 +112,9 @@ def test_diag_truncate_examples():
     assert np.allclose(M, np.diag([1.0, 2.0, 3.0]))
     R = diag_truncate(DiagRel.from_head([INF]), 2)
     assert not isinstance(R, np.ndarray)
-    assert rel_equal(
-        R,
-        rel_compose(rel_from_matrix(np.diag([0.0, 0.0])), rel_from_matrix(np.eye(2))),
-        tol=2,
-    ) or True  # structural check below is the real assertion
+    # index 0 is the pure multivalued pair (0; e_1), index 1 the kernel pair (e_2; 0)
+    graph = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 0.0]])
+    assert rel_equal(R, rel_from_graph(graph, 2, 2), tol=1e-12)
     parts = rel_parts(R)
     assert parts.mul.dim == 1 and abs(parts.mul.basis[0, 0]) == 1.0
     with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ import pytest
 from psdfactor import factor
 from psdfactor import numkernel as nk
 from psdfactor.diagmodel import INF, DiagRel, DiagSymbol, diag_truncate
-from psdfactor.errors import HypothesisFailed, NotScalarNonneg
+from psdfactor.errors import HypothesisFailed, NotPSD, NotScalarNonneg
 from psdfactor.linrel import (
     rel_adjoint,
     rel_classify,
@@ -240,9 +240,10 @@ def test_dense_engine_decomposition_counts(monkeypatch):
 
     calls.clear()
     assert factor.bounded_S_checks(TS, G, S).all_passed
-    # one svd(G) for rank, ||G||, cond(G) and ||X|| = ||G||^2; ||T||, ||S||; inv, eigh, 4 margins
+    # the PSD gate of S, whose eigh gives ||S||; one svd(G) for rank, ||G||, cond(G)
+    # and ||X|| = ||G||^2; ||T||; inv, eigh, 4 margins
     assert sum(calls.values()) <= 9, calls
-    assert calls["svd"] == 1 and calls["eigh"] == 1 and calls["inv"] == 1, calls
+    assert calls["svd"] == 1 and calls["eigh"] == 2 and calls["inv"] == 1, calls
 
     calls.clear()
     factor.wsimilar_forms(TS)
@@ -256,15 +257,17 @@ def test_dense_engine_decomposition_counts(monkeypatch):
     assert qa.affine and qa.space_dim == n
     # the eigenspace construction decomposes nothing larger than n x n (n^2 x n^2 before)
     assert calls.max_dim == n, calls.max_dim
-    # spectrum(S): eig, ||S|| and cond; ||T||; ker(S - mu) and ker((T - mu)*) for 12
-    # clusters; the rank of the R_mu together
-    assert sum(calls.values()) <= 29 and calls["eig"] == 1, calls
+    # the PSD gate of S, whose eigenvectors are the R_mu; ||T||; ker((T - mu)*) for
+    # 12 clusters (29 calls with spectrum(S), ker(S - mu) and the rank of the R_mu)
+    assert sum(calls.values()) <= 14 and calls["eigh"] == 1, calls
+    assert calls["eig"] == 0 and calls["cond"] == 0, calls
     calls.clear()
     qs = factor.quasisimilar_decide(TS, S)
     assert qs.similar_pair
-    # one spectrum(S) for both sides (3), 2 x (||T||, 24 kernels and one rank), 3 norms
-    # for the duality check, and the two packages (61, with their seb_solve and reverse_solve)
-    assert sum(calls.values()) <= 116 and calls["eig"] == 1, calls
+    # one PSD gate of S for both sides, 2 x (||T||, 12 kernels), ||T|| and ||G2|| for
+    # the duality check, and the two packages (58, with their own gates of S,
+    # seb_solve and reverse_solve); 116 calls with spectrum(S)
+    assert sum(calls.values()) <= 87 and calls["eig"] == 0, calls
     # the largest are the 2n x n graph bases of the reverse_solve in tba_package
     assert calls.max_dim == 2 * n, calls.max_dim
 
@@ -857,6 +860,17 @@ def test_quasisimilar_decide():
         assert qs.direct_package.diagnostics["reconstruction"] <= qs.direct_package.diagnostics["tol"]
         # spectra line up with the target through the pre-similarity chain
         assert hausdorff(np.linalg.eigvals(T), np.diag(D)) <= 1e-7
+
+
+@pytest.mark.parametrize(
+    "S", [np.diag([-1.0, 2.0]), np.array([[1.0, 1.0], [0.0, 2.0]])], ids=["indefinite", "nonnormal"]
+)
+def test_deciders_gate_the_target(S):
+    # the target must be S = S* >= 0; for diag(-1, 2) against itself
+    # quasisimilar_decide used to report a similar pair and build both packages
+    for decide in (factor.quasiaffine_decide, factor.quasisimilar_decide):
+        with pytest.raises(NotPSD):
+            decide(S, S)
 
 
 def test_quasiaffine_scalar_target_has_the_full_space():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from psdfactor import numkernel as nk
-from psdfactor.errors import NotHermitian, NotPSD, NotSquare
+from psdfactor.errors import HypothesisError, NotHermitian, NotPSD, NotSquare
 from psdfactor.factor import quasiaffine_decide
 
 from oracles import (
@@ -329,7 +329,13 @@ def test_sylvester_matches_kronecker_reference():
             out = nk.sylvester_intertwiners(T, S)
             ref = sylvester_intertwiners_reference(T, S)
             assert (out.dimension, out.rank) == (len(ref.basis), ref.rank), (family, eT, eS)
-            assert quasiaffine_decide(T, S).affine == (ref.rank == n), family
+            # the decider takes only targets S = S* >= 0: those of the PSD families
+            # (LEVELS >= 0) and a planted S of one level, c I to rounding
+            if family in ("hermitian", "diagonal", "jordan_T") or (eS is not None and len(set(eS)) == 1):
+                assert quasiaffine_decide(T, S).affine == (ref.rank == n), family
+            else:
+                with pytest.raises(HypothesisError):
+                    quasiaffine_decide(T, S)
             scale = 1e-12 * (1.0 + nk.opnorm(T) + nk.opnorm(S))
             basis = out.basis_matrices()
             assert len(basis) == out.dimension
