@@ -19,6 +19,9 @@ range or the symbol class, LAPACK non-convergence; numpy overflow and
 invalid operations raise ``FloatingPointError`` inside every job); every
 exit 2 or 3 prints one line to stderr.
 
+A report is one line of JSON with sorted keys, written by json's C
+encoder (an ``indent`` would send it through the pure-Python one); matrices
+in it and in the job move through ``serialize`` a whole array at a time.
 Reports are deterministic: a fixed JobSpec yields a byte-identical report
 apart from the ``wall_clock_s`` field, independent of ``--threads``.
 ``wall_clock_s`` runs from before the job is read to the end of the run, so
@@ -418,7 +421,7 @@ def main(argv=None) -> int:
         message = " ".join(str(exc).split())
         print(f"psdfactor: cannot finish the job: {type(exc).__name__}: {message}", file=sys.stderr)
         return EXIT_INPUT
-    text = json.dumps(report, sort_keys=True, separators=(",", ": "), indent=1)
+    text = json.dumps(report, sort_keys=True, separators=(",", ": "))
     if args.outfile:
         with open(args.outfile, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

@@ -640,11 +640,11 @@ def inclusionnfs_package(T, G, S, tol: float = DEFAULT_TOL) -> QAPackage:
     Hermitian-PSD gate for T*B_F holds automatically here.
     """
     T, G, S = _operands("inclusionnfs_package", T, G, S)
-    cond_G, _, _, _ = _check_intertwiner(G, T.conj().T, S, tol, "inclusionnfs_package")
+    cond_G, norm_T, _, _ = _check_intertwiner(G, T.conj().T, S, tol, "inclusionnfs_package")
     Ginv = np.linalg.inv(G)
     A = herm(G.conj().T @ G)
     B_F = herm(Ginv @ S @ Ginv.conj().T)
-    ctol = tol * cond_G ** 2 * (1.0 + opnorm(T))
+    ctol = tol * cond_G ** 2 * (1.0 + norm_T)  # ||T*|| = ||T||
     diag = {
         "reconstruction": frob(A @ B_F - T),
         "tol": ctol,

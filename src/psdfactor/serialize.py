@@ -4,7 +4,19 @@ Complex scalars travel as [re, im]; a matrix as {rows, cols, data} with data
 row-major [re, im] pairs; a relation as {n, m, graph_basis}; a symbol as
 {head, tail} where head entries are [re, im] (or the markers "inf",
 "trivial", "full") and the tail is {coeff: [re, im], power: "p/q"}.  Floats
-round-trip exactly, so serialize/deserialize is value-exact.
+round-trip exactly, signed zeros included, so serialize/deserialize is
+value-exact.
+
+Matrix data moves a whole array at a time.  ``matrix_to_json`` lists the
+(re, im) columns of the flattened matrix in one ``tolist``.
+``matrix_from_json`` reads ``data`` with one ``np.array`` and takes the
+result only when it holds booleans, integers or floats, has shape
+``(rows*cols, 2)`` (pairs) or ``(rows*cols,)`` (bare numbers) and is finite
+throughout; the float64 pairs are then viewed as complex128, which keeps an
+imaginary -0.0.  Any data that array refuses (mixed pairs and bare numbers,
+strings, null, NaN/Infinity, integers beyond the float range, ragged or
+nested lists) is parsed entry by entry with ``complex_from_json``, which
+accepts it or names its first bad entry.
 """
 
 from __future__ import annotations
@@ -19,7 +31,7 @@ import numpy as np
 from .diagmodel import _MARKERS, DiagRel, DiagSymbol, _Marker
 from .errors import ParseError
 from .linrel import LinRel, rel_from_graph
-from .numkernel import Subspace, as_matrix
+from .numkernel import Subspace, as_matrix, frob
 
 __all__ = [
     "complex_to_json",
@@ -59,8 +71,36 @@ def complex_from_json(obj, where="scalar"):
 
 def matrix_to_json(M):
     M = as_matrix(M)
-    data = [complex_to_json(z) for z in M.reshape(-1)]
+    flat = M.reshape(-1)
+    data = np.stack([flat.real, flat.imag], axis=1).tolist()
     return {"rows": M.shape[0], "cols": M.shape[1], "data": data}
+
+
+def _array_data(data, size):
+    """``data`` as ``size`` complex128 entries when one ``np.array`` reads it
+    as finite numbers, bare or in [re, im] pairs; else None."""
+    try:
+        a = np.array(data)
+    except (ValueError, TypeError, OverflowError):
+        return None
+    if a.dtype.kind not in "biuf" or a.shape not in ((size, 2), (size,)):
+        return None
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    if not np.isfinite(a).all():
+        return None
+    return a.view(np.complex128).reshape(size) if a.ndim == 2 else a.astype(np.complex128)
+
+
+def _entry_data(data, where):
+    """``data`` parsed entry by entry; a bad entry raises the ParseError that names it."""
+    flat = []
+    for i, z in enumerate(data):
+        try:
+            flat.append(complex_from_json(z))
+        except ParseError:
+            complex_from_json(z, f"{where}.data[{i}]")  # the same error, naming the entry
+            raise
+    return np.array(flat, dtype=np.complex128)
 
 
 def matrix_from_json(obj, where="matrix"):
@@ -72,8 +112,10 @@ def matrix_from_json(obj, where="matrix"):
         raise ParseError(f"{where}: rows/cols must be nonnegative integers")
     if not isinstance(data, list) or len(data) != rows * cols:
         raise ParseError(f"{where}: data must hold rows*cols = {rows * cols} entries")
-    flat = [complex_from_json(z, f"{where}.data[{i}]") for i, z in enumerate(data)]
-    return np.array(flat, dtype=np.complex128).reshape(rows, cols)
+    flat = _array_data(data, rows * cols)
+    if flat is None:
+        flat = _entry_data(data, where)
+    return flat.reshape(rows, cols)
 
 
 def relation_to_json(R: LinRel):
@@ -95,7 +137,7 @@ def relation_from_json(obj, where="relation"):
     if basis.shape[0] != n + m:
         raise ParseError(f"{where}: graph basis must have n+m = {n + m} rows")
     gram = basis.conj().T @ basis
-    if np.linalg.norm(gram - np.eye(basis.shape[1])) <= 1e-12:
+    if frob(gram - np.eye(basis.shape[1])) <= 1e-12:
         # already orthonormal: keep the stored floats so round trips are exact
         return LinRel(n, m, Subspace(n + m, basis))
     return rel_from_graph(basis, n, m)

@@ -27,6 +27,9 @@ null space of the vectorized map G -> G T - S G, an SVD of size pn x pn, and
 a seeded random search for a maximal-rank element, where the library engine
 reads the space off the eigenspaces of S or T; the one edit is the
 data-scale floor ``RANK_RTOL * max(||T||, ||S||)`` on the null-space cut.
+The matrix parse reference is the earlier ``serialize.matrix_from_json``,
+which reads every entry with ``complex_from_json`` where the library reads
+well-formed data with one ``np.array``.
 """
 
 import math
@@ -48,7 +51,13 @@ from psdfactor.diagmodel import (
     point_adjoint,
     point_compose,
 )
-from psdfactor.errors import DimensionMismatch, HypothesisFailed, NotSquare, UnrepresentableSymbol
+from psdfactor.errors import (
+    DimensionMismatch,
+    HypothesisFailed,
+    NotSquare,
+    ParseError,
+    UnrepresentableSymbol,
+)
 from psdfactor.factor import ReverseCertificate, SebCertificate, seb_relation_solve
 from psdfactor.linrel import (
     GRAPH_ATOL,
@@ -83,6 +92,7 @@ from psdfactor.numkernel import (
     subspace_intersect,
     subspace_sum,
 )
+from psdfactor.serialize import complex_from_json
 
 
 def charpoly_roots(H):
@@ -572,6 +582,20 @@ def diag_reverse_solve_reference(T, B, tol: float = 1e-12) -> DiagReverseResult:
         Y=Y,
         checks={"Y_unbounded": y_unbounded, "Yinv_bounded_psd": True},
     )
+
+
+def matrix_from_json_reference(obj, where="matrix"):
+    """A complex128 matrix from {rows, cols, data}, one complex_from_json per entry."""
+    try:
+        rows, cols, data = obj["rows"], obj["cols"], obj["data"]
+    except (TypeError, KeyError) as exc:
+        raise ParseError(f"{where}: missing field {exc}") from exc
+    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 0 or cols < 0:
+        raise ParseError(f"{where}: rows/cols must be nonnegative integers")
+    if not isinstance(data, list) or len(data) != rows * cols:
+        raise ParseError(f"{where}: data must hold rows*cols = {rows * cols} entries")
+    flat = [complex_from_json(z, f"{where}.data[{i}]") for i, z in enumerate(data)]
+    return np.array(flat, dtype=np.complex128).reshape(rows, cols)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@
 import copy
 import io
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 import types
@@ -21,6 +23,8 @@ from psdfactor.diagmodel import INF, DiagRel, DiagSymbol
 from psdfactor.errors import ParseError
 from psdfactor.linrel import rel_distance, rel_from_graph, rel_from_matrix
 from psdfactor.proptests import random_relation
+
+from oracles import matrix_from_json_reference
 
 
 def run_cli(args, stdin=None):
@@ -72,6 +76,97 @@ def test_matrix_round_trip_value_exact():
     text = json.dumps(serialize.matrix_to_json(M))
     back = serialize.matrix_from_json(json.loads(text))
     assert np.array_equal(M, back)
+    # signed zeros survive both ways; re + 1j*im would turn an imaginary -0.0 into +0.0
+    Z = np.array([[-0.0, -0.0], [0.0, -0.0], [-0.0, 1.0]]).view(np.complex128)
+    text = json.dumps(serialize.matrix_to_json(Z))
+    assert text == '{"rows": 3, "cols": 1, "data": [[-0.0, -0.0], [0.0, -0.0], [-0.0, 1.0]]}'
+    back = serialize.matrix_from_json(json.loads(text))
+    assert np.array_equal(np.signbit(back.real), np.signbit(Z.real))
+    assert np.array_equal(np.signbit(back.imag), np.signbit(Z.imag))
+    assert json.dumps(serialize.matrix_to_json(back)) == text
+
+
+_FINITE_ENTRIES = (
+    0.0, -0.0, 1.5, -2.25, 5e-324, -1.7976931348623157e308, 0, -7, True, False,
+    2**53 + 1, 2**63 - 1, 2**63, 2**63 + 1, -(2**63), -(2**63) - 1,
+    2**64 - 1, 2**64, 2**64 + 1,
+)
+_HOSTILE_ENTRIES = (
+    10**400, -(10**400), math.nan, math.inf, -math.inf, "1.5", None, {"re": 1.0},
+    [], [1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]], [1.0, [2.0]], [None, 1.0], ["1", 0],
+    [math.nan, 0.0], [0.0, -math.inf], [10**400, 0], [True, 2**64 + 1],
+)
+
+
+def _random_entry(rng, form):
+    def number():
+        if rng.random() < 0.5:
+            return rng.choice(_FINITE_ENTRIES)
+        return rng.gauss(0.0, 10.0 ** rng.randint(-5, 5))
+
+    if form == "mixed":
+        form = rng.choice(("pairs", "bare"))
+    return [number(), number()] if form == "pairs" else number()
+
+
+def _random_matrix_job(rng):
+    rows, cols = rng.randint(0, 4), rng.randint(0, 4)
+    form = rng.choice(("pairs", "pairs", "bare", "mixed"))
+    data = [_random_entry(rng, form) for _ in range(rows * cols)]
+    if data and rng.random() < 0.3:
+        data[rng.randrange(len(data))] = rng.choice(_HOSTILE_ENTRIES)
+    if rng.random() < 0.1:
+        data = data[:-1] if data and rng.random() < 0.5 else data + [_random_entry(rng, form)]
+    return {"rows": rows, "cols": cols, "data": data}
+
+
+def _parse_outcome(parse, obj):
+    try:
+        M = parse(obj)
+    except ParseError as exc:
+        return "ParseError", str(exc)
+    return M.dtype, M.shape, M.tobytes()
+
+
+def test_matrix_from_json_matches_reference():
+    # the array path must give the per-entry parser's bytes, or its exact error
+    cases = [{"rows": 0, "cols": 3, "data": []}, {"rows": 0, "cols": 0, "data": [[1.0, 0.0]]}]
+    for entry in _FINITE_ENTRIES + _HOSTILE_ENTRIES:
+        cases += [{"rows": 1, "cols": 2, "data": [entry, [1.0, 0.0]]},
+                  {"rows": 2, "cols": 1, "data": [[entry, -0.0], 2.5]},
+                  {"rows": 2, "cols": 1, "data": [[entry, 2**64 - 1], [2**63 + 1, entry]]},
+                  {"rows": 1, "cols": 1, "data": [entry]}]
+    rng = random.Random(13)
+    cases += [_random_matrix_job(rng) for _ in range(4000)]
+    refused = 0
+    for obj in cases:
+        expected = _parse_outcome(matrix_from_json_reference, obj)
+        assert _parse_outcome(serialize.matrix_from_json, obj) == expected, obj
+        refused += expected[0] == "ParseError"
+    assert 0.2 < refused / len(cases) < 0.6, refused
+
+
+def test_cli_matrices_move_a_whole_array_at_a_time(tmp_path, monkeypatch):
+    # a well-formed job and its report pass no matrix entry through the scalar codec,
+    # and the report is the one-line dump of json's C encoder
+    rng = np.random.default_rng(64)
+    A = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+    B = A @ A.conj().T + np.eye(64)
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"T": serialize.matrix_to_json(B), "B": serialize.matrix_to_json(B)}))
+    calls = {"complex_from_json": 0, "complex_to_json": 0}
+    for name in calls:
+        def counted(*args, _name=name, _codec=getattr(serialize, name), **kwargs):
+            calls[_name] += 1
+            return _codec(*args, **kwargs)
+        monkeypatch.setattr(serialize, name, counted)
+    out = tmp_path / "report.json"
+    assert cli.main(["seb", "--in", str(job), "--out", str(out)]) == 0
+    assert calls == {"complex_from_json": 0, "complex_to_json": 0}
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ": ")) + "\n"
+    X = serialize.matrix_from_json(json.loads(text)["results"]["X"])
+    assert X.shape == (64, 64)
 
 
 def test_parse_errors():
