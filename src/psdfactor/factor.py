@@ -380,8 +380,8 @@ def seb_relation_solve(T: LinRel, B: LinRel, tol: float = DEFAULT_TOL) -> SebCer
         raise NotSquare("seb_relation_solve: T and B must share domain and codomain")
     parts_T = rel_parts(T)
     ts = parts_T.operator_part_matrix
-    Y = T.blocks()[1]
-    ker_ts_adj = kernel_basis((Y - parts_T.mul.projector() @ Y).conj().T, atol=GRAPH_ATOL)
+    Y, M = T.blocks()[1], parts_T.mul.basis
+    ker_ts_adj = kernel_basis((Y - M @ (M.conj().T @ Y)).conj().T, atol=GRAPH_ATOL)
     if not subspace_contains(ker_ts_adj, rel_parts(B).mul, tol=tol):
         raise HypothesisFailed("seb_relation_solve: mul B is not contained in ker (T_s)*")
     Tadj = rel_adjoint(T)

@@ -161,7 +161,7 @@ def rel_parts(T: LinRel) -> RelParts:
     sx, sy = svd_split(X, atol=GRAPH_ATOL), svd_split(Y, atol=GRAPH_ATOL)
     mul = Subspace(T.codom_dim, Y @ sx.ker.basis)
     ker = Subspace(T.dom_dim, X @ sy.ker.basis)
-    ts = (np.eye(T.codom_dim) - mul.projector()) @ Y @ sx.pinv
+    ts = (Y - mul.basis @ (mul.basis.conj().T @ Y)) @ sx.pinv
     return RelParts(dom=sx.ran, ran=sy.ran, ker=ker, mul=mul, operator_part_matrix=ts)
 
 
@@ -223,19 +223,21 @@ def rel_classify(T: LinRel, tol: float = DEFAULT_TOL) -> RelFlags:
     With graph basis pairs (x_i, y_i), the form matrix is F = X* Y; the
     relation is symmetric iff F is Hermitian at tol, nonnegative iff F is
     additionally PSD (||F|| read off its eigenvalues), selfadjoint iff
-    graph(T) and graph(T*) coincide.
+    dim graph T = n and ||F - F*|| <= tol: the exact distance to graph T*,
+    whose complement J graph T has the orthonormal basis (Y; -X).
     """
     if T.dom_dim != T.codom_dim:
         raise NotSquare("rel_classify: relation is not square")
     X, Y = T.blocks()
     F = X.conj().T @ Y
-    sym = nk.frob(F - F.conj().T) <= tol * (1.0 + nk.frob(F))
+    skew = F - F.conj().T
+    sym = nk.frob(skew) <= tol * (1.0 + nk.frob(F))
     nonneg = False
     if sym:
         w = np.linalg.eigvalsh(herm(F)) if F.size else np.zeros(0)
         nonneg = w.size == 0 or bool(w[0] >= -tol * (1.0 + max(-w[0], w[-1])))
-    selfadj = subspace_distance(T.graph, rel_adjoint(T).graph) <= tol
-    return RelFlags(symmetric=sym, nonnegative=nonneg, selfadjoint=selfadj)
+    gap = nk.opnorm(skew) if T.graph_dim == T.dom_dim else 1.0
+    return RelFlags(symmetric=sym, nonnegative=nonneg, selfadjoint=gap <= tol)
 
 
 def _require_nonneg_selfadjoint(T, who, tol: float = DEFAULT_TOL):

@@ -5,7 +5,8 @@ truncations) is built on the handful of primitives here: Hermitian
 eigendecomposition, Moore-Penrose inverses, PSD fractional powers, polar
 decomposition, the Loewner order, spectra with a diagonalizability verdict,
 and Sylvester intertwiner spaces.  Matrices are plain ``numpy`` arrays of
-``complex128``; a :class:`Subspace` is an orthonormal column basis.
+``complex128``; a :class:`Subspace` is an orthonormal column basis, and
+subspaces are measured through their ``n x k`` bases: no ``n x n`` projection is formed.
 
 Three global conventions keep kernels consistent across operations:
 
@@ -466,9 +467,6 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.shape[1]
 
-    def projector(self) -> np.ndarray:
-        return self.basis @ self.basis.conj().T
-
 
 def span(vectors, ambient_dim=None, rtol: float = RANK_RTOL, atol: float = 0.0) -> Subspace:
     """Orthonormalize a spanning set of column vectors into a Subspace.
@@ -574,17 +572,17 @@ def subspace_contains(big: Subspace, small: Subspace, tol: float = DEFAULT_TOL) 
 
 
 def subspace_containment_residual(big: Subspace, small: Subspace) -> float:
-    """||(I - P_big) S|| for the orthonormal basis S of small (0 when small = {0})."""
-    if small.dim == 0:
-        return 0.0
-    return opnorm(small.basis - big.projector() @ small.basis)
+    """||(I - P_big) S|| = ||S - B (B* S)|| on the bases B of big, S of small (0 when small = {0})."""
+    B, S = big.basis, small.basis
+    return opnorm(S - B @ (B.conj().T @ S))
 
 
 def subspace_distance(a: Subspace, b: Subspace) -> float:
-    """Spectral-norm gap ||P_a - P_b|| (sine of the largest principal angle)."""
+    """Spectral-norm gap ||P_a - P_b||: 1 when the dimensions differ, else ||(I - P_a) B||
+    on b's basis B, the sine of the largest principal angle (Golub & Van Loan, 2.5.3)."""
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    return opnorm(a.projector() - b.projector())
+    return subspace_containment_residual(a, b) if a.dim == b.dim else 1.0
 
 
 def subspace_equal(a: Subspace, b: Subspace, tol: float = DEFAULT_TOL) -> bool:

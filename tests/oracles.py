@@ -29,7 +29,12 @@ reads the space off the eigenspaces of S or T; the one edit is the
 data-scale floor ``RANK_RTOL * max(||T||, ||S||)`` on the null-space cut.
 The matrix parse reference is the earlier ``serialize.matrix_from_json``,
 which reads every entry with ``complex_from_json`` where the library reads
-well-formed data with one ``np.array``.
+well-formed data with one ``np.array``.  The subspace references are the
+earlier ``subspace_distance``, the norm of the difference of the two
+projectors whatever the dimensions, and ``rel_classify``, which calls a
+relation selfadjoint when that distance from graph T to graph T* (built by
+``rel_adjoint``) is at most tol, where the library measures subspaces on
+their bases and reads selfadjointness off the graph form.
 """
 
 import math
@@ -62,6 +67,7 @@ from psdfactor.factor import ReverseCertificate, SebCertificate, seb_relation_so
 from psdfactor.linrel import (
     GRAPH_ATOL,
     LinRel,
+    RelFlags,
     RelParts,
     as_relation,
     operator_part_relation,
@@ -255,6 +261,39 @@ def seb_solve_reference(T, B, tol=1e-8):
     )
 
 
+def projector(sp: Subspace) -> np.ndarray:
+    """The orthogonal projector B B* onto a subspace with orthonormal basis B."""
+    return sp.basis @ sp.basis.conj().T
+
+
+def subspace_distance_reference(a: Subspace, b: Subspace) -> float:
+    """Spectral-norm gap ||P_a - P_b|| (sine of the largest principal angle)."""
+    if a.ambient_dim != b.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
+    return opnorm(projector(a) - projector(b))
+
+
+def rel_classify_reference(T: LinRel, tol: float = DEFAULT_TOL) -> RelFlags:
+    """Symmetry/nonnegativity of the graph form <y, x>, and selfadjointness.
+
+    With graph basis pairs (x_i, y_i), the form matrix is F = X* Y; the
+    relation is symmetric iff F is Hermitian at tol, nonnegative iff F is
+    additionally PSD (||F|| read off its eigenvalues), selfadjoint iff
+    graph(T) and graph(T*) coincide.
+    """
+    if T.dom_dim != T.codom_dim:
+        raise NotSquare("rel_classify: relation is not square")
+    X, Y = T.blocks()
+    F = X.conj().T @ Y
+    sym = nk.frob(F - F.conj().T) <= tol * (1.0 + nk.frob(F))
+    nonneg = False
+    if sym:
+        w = np.linalg.eigvalsh(herm(F)) if F.size else np.zeros(0)
+        nonneg = w.size == 0 or bool(w[0] >= -tol * (1.0 + max(-w[0], w[-1])))
+    selfadj = subspace_distance_reference(T.graph, rel_adjoint(T).graph) <= tol
+    return RelFlags(symmetric=sym, nonnegative=nonneg, selfadjoint=selfadj)
+
+
 def rel_parts_reference(T: LinRel) -> RelParts:
     """dom/ran/ker/mul subspaces and the zero-extended operator-part matrix.
 
@@ -268,7 +307,7 @@ def rel_parts_reference(T: LinRel) -> RelParts:
     ran = span(Y, ambient_dim=T.codom_dim, atol=GRAPH_ATOL)
     mul = _second_component_at_zero(X, Y, T.codom_dim)
     ker = _second_component_at_zero(Y, X, T.dom_dim)
-    P_s = np.eye(T.codom_dim, dtype=np.complex128) - mul.projector()
+    P_s = np.eye(T.codom_dim, dtype=np.complex128) - projector(mul)
     ts = P_s @ Y @ moore_penrose(X, atol=GRAPH_ATOL)
     return RelParts(dom=dom, ran=ran, ker=ker, mul=mul, operator_part_matrix=ts)
 

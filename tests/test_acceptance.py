@@ -43,6 +43,7 @@ from oracles import (
     conditioned_invertible,
     hausdorff,
     lambda_sweep_feasible,
+    projector,
     random_psd,
     random_unitary,
 )
@@ -324,7 +325,7 @@ def test_acceptance_7_relation_algebra():
         T = _random_relation(rng, n, n)
         B = _random_relation(rng, n, n)
         Ts = operator_part_relation(T)
-        P_s = np.eye(n) - rel_parts(T).mul.projector()
+        P_s = np.eye(n) - projector(rel_parts(T).mul)
         base = rel_compose(rel_adjoint(T), T)
         for other in (
             rel_compose(rel_adjoint(Ts), T),
@@ -514,7 +515,9 @@ def test_acceptance_9_cli_determinism():
 
     R = random_relation(rng, 3, 2)
     back_r = serialize.relation_from_json(json.loads(json.dumps(serialize.relation_to_json(R))))
-    exact_r = rel_distance(R, back_r) == 0.0
+    exact_r = (back_r.dom_dim, back_r.codom_dim) == (R.dom_dim, R.codom_dim) and np.array_equal(
+        back_r.graph.basis, R.graph.basis
+    )
     ok = deterministic and exact_m and exact_s and exact_r
     _report(
         9,

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import diag_reverse_solve_reference
+from oracles import diag_reverse_solve_reference, projector
 from psdfactor import factor
 from psdfactor.diagmodel import (
     FULL,
@@ -133,8 +133,8 @@ def test_diag_order_examples():
 def test_commuting_diagram_ladder():
     # symbol op then truncate = truncate then matrix/relation op, for
     # N in {10, 100, 2000}: full relation path at the small sizes, dense
-    # matrix path at 2000 (relation-path projector algebra is cubic in 2N,
-    # far outside the desk-scale performance envelope)
+    # matrix path at 2000 (the relation path takes SVDs of 2N x N graph
+    # bases, cubic in N, far outside the desk-scale performance envelope)
     d1 = DiagRel.from_head([0.5, 2.0, INF], tail_coeff=1 + 0.5j, tail_power=Fraction(1, 2))
     d2 = DiagRel.from_head([1.0, INF], tail_coeff=2, tail_power=1)
     for N in (10, 100):
@@ -244,7 +244,7 @@ def _outcome(solve, T, B, N=2):
     if isinstance(sol, DiagSymbol):
         mul = {n for n in range(1, N + 1) if sol.value_at(n) is INF}
     elif isinstance(sol, LinRel):
-        P = rel_parts(sol).mul.projector()
+        P = projector(rel_parts(sol).mul)
         mul = {n for n in range(1, N + 1) if np.linalg.norm(P[:, n - 1]) >= 1 - 1e-9}
     else:
         mul = set()  # no solution, or a matrix

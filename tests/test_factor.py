@@ -265,10 +265,10 @@ def test_dense_engine_decomposition_counts(monkeypatch):
     qs = factor.quasisimilar_decide(TS, S)
     assert qs.similar_pair
     # one PSD gate of S for both sides, 2 x (||T||, 12 kernels), ||T|| and ||G2|| for
-    # the duality check, and the two packages (57, with their own gates of S,
+    # the duality check, and the two packages (56, with their own gates of S,
     # seb_solve and reverse_solve; inclusionnfs reuses the ||T*|| of its gate);
     # 116 calls with spectrum(S)
-    assert sum(calls.values()) <= 86 and calls["eig"] == 0, calls
+    assert sum(calls.values()) <= 85 and calls["eig"] == 0, calls
     # the largest are the 2n x n graph bases of the reverse_solve in tba_package
     assert calls.max_dim == 2 * n, calls.max_dim
 
@@ -299,11 +299,21 @@ def test_relation_decomposition_counts(monkeypatch):
     calls.clear()
     # one eigh of the form of T*B gives ker M, lambda* and G0; no T*T is formed
     assert factor.seb_relation_solve(Bm, Bm).feasible
-    assert sum(calls.values()) <= 36 and calls["eigh"] == 1, calls
+    assert sum(calls.values()) <= 35 and calls["eigh"] == 1, calls
     calls.clear()
-    # the dual's 36, the two adjoints, the span of X for Y and the rank of T*'s second block
+    # the dual's 35, the two adjoints, the span of X for Y and the rank of T*'s second block
     assert factor.reverse_solve(Tm, Bm).feasible
-    assert sum(calls.values()) <= 40 and calls["eigh"] == 1, calls
+    assert sum(calls.values()) <= 39 and calls["eigh"] == 1, calls
+    calls.clear()
+    # selfadjointness is read off the graph form: eigvalsh(F) and ||F - F*||, no adjoint
+    calls.max_dim = 0
+    assert rel_classify(Bm).selfadjoint
+    assert sum(calls.values()) <= 2 and calls["svd"] == 0, calls
+    assert calls.max_dim <= Bm.graph_dim, calls.max_dim
+    calls.clear()
+    # S is not symmetric and its graph has dimension 3 != n: nothing to decompose
+    assert not rel_classify(S).symmetric
+    assert sum(calls.values()) == 0, calls
 
 
 def test_seb_lambda_star_minimal():

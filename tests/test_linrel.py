@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from psdfactor import numkernel as nk
+from psdfactor.diagmodel import FULL, INF, TRIVIAL, DiagRel, diag_truncate
 from psdfactor.errors import DimensionMismatch, NotNonnegSelfadjoint
 from psdfactor.linrel import (
     GRAPH_ATOL,
@@ -32,10 +33,13 @@ from psdfactor.linrel import (
 
 from oracles import (
     form_order_leq_definition,
+    projector,
     random_psd,
+    rel_classify_reference,
     rel_compose_reference,
     rel_parts_reference,
     rel_restrict_reference,
+    subspace_distance_reference,
 )
 
 
@@ -251,6 +255,38 @@ def test_inverse_adjoint_identities_behind_the_reverse_gates():
         assert rel_classify(rel_inverse(R)) == flags
 
 
+def test_rel_classify_matches_reference():
+    # selfadjointness read off the graph form, ||F - F*|| when dim graph = n and
+    # 1 otherwise, is the projector distance from graph T to graph T*; every
+    # tol sees both verdicts
+    rng = np.random.default_rng(24)
+    rels = [random_relation(rng, n, n, graph_dim=k) for n in range(1, 6) for k in range(2 * n + 1)]
+    for n in range(2, 7):
+        P = random_psd(rng, n)
+        rels.append(rel_from_matrix(P - rng.uniform(0.2, 1.9) * np.eye(n)))
+        rels.append(rel_inverse(rel_from_matrix(random_psd(rng, n, singular=True))))
+        rels.append(rel_inverse(rel_from_matrix(P)))
+    for head in ([INF, 0.5, -1.0], [2.0, INF, INF], [INF, 1 + 1j], [TRIVIAL, 0.5], [FULL, INF, 1.0]):
+        for coeff in (1.0, 0.5j):
+            rels.append(diag_truncate(DiagRel.from_head(head, coeff, 1), 6, force_relation=True))
+    for size in np.logspace(-12, -6, 13):
+        n = int(rng.integers(2, 6))
+        H = random_psd(rng, n) - 0.5 * np.eye(n)
+        E = _cplx(rng, n, n)
+        rels.append(rel_from_matrix(H + size * E / np.linalg.norm(E, 2)))
+    seen = set()
+    for T in rels:
+        X, Y = T.blocks()
+        F = X.conj().T @ Y
+        gap = nk.opnorm(F - F.conj().T) if T.graph_dim == T.dom_dim else 1.0
+        assert abs(gap - subspace_distance_reference(T.graph, rel_adjoint(T).graph)) <= 1e-13
+        for tol in (1e-12, 1e-10, 1e-8, 1e-6):
+            flags = rel_classify(T, tol)
+            assert flags == rel_classify_reference(T, tol), (T, tol)
+            seen.add((tol, flags.selfadjoint))
+    assert len(seen) == 8, seen
+
+
 def test_sqrt_examples():
     root = rel_sqrt(rel_from_matrix(np.diag([4.0, 9.0])))
     assert rel_equal(root, rel_from_matrix(np.diag([2.0, 3.0])), tol=1e-10)
@@ -305,7 +341,7 @@ def test_adjoint_product_chain():
     for _ in range(40):
         T = random_relation(rng, 3, 3)
         Ts = operator_part_relation(T)
-        P_s = np.eye(3) - rel_parts(T).mul.projector()
+        P_s = np.eye(3) - projector(rel_parts(T).mul)
         chain = [
             rel_compose(rel_adjoint(T), T),
             rel_compose(rel_adjoint(Ts), T),
@@ -360,11 +396,11 @@ def test_moore_penrose_projection_identities():
         pinv_rel = rel_moore_penrose(T)
         left = rel_compose(pinv_rel, T)
         ker_perp = nk.subspace_complement(parts.ker)
-        expected_left = rel_restrict(rel_from_matrix(ker_perp.projector()), parts.dom)
+        expected_left = rel_restrict(rel_from_matrix(projector(ker_perp)), parts.dom)
         assert rel_distance(left, expected_left) <= 1e-9
         right = rel_compose(T, pinv_rel)
         ker_adj = rel_parts(rel_adjoint(T)).ker
-        proj = nk.subspace_complement(ker_adj).projector()
+        proj = projector(nk.subspace_complement(ker_adj))
         mul_vecs = np.vstack([np.zeros((m, parts.mul.dim)), parts.mul.basis])
         expected_right = rel_plusdot(rel_from_matrix(proj), mul_vecs)
         assert rel_distance(right, expected_right) <= 1e-9

@@ -15,6 +15,7 @@ from oracles import (
     penrose_residuals,
     random_psd,
     random_unitary,
+    subspace_distance_reference,
     sylvester_dimension,
     sylvester_intertwiners_reference,
 )
@@ -362,6 +363,30 @@ def test_subspace_operations():
     assert comp.dim == 3
     assert nk.subspace_intersect(a, comp).dim == 0
     assert nk.subspace_equal(nk.subspace_sum(a, comp), nk.full_space(5))
+
+
+def test_subspace_distance_matches_reference():
+    # the residual on the bases against the projector difference, which is 1
+    # up to rounding when the dimensions differ
+    rng = np.random.default_rng(41)
+    pairs = []
+    for n in range(1, 8):
+        pairs += [(nk.zero_space(n), nk.zero_space(n)), (nk.zero_space(n), nk.full_space(n))]
+        pairs.append((nk.full_space(n), nk.span(rng.standard_normal((n, n)))))
+        for ka in range(n + 1):
+            a = nk.span(rng.standard_normal((n, ka)), ambient_dim=n)
+            kb = int(rng.integers(0, n + 1))
+            pairs.append((a, nk.span(rng.standard_normal((n, kb)), ambient_dim=n)))
+            pairs.append((a, a))
+            if ka:
+                eps = 10.0 ** rng.uniform(-12, -4)
+                pairs.append((a, nk.span(a.basis + eps * rng.standard_normal((n, ka)))))
+    for a, b in pairs:
+        got, want = nk.subspace_distance(a, b), subspace_distance_reference(a, b)
+        if a.dim != b.dim:
+            assert got == 1.0 and abs(want - 1.0) <= 1e-14, (a.dim, b.dim, want)
+        else:
+            assert abs(got - want) <= 1e-14, (a.dim, got, want)
 
 
 def test_require_square_guard():
