@@ -1,6 +1,6 @@
 """psdfactor: certificates for products of nonnegative selfadjoint operators.
 
-Subpackages by layer: :mod:`psdfactor.numkernel` (dense complex kernel),
+Subpackages by layer: :mod:`psdfactor.numkernel` (dense real and complex kernel),
 :mod:`psdfactor.linrel` (finite-dimensional linear relations),
 :mod:`psdfactor.factor` (the theorem engines), :mod:`psdfactor.diagmodel`
 (unbounded diagonal symbols), and :mod:`psdfactor.cli` (JSON batch front-end).

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import HypothesisFailed, NotNonneg, UnrepresentableSymbol
 from .linrel import LinRel, rel_from_graph
-from .numkernel import DEFAULT_TOL, Subspace
+from .numkernel import DEFAULT_TOL, Subspace, as_matrix
 
 __all__ = [
     "INF",
@@ -173,7 +173,12 @@ class DiagSymbol:
         return self.tail_coeff * float(n) ** float(self.tail_power)
 
     def values(self, N: int):
-        return [self.value_at(n) for n in range(1, N + 1)]
+        """Entries at indices 1..N, each equal to ``value_at``; the tail's power is converted once."""
+        head, tail = list(self.head[:N]), range(len(self.head) + 1, N + 1)
+        if self.tail_coeff == 0:
+            return head + [0j] * len(tail)
+        c, p = self.tail_coeff, float(self.tail_power)
+        return head + [c * float(n) ** p for n in tail]
 
 
 def tail_symbol(coeff, power) -> DiagSymbol:
@@ -435,7 +440,7 @@ def diag_truncate(D, N: int, force_relation: bool = False):
         raise ValueError(f"diag_truncate: N={N} is below the head length {sym.head_len}")
     vals = sym.values(N)
     if not force_relation and not any(isinstance(v, _Marker) for v in vals):
-        return np.diag(np.asarray(vals, dtype=np.complex128))
+        return np.diag(as_matrix([vals])[0])
     # per-index generators are mutually orthogonal, so normalizing each column
     # already yields an orthonormal graph basis; no re-orthonormalization
     cols = []

@@ -320,7 +320,7 @@ def _seb_factor(Ts, A, tol: float, who: str, D=None):
     F = (TD @ V[:, live]) * w[live] ** -0.5
     if not F.any():
         n_K = Ts.shape[0]
-        return leak, 0.0, np.zeros((n_K, n_K), dtype=np.complex128), np.zeros(Ts.shape, dtype=np.complex128)
+        return leak, 0.0, np.zeros((n_K, n_K), dtype=F.dtype), np.zeros(Ts.shape, dtype=F.dtype)
     X = herm(F @ F.conj().T)
     lam = float(np.linalg.eigvalsh(X)[-1])
     return leak, lam, X, (F / math.sqrt(lam)) @ DV.conj().T
@@ -512,7 +512,7 @@ def _psd_similarity(T, tol: float):
     real_ok = bool(np.all(np.abs(w.imag) <= dtol) and np.all(w.real >= -dtol))
     if not (spec.diagonalizable and real_ok):
         return PsdSimilarity(accept=False, G=None, S=None), spec
-    S = np.diag(np.clip(w.real, 0.0, None)).astype(np.complex128)
+    S = np.diag(np.clip(w.real, 0.0, None))
     return PsdSimilarity(accept=True, G=spec.eigenvectors, S=S), spec
 
 

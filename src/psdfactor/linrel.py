@@ -122,7 +122,7 @@ def rel_from_matrix(M) -> LinRel:
     """
     M = as_matrix(M)
     m, n = M.shape
-    stacked = np.vstack([np.eye(n, dtype=np.complex128), M])
+    stacked = np.vstack([np.eye(n), M])
     return LinRel(n, m, span(stacked, rtol=0.0))
 
 
@@ -222,9 +222,11 @@ def rel_classify(T: LinRel, tol: float = DEFAULT_TOL) -> RelFlags:
 
     With graph basis pairs (x_i, y_i), the form matrix is F = X* Y; the
     relation is symmetric iff F is Hermitian at tol, nonnegative iff F is
-    additionally PSD (||F|| read off its eigenvalues), selfadjoint iff
-    dim graph T = n and ||F - F*|| <= tol: the exact distance to graph T*,
-    whose complement J graph T has the orthonormal basis (Y; -X).
+    additionally PSD (||F|| read off its eigenvalues), selfadjoint iff it is
+    symmetric, dim graph T = n and ||F - F*|| <= tol: the exact distance to
+    graph T*, whose complement J graph T has the orthonormal basis (Y; -X).
+    A selfadjoint relation is symmetric, so the flags never say otherwise,
+    although the two tests measure ||F - F*|| on different scales.
     """
     if T.dom_dim != T.codom_dim:
         raise NotSquare("rel_classify: relation is not square")
@@ -237,7 +239,7 @@ def rel_classify(T: LinRel, tol: float = DEFAULT_TOL) -> RelFlags:
         w = np.linalg.eigvalsh(herm(F)) if F.size else np.zeros(0)
         nonneg = w.size == 0 or bool(w[0] >= -tol * (1.0 + max(-w[0], w[-1])))
     gap = nk.opnorm(skew) if T.graph_dim == T.dom_dim else 1.0
-    return RelFlags(symmetric=sym, nonnegative=nonneg, selfadjoint=gap <= tol)
+    return RelFlags(symmetric=sym, nonnegative=nonneg, selfadjoint=sym and gap <= tol)
 
 
 def _require_nonneg_selfadjoint(T, who, tol: float = DEFAULT_TOL):

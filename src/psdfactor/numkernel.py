@@ -1,12 +1,17 @@
-"""Dense complex linear-algebra kernel.
+"""Dense linear-algebra kernel over the reals or the complex numbers.
 
 Everything downstream (relations, theorem engines, the diagonal model's
 truncations) is built on the handful of primitives here: Hermitian
 eigendecomposition, Moore-Penrose inverses, PSD fractional powers, polar
 decomposition, the Loewner order, spectra with a diagonalizability verdict,
-and Sylvester intertwiner spaces.  Matrices are plain ``numpy`` arrays of
-``complex128``; a :class:`Subspace` is an orthonormal column basis, and
-subspaces are measured through their ``n x k`` bases: no ``n x n`` projection is formed.
+and Sylvester intertwiner spaces.  Matrices are plain ``numpy`` arrays, and
+:func:`as_matrix` alone chooses their dtype: ``float64`` when every entry is
+real (a complex array whose imaginary parts are all zero included),
+``complex128`` otherwise.  Real problems, such as the diagonal truncations,
+thus run LAPACK's real drivers, about four times cheaper than the complex
+ones; mixed operands promote by numpy's rules, and no engine branches on the
+dtype.  A :class:`Subspace` is an orthonormal column basis, and subspaces are
+measured through their ``n x k`` bases: no ``n x n`` projection is formed.
 
 Three global conventions keep kernels consistent across operations:
 
@@ -79,13 +84,25 @@ __all__ = [
 
 
 def as_matrix(a) -> np.ndarray:
-    """Coerce to a finite 2-d complex128 array."""
-    m = np.asarray(a, dtype=np.complex128)
+    """Coerce to a finite 2-d array: float64 when every entry is real, else complex128.
+
+    Real input (booleans, integers, floats) is converted to float64 directly.
+    Anything else is read as complex128, and becomes its float64 real part
+    when no imaginary part is nonzero, so a real problem is decomposed by
+    LAPACK's real drivers whether it arrives as real or as complex data.
+    """
+    m = np.asarray(a)
+    if m.dtype.kind in "biuf":
+        m = m.astype(np.float64, copy=False)
+    else:
+        m = m.astype(np.complex128, copy=False)
+        if not m.imag.any():
+            m = m.real.copy()
     if m.ndim == 0:
         m = m.reshape(1, 1)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={m.ndim}")
-    if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
 
@@ -405,11 +422,11 @@ def _eigenspace_blocks(eigenvalues, T, S, floor) -> list:
 
 def _from_blocks(blocks, p, n) -> Intertwiners:
     blocks = tuple((R, L) for R, L in blocks if R.shape[1] and L.shape[1])
-    G = np.zeros((p, n), dtype=np.complex128)
+    G = np.zeros((p, n))
     rank = 0
     for R, L in blocks:
         r = min(R.shape[1], L.shape[1])
-        G += R[:, :r] @ L[:, :r].conj().T
+        G = G + R[:, :r] @ L[:, :r].conj().T
         rank += r
     dimension = sum(R.shape[1] * L.shape[1] for R, L in blocks)
     return Intertwiners(dimension=dimension, rank=rank, max_rank_element=G, blocks=blocks)
@@ -423,7 +440,7 @@ def _kronecker_intertwiners(T, S, floor, seed) -> Intertwiners:
     null = vh[numerical_rank(s, floor):, :].conj().T
     dim = null.shape[1]
     if not dim:
-        return Intertwiners(dimension=0, rank=0, max_rank_element=np.zeros((p, n), dtype=np.complex128), kernel=null)
+        return Intertwiners(dimension=0, rank=0, max_rank_element=np.zeros((p, n), dtype=null.dtype), kernel=null)
     rng = np.random.default_rng(seed)
     best = None
     best_key = (-1, -1.0)
@@ -475,7 +492,7 @@ def span(vectors, ambient_dim=None, rtol: float = RANK_RTOL, atol: float = 0.0) 
     come from projections of orthonormal data, where an all-noise input must
     collapse to the zero subspace instead of being renormalized.
     """
-    A = as_matrix(vectors) if np.asarray(vectors).size else np.zeros((ambient_dim or 0, 0), dtype=np.complex128)
+    A = as_matrix(vectors) if np.asarray(vectors).size else np.zeros((ambient_dim or 0, 0))
     if ambient_dim is None:
         ambient_dim = A.shape[0]
     if A.shape[0] != ambient_dim:
@@ -487,11 +504,11 @@ def span(vectors, ambient_dim=None, rtol: float = RANK_RTOL, atol: float = 0.0) 
 
 
 def full_space(n: int) -> Subspace:
-    return Subspace(n, np.eye(n, dtype=np.complex128))
+    return Subspace(n, np.eye(n))
 
 
 def zero_space(n: int) -> Subspace:
-    return Subspace(n, np.zeros((n, 0), dtype=np.complex128))
+    return Subspace(n, np.zeros((n, 0)))
 
 
 def numerical_rank(s, atol: float = 0.0, rtol: float = RANK_RTOL) -> int:
@@ -517,7 +534,7 @@ def svd_split(A, atol: float = 0.0) -> SvdSplit:
     A = as_matrix(A)
     m, n = A.shape
     if A.size == 0 or not A.any():
-        return SvdSplit(zero_space(m), full_space(n), np.zeros((n, m), dtype=np.complex128))
+        return SvdSplit(zero_space(m), full_space(n), np.zeros((n, m)))
     u, s, vh = np.linalg.svd(A, full_matrices=m < n)
     r = numerical_rank(s, atol)
     v = vh.conj().T

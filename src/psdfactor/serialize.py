@@ -5,7 +5,8 @@ row-major [re, im] pairs; a relation as {n, m, graph_basis}; a symbol as
 {head, tail} where head entries are [re, im] (or the markers "inf",
 "trivial", "full") and the tail is {coeff: [re, im], power: "p/q"}.  Floats
 round-trip exactly, signed zeros included, so serialize/deserialize is
-value-exact.
+value-exact; the one exception is a matrix with no nonzero imaginary part,
+which ``as_matrix`` makes real, so all its imaginary parts print as 0.0.
 
 Matrix data moves a whole array at a time.  ``matrix_to_json`` lists the
 (re, im) columns of the flattened matrix in one ``tolist``.

@@ -702,8 +702,8 @@ def hausdorff(a, b):
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
-def random_psd(rng, n, singular=False, floor=0.1, top=2.0):
-    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+def random_psd(rng, n, singular=False, floor=0.1, top=2.0, real=False):
+    A = rng.standard_normal((n, n)) if real else rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, _ = np.linalg.qr(A)
     w = rng.uniform(floor, top, size=n)
     if singular and n > 1:

@@ -85,6 +85,9 @@ def test_matrix_round_trip_value_exact():
     assert np.array_equal(np.signbit(back.real), np.signbit(Z.real))
     assert np.array_equal(np.signbit(back.imag), np.signbit(Z.imag))
     assert json.dumps(serialize.matrix_to_json(back)) == text
+    # a matrix with no nonzero imaginary part is real: every imaginary part prints as 0.0
+    R = np.array([[-0.0, -0.0], [1.5, -0.0], [-2.0, 0.0]]).view(np.complex128)
+    assert json.dumps(serialize.matrix_to_json(R)["data"]) == "[[-0.0, 0.0], [1.5, 0.0], [-2.0, 0.0]]"
 
 
 _FINITE_ENTRIES = (

@@ -121,6 +121,21 @@ def test_diag_truncate_examples():
         diag_truncate(DiagRel.from_head([1, 2, 3]), 2)
 
 
+def test_symbol_values_match_value_at():
+    # values(N) converts the tail's power once; every entry must stay the value_at bits
+    rng = np.random.default_rng(15)
+    heads = [INF, FULL, TRIVIAL, 0.0, 0j, -0.0, 1.5, -2.0 + 0.5j]
+    for _ in range(300):
+        head = [heads[i] if i < len(heads) else complex(*rng.standard_normal(2))
+                for i in rng.integers(0, 2 * len(heads), size=int(rng.integers(0, 5)))]
+        coeff = [0, 0.0, complex(*rng.standard_normal(2)), float(rng.uniform(0.1, 3))][int(rng.integers(0, 4))]
+        q = int(rng.integers(1, 5))
+        power = Fraction(int(rng.integers(-4 * q, 4 * q + 1)), q)
+        sym = DiagSymbol(head=tuple(head), tail_coeff=coeff, tail_power=power)
+        for N in (0, len(head) // 2, len(head), len(head) + 7):
+            assert list(map(repr, sym.values(N))) == [repr(sym.value_at(n)) for n in range(1, N + 1)]
+
+
 def test_diag_order_examples():
     assert diag_order_leq(DiagRel.from_tail(1, 1), DiagRel.from_tail(1, 2))
     assert not diag_order_leq(DiagRel.from_tail(2, 1), DiagRel.from_tail(1, 1))

@@ -105,13 +105,13 @@ def test_seb_hypothesis_gate():
         factor.seb_solve(-np.eye(2), np.eye(2))
 
 
-def _planted_pairs():
+def _planted_pairs(real=False):
     """T = X B with X, B PSD, a quarter of the X and a third of the B singular."""
     rng = np.random.default_rng(3)
     for trial in range(100):
         n = int(rng.integers(2, 9))
-        X = random_psd(rng, n, singular=(trial % 4 == 0))
-        B = random_psd(rng, n, singular=(trial % 3 == 0))
+        X = random_psd(rng, n, singular=(trial % 4 == 0), real=real)
+        B = random_psd(rng, n, singular=(trial % 3 == 0), real=real)
         yield X @ B, B
 
 
@@ -185,14 +185,75 @@ def test_seb_matches_reference_solver():
     assert verdicts[True] >= 150 and verdicts[False] >= 50
 
 
+def _phase_twin(rng, *Ms):
+    """The Ms conjugated by one U = diag(e^(i theta_k)): the same problem in complex arithmetic."""
+    U = np.diag(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, Ms[0].shape[0])))
+    twins = [U @ M @ U.conj().T for M in Ms]
+    assert all(nk.as_matrix(M).dtype == np.float64 for M in Ms)
+    assert any(nk.as_matrix(M).dtype == np.complex128 for M in twins)
+    return U, twins
+
+
+def test_seb_real_and_complex_paths_agree():
+    # a real pair decomposes in real arithmetic; its phase twin in complex
+    rng = np.random.default_rng(34)
+    verdicts = Counter()
+    for T, B in [*_planted_pairs(real=True), *_truncation_pairs()]:
+        U, (Tu, Bu) = _phase_twin(rng, T, B)
+        cert, twin = factor.seb_solve(T, B), factor.seb_solve(Tu, Bu)
+        verdicts[cert.feasible] += 1
+        assert twin.feasible == cert.feasible
+        if not cert.feasible:
+            continue
+        assert abs(twin.lambda_star - cert.lambda_star) <= 1e-12 * cert.lambda_star
+        assert frob(U.conj().T @ twin.X @ U - cert.X) <= 1e-10 * frob(cert.X)
+    assert verdicts[True] == 112, verdicts
+
+
+def test_reverse_and_quasiaffine_real_and_complex_paths_agree():
+    rng = np.random.default_rng(35)
+    for _ in range(20):
+        n = int(rng.integers(2, 7))
+        B = random_psd(rng, n, real=True) + 0.2 * np.eye(n)
+        M = random_psd(rng, n, singular=bool(rng.integers(0, 2)), real=True)
+        T = np.linalg.inv(B.T) @ M  # B*T = M is PSD
+        U, (Tu, Bu) = _phase_twin(rng, T, B)
+        rev = factor.reverse_solve(rel_from_matrix(T), rel_from_matrix(B))
+        twin = factor.reverse_solve(rel_from_matrix(Tu), rel_from_matrix(Bu))
+        assert rev.feasible and twin.feasible
+        assert abs(twin.eta_star - rev.eta_star) <= 1e-12 * rev.eta_star
+        # the graph of U* Y U is (U* (+) U*) graph Y
+        UU = np.kron(np.eye(2), U.conj().T)
+        back = rel_from_graph(UU @ twin.Y.graph.basis, n, n)
+        assert rel_distance(back, rev.Y) <= 1e-10
+
+        G = conditioned_invertible(rng, n, 10.0).real + 2.0 * np.eye(n)
+        S = np.diag(np.sort(rng.choice([0.5, 1.25, 2.0], n)))
+        TS = np.linalg.inv(G) @ S @ G
+        U, (TSu, Su) = _phase_twin(rng, TS, S)
+        qa, qa_twin = factor.quasiaffine_decide(TS, S), factor.quasiaffine_decide(TSu, Su)
+        assert (qa_twin.affine, qa_twin.space_dim) == (qa.affine, qa.space_dim)
+        assert frob(qa_twin.G @ TSu - Su @ qa_twin.G) <= 1e-10 * (1 + opnorm(TS)) * opnorm(qa_twin.G)
+
+
 class _LinalgCalls(Counter):
-    """Decomposition counts by name; ``max_dim`` is the largest side of a decomposed matrix."""
+    """Decomposition counts by name; ``max_dim`` is the largest side of a decomposed matrix
+    and ``dtypes`` counts the calls by (name, operand dtype)."""
 
     max_dim = 0
 
+    def __init__(self):
+        super().__init__()
+        self.dtypes = Counter()
+
     def record(self, name, a):
         self[name] += 1
+        self.dtypes[name, np.asarray(a).dtype.name] += 1
         self.max_dim = max([self.max_dim, *np.shape(a)])
+
+    def clear(self):
+        super().clear()
+        self.dtypes.clear()
 
 
 def _count_linalg(monkeypatch):
@@ -220,6 +281,31 @@ def _count_linalg(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "norm", counted_norm)
     return calls
+
+
+def test_real_problems_decompose_in_real_arithmetic(monkeypatch):
+    # as_matrix keeps real data float64 and no producer upcasts it again, so a
+    # real truncation reaches LAPACK only as float64; mixed operands promote
+    t = DiagRel(DiagSymbol(head=(0.5, 2.0), tail_coeff=1.1, tail_power=2))
+    b = DiagRel(DiagSymbol(head=(), tail_coeff=1.3, tail_power=3))
+    T, B = diag_truncate(t, 40), diag_truncate(b, 40)
+    assert T.dtype == B.dtype == np.float64
+    assert diag_truncate(DiagRel.from_tail(1j, 1), 3).dtype == np.complex128
+    assert rel_from_matrix(T).graph.basis.dtype == np.float64
+    calls = _count_linalg(monkeypatch)
+    cert = factor.seb_solve(T, B)
+    assert cert.feasible and cert.X.dtype == cert.G0.dtype == np.float64
+    assert calls["eigh"] == 1
+    zero = factor.seb_solve(np.zeros((3, 3)), np.eye(3))
+    assert zero.lambda_star == 0.0 and zero.X.dtype == zero.G0.dtype == np.float64
+    assert factor.reverse_solve(rel_from_matrix(T[:6, :6]), rel_from_matrix(B[:6, :6])).feasible
+    G = np.eye(6) + np.triu(np.full((6, 6), 0.3), 1)
+    assert factor.quasiaffine_decide(G @ B[:6, :6] @ np.linalg.inv(G), B[:6, :6]).affine
+    assert {dtype for _, dtype in calls.dtypes} == {"float64"}, calls.dtypes
+    calls.clear()
+    U = np.diag(np.exp(1j * np.linspace(0.0, 3.0, 40)))
+    assert factor.seb_solve(T, U @ B @ U.conj().T).feasible
+    assert calls.dtypes["eigh", "complex128"] == 1, calls.dtypes
 
 
 def test_dense_engine_decomposition_counts(monkeypatch):

@@ -10,6 +10,7 @@ from psdfactor.errors import DimensionMismatch, NotNonnegSelfadjoint
 from psdfactor.linrel import (
     GRAPH_ATOL,
     LinRel,
+    RelFlags,
     operator_part_relation,
     rel_adjoint,
     rel_classify,
@@ -285,6 +286,14 @@ def test_rel_classify_matches_reference():
             assert flags == rel_classify_reference(T, tol), (T, tol)
             seen.add((tol, flags.selfadjoint))
     assert len(seen) == 8, seen
+
+
+def test_rel_classify_selfadjoint_implies_symmetric():
+    # ||F - F*||_2 = 0.9e-8 passes the absolute gap at tol 1e-8, while the relative
+    # Frobenius test ||F - F*||_F = 1.8e-8 > 1e-8 (1 + ||F||_F) calls it not symmetric
+    flags = rel_classify(rel_from_matrix(0.45e-8j * np.eye(4)), tol=1e-8)
+    assert flags == RelFlags(symmetric=False, nonnegative=False, selfadjoint=False)
+    assert rel_classify(rel_from_matrix(0.45e-8j * np.eye(4)), tol=1e-7).selfadjoint
 
 
 def test_sqrt_examples():

@@ -21,6 +21,21 @@ from oracles import (
 )
 
 
+def test_as_matrix_dtype_rule():
+    # float64 when every entry is real, complex128 otherwise; one rule for every input
+    for real in ([[1, 2]], [[True]], np.eye(2, dtype=np.float32), [[1.5 + 0j, -0.0j]], np.array([[2 - 0j]])):
+        assert nk.as_matrix(real).dtype == np.float64, real
+    assert np.array_equal(nk.as_matrix([[1.5 + 0j, -2 - 0j]]), [[1.5, -2.0]])
+    for cplx in ([[1j]], [[1.0, 1e-300j]], np.array([[1, 2j]], dtype=np.complex64)):
+        assert nk.as_matrix(cplx).dtype == np.complex128, cplx
+    M = np.eye(3)
+    assert nk.as_matrix(M) is M
+    assert nk.herm(np.eye(2) + 1j * np.array([[0.0, 1.0], [-1.0, 0.0]])).dtype == np.complex128
+    for bad in ([[np.inf]], [[1.0, complex(0.0, np.nan)]], [[complex(np.inf, 0.0)]]):
+        with pytest.raises(ValueError):
+            nk.as_matrix(bad)
+
+
 def test_hermitian_eig_identity():
     eig = nk.hermitian_eig(np.eye(2))
     assert np.allclose(eig.eigenvalues, [1.0, 1.0])
