@@ -10,14 +10,15 @@ and every gate and test of the job, ``rel sqrt``, the ``diag`` engines and
 the ``presimilar`` and ``spectra_swap`` spectra included, runs at it.
 ``--seed`` and ``--trials`` likewise win over the job's ``"seed"`` and
 ``"trials"`` keys (defaults 0 and 100) and must be nonnegative integers;
-``--threads`` (default 1) must be an integer >= 1.
+only ``proptest`` reads the seed.  ``--threads`` (default 1) must be an
+integer >= 1.
 Exit codes: 0 = completed (feasible and infeasible both count), 2 = a
 hypothesis gate failed, operands of mismatched shapes included, 3 =
 malformed input, a malformed tolerance, seed, trial count or thread count
 included, or a job the engines cannot finish (a result outside the float
-range or the symbol class, LAPACK non-convergence; numpy overflow and
-invalid operations raise ``FloatingPointError`` inside every job); every
-exit 2 or 3 prints one line to stderr.
+range or the symbol class, LAPACK non-convergence, a ``MemoryError``; numpy
+overflow and invalid operations raise ``FloatingPointError`` inside every
+job); every exit 2 or 3 prints one line to stderr.
 
 A report is one line of JSON with sorted keys, written by json's C
 encoder (an ``indent`` would send it through the pure-Python one); matrices
@@ -181,7 +182,7 @@ def _run_intertwine(job, tol, seed, trials, threads):
     T = _want(job, "T", "intertwine")
     S = _want(job, "S", "intertwine")
     if op == "sylvester":
-        inter = sylvester_intertwiners(T, S, seed=seed, tol=tol)
+        inter = sylvester_intertwiners(T, S, tol=tol)
         return {
             "dimension": inter.dimension,
             "rank": inter.rank,
@@ -417,7 +418,7 @@ def main(argv=None) -> int:
     except HypothesisError as exc:
         print(f"psdfactor: hypothesis failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    except (PsdFactorError, np.linalg.LinAlgError, ValueError, ArithmeticError) as exc:
+    except (PsdFactorError, np.linalg.LinAlgError, ValueError, ArithmeticError, MemoryError) as exc:
         message = " ".join(str(exc).split())
         print(f"psdfactor: cannot finish the job: {type(exc).__name__}: {message}", file=sys.stderr)
         return EXIT_INPUT

@@ -457,5 +457,6 @@ def diag_truncate(D, N: int, force_relation: bool = False):
             cols.append(np.vstack([zero, e]))
         else:
             cols.append(np.vstack([e, complex(v) * e]) / np.sqrt(1.0 + abs(complex(v)) ** 2))
-    stacked = np.hstack(cols) if cols else np.zeros((2 * N, 0), dtype=np.complex128)
-    return LinRel(N, N, Subspace(2 * N, stacked))
+    stacked = np.hstack(cols) if cols else np.zeros((2 * N, 0))
+    # real when every finite value is, so the relation engines run real LAPACK
+    return LinRel(N, N, Subspace(2 * N, as_matrix(stacked)))

@@ -15,8 +15,10 @@ objects and their residuals:
   swap (x; y) -> (y; x): the dual's gates, eta* = 1/lambda*, Y = X^(-1) and
   the dual's residuals;
 * similarity and intertwining deciders (``psd_similarity_decide``,
-  ``wsimilar_forms``, ``quasiaffine_decide``, ``quasisimilar_decide``) plus the
-  package builders that reconstruct T from an intertwiner and a PSD target.
+  ``wsimilar_forms``, ``quasiaffine_decide``, ``quasisimilar_decide``), which
+  return their intertwiners, and the package builders ``inclusionnfs_package``
+  and ``tba_package``, which reconstruct T in a product class from one such
+  intertwiner and the PSD target.
 
 Hypothesis gates (e.g. T*B Hermitian PSD) raise, they never report
 infeasible: conflating them would corrupt the two-sided equivalence tests.
@@ -225,11 +227,12 @@ class QuasiAffinity:
 
 @dataclass
 class QuasiSimilarity:
+    """G1 T = S G1 and G2 T* = S G2, both invertible when ``similar_pair``, and
+    ``checks``: the duality residual ||G2* S - T G2*|| with its tol."""
+
     similar_pair: bool
     G1: np.ndarray | None
     G2: np.ndarray | None
-    adjoint_package: QAPackage | None = None
-    direct_package: QAPackage | None = None
     checks: dict = field(default_factory=dict)
 
 
@@ -716,10 +719,11 @@ def _quasiaffine(T, eig_S) -> QuasiAffinity:
 def quasisimilar_decide(T, S, tol: float = DEFAULT_TOL) -> QuasiSimilarity:
     """T quasi-similar to S = S* >= 0 iff both T and T* are quasi-affine to S.
 
-    Both sides read their Sylvester spaces off one PSD gate of S.  Verifies
-    the duality (G2 intertwines the adjoint pair backwards) and on success
-    emits the two reconstruction packages, which in finite dimension realize
-    T as an element of both product classes.
+    Both sides read their Sylvester spaces off one PSD gate of S.  Returns
+    the certificate: G1 T = S G1, G2 T* = S G2 and the duality check that
+    G2* intertwines the adjoint pair backwards.  T's membership in the two
+    product classes is built apart, by ``tba_package(T, G1, S)`` and
+    ``inclusionnfs_package(T, G2, S)``.
     """
     T, S = _operands("quasisimilar_decide", T, S)
     eig_S = nk.hermitian_eig(S, tol, psd=True, who="quasisimilar_decide: S")
@@ -727,19 +731,12 @@ def quasisimilar_decide(T, S, tol: float = DEFAULT_TOL) -> QuasiSimilarity:
     qa2 = _quasiaffine(T.conj().T, eig_S)
     if not (qa1.affine and qa2.affine):
         return QuasiSimilarity(similar_pair=False, G1=qa1.G, G2=qa2.G)
-    G1, G2 = qa1.G, qa2.G
+    G2 = qa2.G
     checks = {
         "duality_residual": frob(G2.conj().T @ S - T @ G2.conj().T),
         "tol": tol * (1.0 + opnorm(T) + eig_S.norm) * max(1.0, opnorm(G2)),
     }
-    return QuasiSimilarity(
-        similar_pair=True,
-        G1=G1,
-        G2=G2,
-        adjoint_package=inclusionnfs_package(T, G2, S, tol=tol),
-        direct_package=tba_package(T, G1, S, tol=tol),
-        checks=checks,
-    )
+    return QuasiSimilarity(similar_pair=True, G1=qa1.G, G2=G2, checks=checks)
 
 
 def bounded_S_checks(T, G, S, tol: float = DEFAULT_TOL) -> BoundedSReport:

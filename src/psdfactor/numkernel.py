@@ -329,7 +329,7 @@ def spectrum(T, tol: float = DEFAULT_TOL) -> Spectrum:
 _KRONECKER_COMBOS = 64
 
 
-def sylvester_intertwiners(T, S, seed: int = 0, tol: float = DEFAULT_TOL) -> Intertwiners:
+def sylvester_intertwiners(T, S, tol: float = DEFAULT_TOL) -> Intertwiners:
     """The Sylvester space {G : G T = S G} from the eigenspaces of S or T.
 
     Every G = sum_mu R_mu C_mu L_mu*, with R_mu an orthonormal basis of
@@ -345,8 +345,8 @@ def sylvester_intertwiners(T, S, seed: int = 0, tol: float = DEFAULT_TOL) -> Int
     Only when neither matrix qualifies is the space the null space of the
     pn x pn map G -> G T - S G (cut at the same floor), and the maximal-rank
     element the best of ``_KRONECKER_COMBOS`` random unit combinations of its
-    basis, seeded by ``seed`` (maximal rank holds on a Zariski-open set);
-    ties in rank go to the larger smallest retained singular value.
+    basis, drawn from a fixed seed (maximal rank holds on a Zariski-open
+    set); ties in rank go to the larger smallest retained singular value.
     """
     T, S = as_matrix(T), as_matrix(S)
     _require_square(T, "sylvester_intertwiners")
@@ -362,7 +362,7 @@ def sylvester_intertwiners(T, S, seed: int = 0, tol: float = DEFAULT_TOL) -> Int
         blocks = _eigenspace_blocks(spec_T.eigenvalues, T, S, floor)
         if _fills([L for _, L in blocks]):
             return _from_blocks(blocks, S.shape[0], T.shape[0])
-    return _kronecker_intertwiners(T, S, floor, seed)
+    return _kronecker_intertwiners(T, S, floor)
 
 
 def hermitian_intertwiners(T, eig: HermEig) -> Intertwiners:
@@ -432,7 +432,7 @@ def _from_blocks(blocks, p, n) -> Intertwiners:
     return Intertwiners(dimension=dimension, rank=rank, max_rank_element=G, blocks=blocks)
 
 
-def _kronecker_intertwiners(T, S, floor, seed) -> Intertwiners:
+def _kronecker_intertwiners(T, S, floor) -> Intertwiners:
     """The fallback for two non-diagonalizable matrices: a null space of size pn x pn."""
     n, p = T.shape[0], S.shape[0]
     M = np.kron(T.T, np.eye(p)) - np.kron(np.eye(n), S)
@@ -441,7 +441,7 @@ def _kronecker_intertwiners(T, S, floor, seed) -> Intertwiners:
     dim = null.shape[1]
     if not dim:
         return Intertwiners(dimension=0, rank=0, max_rank_element=np.zeros((p, n), dtype=null.dtype), kernel=null)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     best = None
     best_key = (-1, -1.0)
     for _ in range(_KRONECKER_COMBOS):

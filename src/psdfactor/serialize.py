@@ -6,7 +6,7 @@ row-major [re, im] pairs; a relation as {n, m, graph_basis}; a symbol as
 "trivial", "full") and the tail is {coeff: [re, im], power: "p/q"}.  Floats
 round-trip exactly, signed zeros included, so serialize/deserialize is
 value-exact; the one exception is a matrix with no nonzero imaginary part,
-which ``as_matrix`` makes real, so all its imaginary parts print as 0.0.
+which ``as_matrix`` makes real on parse: its imaginary parts print as 0.0.
 
 Matrix data moves a whole array at a time.  ``matrix_to_json`` lists the
 (re, im) columns of the flattened matrix in one ``tolist``.
@@ -78,8 +78,8 @@ def matrix_to_json(M):
 
 
 def _array_data(data, size):
-    """``data`` as ``size`` complex128 entries when one ``np.array`` reads it
-    as finite numbers, bare or in [re, im] pairs; else None."""
+    """``data`` as ``size`` entries, complex128 pairs or float64 bare numbers,
+    when one ``np.array`` reads it as finite numbers; else None."""
     try:
         a = np.array(data)
     except (ValueError, TypeError, OverflowError):
@@ -89,7 +89,7 @@ def _array_data(data, size):
     a = np.ascontiguousarray(a, dtype=np.float64)
     if not np.isfinite(a).all():
         return None
-    return a.view(np.complex128).reshape(size) if a.ndim == 2 else a.astype(np.complex128)
+    return a.view(np.complex128).reshape(size) if a.ndim == 2 else a
 
 
 def _entry_data(data, where):
@@ -116,7 +116,7 @@ def matrix_from_json(obj, where="matrix"):
     flat = _array_data(data, rows * cols)
     if flat is None:
         flat = _entry_data(data, where)
-    return flat.reshape(rows, cols)
+    return as_matrix(flat.reshape(rows, cols))
 
 
 def relation_to_json(R: LinRel):

@@ -624,7 +624,8 @@ def diag_reverse_solve_reference(T, B, tol: float = 1e-12) -> DiagReverseResult:
 
 
 def matrix_from_json_reference(obj, where="matrix"):
-    """A complex128 matrix from {rows, cols, data}, one complex_from_json per entry."""
+    """A matrix from {rows, cols, data}, one complex_from_json per entry; real
+    (float64) when no imaginary part is nonzero, by ``as_matrix``."""
     try:
         rows, cols, data = obj["rows"], obj["cols"], obj["data"]
     except (TypeError, KeyError) as exc:
@@ -634,7 +635,7 @@ def matrix_from_json_reference(obj, where="matrix"):
     if not isinstance(data, list) or len(data) != rows * cols:
         raise ParseError(f"{where}: data must hold rows*cols = {rows * cols} entries")
     flat = [complex_from_json(z, f"{where}.data[{i}]") for i, z in enumerate(data)]
-    return np.array(flat, dtype=np.complex128).reshape(rows, cols)
+    return nk.as_matrix(np.array(flat, dtype=np.complex128).reshape(rows, cols))
 
 
 @dataclass(frozen=True)

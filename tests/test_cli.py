@@ -88,6 +88,13 @@ def test_matrix_round_trip_value_exact():
     # a matrix with no nonzero imaginary part is real: every imaginary part prints as 0.0
     R = np.array([[-0.0, -0.0], [1.5, -0.0], [-2.0, 0.0]]).view(np.complex128)
     assert json.dumps(serialize.matrix_to_json(R)["data"]) == "[[-0.0, 0.0], [1.5, 0.0], [-2.0, 0.0]]"
+    # and parses as float64, from pairs or bare numbers; a relation keeps its real basis
+    for data in ([1.0, 2.0], [[1.0, 0.0], [2.0, -0.0]], [1, [2.0, 0.0]]):
+        back = serialize.matrix_from_json({"rows": 1, "cols": 2, "data": data})
+        assert back.dtype == np.float64 and np.array_equal(back, [[1.0, 2.0]]), data
+    assert serialize.matrix_from_json({"rows": 1, "cols": 1, "data": [[1.0, 1e-300]]}).dtype == np.complex128
+    rel = serialize.relation_from_json(serialize.relation_to_json(rel_from_matrix(R.real)))
+    assert rel.graph.basis.dtype == np.float64
 
 
 _FINITE_ENTRIES = (
@@ -391,6 +398,23 @@ def test_cli_unfinishable_job_exit_3(tmp_path, monkeypatch, capsys, command, job
     assert code == 3
     assert out == ""
     assert err.startswith(f"psdfactor: cannot finish the job: {error}: ") and err.count("\n") == 1
+
+
+def test_cli_memory_error_exit_3(tmp_path, monkeypatch, capsys):
+    # a job too large for memory (the Kronecker fallback at n ~ 150 needs 8 GB) ends
+    # with one line, not a traceback; the engine is stubbed, nothing large is allocated
+    message = "Unable to allocate 7.63 GiB for an array with shape (32000, 32000)"
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "sylvester_intertwiners", out_of_memory)
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"op": "sylvester", "T": _ONE, "S": _ONE}))
+    code = cli.main(["intertwine", "--in", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err == f"psdfactor: cannot finish the job: MemoryError: {message}\n"
 
 
 def test_cli_wall_clock_covers_reading_the_job(tmp_path, monkeypatch, capsys):

@@ -292,6 +292,10 @@ def test_real_problems_decompose_in_real_arithmetic(monkeypatch):
     assert T.dtype == B.dtype == np.float64
     assert diag_truncate(DiagRel.from_tail(1j, 1), 3).dtype == np.complex128
     assert rel_from_matrix(T).graph.basis.dtype == np.float64
+    # forced and marker relations are real when every finite value is
+    assert diag_truncate(DiagRel.from_tail(1, 1), 3, True).graph.basis.dtype == np.float64
+    assert diag_truncate(DiagRel.from_head([INF, 0.5, 2.0]), 3).graph.basis.dtype == np.float64
+    assert diag_truncate(DiagRel.from_head([INF, 0.5j]), 3).graph.basis.dtype == np.complex128
     calls = _count_linalg(monkeypatch)
     cert = factor.seb_solve(T, B)
     assert cert.feasible and cert.X.dtype == cert.G0.dtype == np.float64
@@ -351,12 +355,10 @@ def test_dense_engine_decomposition_counts(monkeypatch):
     qs = factor.quasisimilar_decide(TS, S)
     assert qs.similar_pair
     # one PSD gate of S for both sides, 2 x (||T||, 12 kernels), ||T|| and ||G2|| for
-    # the duality check, and the two packages (56, with their own gates of S,
-    # seb_solve and reverse_solve; inclusionnfs reuses the ||T*|| of its gate);
-    # 116 calls with spectrum(S)
-    assert sum(calls.values()) <= 85 and calls["eig"] == 0, calls
-    # the largest are the 2n x n graph bases of the reverse_solve in tba_package
-    assert calls.max_dim == 2 * n, calls.max_dim
+    # the duality check (116 with spectrum(S), then 85 while it built both packages)
+    assert sum(calls.values()) <= 29 and calls["eigh"] == 1 and calls["eig"] == 0, calls
+    # nothing larger than n x n (2n x n graph bases while tba_package ran reverse_solve)
+    assert calls.max_dim == n, calls.max_dim
 
 
 def test_relation_decomposition_counts(monkeypatch):
@@ -953,8 +955,11 @@ def test_quasisimilar_decide():
         qs = factor.quasisimilar_decide(T, D)
         assert qs.similar_pair
         assert qs.checks["duality_residual"] <= qs.checks["tol"]
-        assert qs.adjoint_package.diagnostics["reconstruction"] <= qs.adjoint_package.diagnostics["tol"]
-        assert qs.direct_package.diagnostics["reconstruction"] <= qs.direct_package.diagnostics["tol"]
+        # the certificate's intertwiners realize T in both product classes
+        adjoint = factor.inclusionnfs_package(T, qs.G2, D)
+        direct = factor.tba_package(T, qs.G1, D)
+        assert adjoint.diagnostics["reconstruction"] <= adjoint.diagnostics["tol"]
+        assert direct.diagnostics["reconstruction"] <= direct.diagnostics["tol"]
         # spectra line up with the target through the pre-similarity chain
         assert hausdorff(np.linalg.eigvals(T), np.diag(D)) <= 1e-7
 
@@ -964,7 +969,7 @@ def test_quasisimilar_decide():
 )
 def test_deciders_gate_the_target(S):
     # the target must be S = S* >= 0; for diag(-1, 2) against itself
-    # quasisimilar_decide used to report a similar pair and build both packages
+    # quasisimilar_decide used to report a similar pair
     for decide in (factor.quasiaffine_decide, factor.quasisimilar_decide):
         with pytest.raises(NotPSD):
             decide(S, S)

@@ -242,16 +242,16 @@ def test_sylvester_basis_residuals():
             assert nk.frob(G @ T - S @ G) <= 1e-9 * (1 + nk.opnorm(T) + nk.opnorm(S))
 
 
-def test_sylvester_seed_determinism():
+def test_sylvester_determinism():
     rng = np.random.default_rng(31)
     T = rng.standard_normal((3, 3))
-    a = nk.sylvester_intertwiners(T, T, seed=5)
-    b = nk.sylvester_intertwiners(T, T, seed=5)
+    a = nk.sylvester_intertwiners(T, T)
+    b = nk.sylvester_intertwiners(T, T)
     assert np.array_equal(a.max_rank_element, b.max_rank_element)
-    # two Jordan blocks: the seeded search of the Kronecker fallback
+    # two Jordan blocks: the fixed-seed search of the Kronecker fallback
     J = np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0]])
-    a = nk.sylvester_intertwiners(J, J, seed=5)
-    b = nk.sylvester_intertwiners(J, J, seed=5)
+    a = nk.sylvester_intertwiners(J, J)
+    b = nk.sylvester_intertwiners(J, J)
     assert a.kernel is not None and a.rank == 3
     assert np.array_equal(a.max_rank_element, b.max_rank_element)
 
@@ -364,6 +364,22 @@ def test_sylvester_matches_kronecker_reference():
                 assert out.dimension == sylvester_dimension(eT, eS), family
             paths[family, "kronecker" if out.kernel is not None else "eigenspaces"] += 1
     assert paths["jordan_both", "kronecker"] >= 50 and paths["jordan_S", "eigenspaces"] == 75, paths
+
+
+def test_sylvester_jordan_blocks():
+    # J(k) against another similarity of J(k): the space is the polynomials in the
+    # shift, of dimension k and full rank.  Computed eigenvalues of J(k) spread by
+    # about eps^(1/k) ||T||, which splits J(k) under any fixed clustering distance
+    # once k is large enough.
+    rng = np.random.default_rng(36)
+    for k in range(2, 11):
+        for mu in rng.choice(LEVELS, size=3):
+            J = mu * np.eye(k) + np.eye(k, k=1)
+            G, H = conditioned_invertible(rng, k, 5.0), conditioned_invertible(rng, k, 5.0)
+            T, S = G @ J @ np.linalg.inv(G), H @ J @ np.linalg.inv(H)
+            out = nk.sylvester_intertwiners(T, S)
+            ref = sylvester_intertwiners_reference(T, S)
+            assert (out.dimension, out.rank) == (len(ref.basis), ref.rank) == (k, k), (k, mu)
 
 
 def test_subspace_operations():
