@@ -1,7 +1,7 @@
 """Batch front-end: one subcommand per engine, JSON in, JSON report out.
 
     psdfactor <command> --in job.json [--tol 1e-8] [--seed N] [--trials K]
-                        [--threads J] [--out report.json]
+                        [--out report.json]
 
 ``--in -`` reads the job from stdin.  The tolerance is the first one given
 of ``--tol``, the job's ``"tol"`` key and the environment variable
@@ -10,8 +10,9 @@ and every gate and test of the job, ``rel sqrt``, the ``diag`` engines and
 the ``presimilar`` and ``spectra_swap`` spectra included, runs at it.
 ``--seed`` and ``--trials`` likewise win over the job's ``"seed"`` and
 ``"trials"`` keys (defaults 0 and 100) and must be nonnegative integers;
-only ``proptest`` reads the seed.  ``--threads`` (default 1) must be an
-integer >= 1.
+only ``proptest`` reads the seed.  A ``proptest`` campaign runs its trials
+in order on one thread.  ``--threads J`` is still accepted and must be an
+integer >= 1 (default 1), but it selects nothing.
 Exit codes: 0 = completed (feasible and infeasible both count), 2 = a
 hypothesis gate failed, operands of mismatched shapes included, 3 =
 malformed input, a malformed tolerance, seed, trial count or thread count
@@ -24,7 +25,7 @@ A report is one line of JSON with sorted keys, written by json's C
 encoder (an ``indent`` would send it through the pure-Python one); matrices
 in it and in the job move through ``serialize`` a whole array at a time.
 Reports are deterministic: a fixed JobSpec yields a byte-identical report
-apart from the ``wall_clock_s`` field, independent of ``--threads``.
+apart from the ``wall_clock_s`` field.
 ``wall_clock_s`` runs from before the job is read to the end of the run, so
 it covers reading and parsing the job; only the final ``json.dumps`` of the
 report and its writing fall outside it.
@@ -134,7 +135,7 @@ def _want(job, key, where, kinds=np.ndarray):
     return value
 
 
-def _run_seb(job, tol, seed, trials, threads):
+def _run_seb(job, tol, seed, trials):
     T = _want(job, "T", "seb", _OPERAND)
     B = _want(job, "B", "seb", _OPERAND)
     if isinstance(T, LinRel) or isinstance(B, LinRel):
@@ -152,7 +153,7 @@ def _run_seb(job, tol, seed, trials, threads):
     }
 
 
-def _run_reverse(job, tol, seed, trials, threads):
+def _run_reverse(job, tol, seed, trials):
     T = as_relation(_want(job, "T", "reverse", _OPERAND))
     B = as_relation(_want(job, "B", "reverse", _OPERAND))
     cert = factor.reverse_solve(T, B, tol=tol)
@@ -165,7 +166,7 @@ def _run_reverse(job, tol, seed, trials, threads):
     }
 
 
-def _run_wsimilar(job, tol, seed, trials, threads):
+def _run_wsimilar(job, tol, seed, trials):
     T = _want(job, "T", "wsimilar")
     forms = factor.wsimilar_forms(T, tol=tol)
     out = {
@@ -177,7 +178,7 @@ def _run_wsimilar(job, tol, seed, trials, threads):
     return out
 
 
-def _run_intertwine(job, tol, seed, trials, threads):
+def _run_intertwine(job, tol, seed, trials):
     op = job.get("op", "sylvester")
     T = _want(job, "T", "intertwine")
     S = _want(job, "S", "intertwine")
@@ -202,7 +203,7 @@ def _run_intertwine(job, tol, seed, trials, threads):
     raise ParseError(f"intertwine: unknown op {op!r}")
 
 
-def _run_factor(job, tol, seed, trials, threads):
+def _run_factor(job, tol, seed, trials):
     op = job.get("op")
     if op == "douglas":
         sol = factor.douglas_solve(_want(job, "T", op), _want(job, "B", op), tol=tol)
@@ -264,7 +265,7 @@ def _run_factor(job, tol, seed, trials, threads):
     raise ParseError(f"factor: unknown op {op!r}")
 
 
-def _run_rel(job, tol, seed, trials, threads):
+def _run_rel(job, tol, seed, trials):
     op = job.get("op")
     if op in ("adjoint", "inverse", "sqrt", "moore_penrose", "parts", "classify"):
         T = as_relation(_want(job, "T", f"rel.{op}", _OPERAND))
@@ -306,7 +307,7 @@ def _run_rel(job, tol, seed, trials, threads):
     raise ParseError(f"rel: unknown op {op!r}")
 
 
-def _run_diag(job, tol, seed, trials, threads):
+def _run_diag(job, tol, seed, trials):
     op = job.get("op")
     if op in ("seb", "reverse", "compose", "order_leq"):
         t = _want(job, "t", f"diag.{op}", DiagRel)
@@ -342,11 +343,11 @@ def _run_diag(job, tol, seed, trials, threads):
     raise ParseError(f"diag: unknown op {op!r}")
 
 
-def _run_proptest(job, tol, seed, trials, threads):
+def _run_proptest(job, tol, seed, trials):
     suite = job.get("suite")
     if not isinstance(suite, str) or suite not in proptests.SUITES:
         raise ParseError(f"proptest: 'suite' {suite!r} is not one of {sorted(proptests.SUITES)}")
-    return proptests.run_suite(suite, trials=trials, seed=seed, tol=tol, threads=threads)
+    return proptests.run_suite(suite, trials=trials, seed=seed, tol=tol)
 
 
 _COMMANDS = {
@@ -375,14 +376,12 @@ def build_parser():
     return p
 
 
-def run_job(
-    command: str, job: dict, tol: float, seed: int, trials: int, threads: int, started=None
-) -> dict:
+def run_job(command: str, job: dict, tol: float, seed: int, trials: int, started=None) -> dict:
     """Run one job; ``wall_clock_s`` counts from ``started`` (a ``time.monotonic()``), else from now."""
     t0 = time.monotonic() if started is None else started
     # an overflow or an invalid operation ends the job (exit 3), not the report
     with np.errstate(over="raise", invalid="raise"):
-        results = _COMMANDS[command](job, tol, seed, trials, threads)
+        results = _COMMANDS[command](job, tol, seed, trials)
     report = {
         "command": command,
         "tol": tol,
@@ -410,8 +409,8 @@ def main(argv=None) -> int:
         tol = _setting(args.tol, job, "tol", _tolerance, DEFAULT_TOL, env="PSDFACTOR_TOL")
         seed = _setting(args.seed, job, "seed", _count, 0)
         trials = _setting(args.trials, job, "trials", _count, 100)
-        threads = _count(args.threads, "--threads", least=1)
-        report = run_job(args.command, job, tol, seed, trials, threads, started=started)
+        _count(args.threads, "--threads", least=1)  # selects nothing, but is still checked
+        report = run_job(args.command, job, tol, seed, trials, started=started)
     except ParseError as exc:
         print(f"psdfactor: parse error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -387,8 +387,7 @@ def seb_relation_solve(T: LinRel, B: LinRel, tol: float = DEFAULT_TOL) -> SebCer
     ker_ts_adj = kernel_basis((Y - M @ (M.conj().T @ Y)).conj().T, atol=GRAPH_ATOL)
     if not subspace_contains(ker_ts_adj, rel_parts(B).mul, tol=tol):
         raise HypothesisFailed("seb_relation_solve: mul B is not contained in ker (T_s)*")
-    Tadj = rel_adjoint(T)
-    M_rel = rel_compose(Tadj, B)
+    M_rel = rel_compose(rel_adjoint(T), B)
     mflags = rel_classify(M_rel, tol=tol)
     if not (mflags.selfadjoint and mflags.nonnegative):
         raise HypothesisFailed("seb_relation_solve: T*B is not selfadjoint nonnegative")
@@ -407,10 +406,10 @@ def seb_relation_solve(T: LinRel, B: LinRel, tol: float = DEFAULT_TOL) -> SebCer
     incl_ts = rel_containment_residual(operator_part_relation(T, parts_T), XB0)
     incl_t = rel_containment_residual(T, XB0)
 
-    lhs = rel_compose(Tadj, B0)
+    # T* B0 = T* B = M_rel, as B0 is B restricted to dom M
     mid = rel_compose(B0adj, XB0)
     rhs = rel_compose(B0adj, T)
-    chain_resid = max(rel_distance(lhs, mid), rel_distance(lhs, rhs))
+    chain_resid = max(rel_distance(M_rel, mid), rel_distance(M_rel, rhs))
 
     ker_x_bound = opnorm(X @ ker_ts_adj.basis) if ker_ts_adj.dim else 0.0
 
@@ -526,14 +525,14 @@ def wsimilar_forms(T, tol: float = DEFAULT_TOL) -> WSimilarForms:
     X = G*G with X T = T* X; then S = X^(1/2) T X^(-1/2), B1 = X T with
     X1 = X^(-1), B2 = X^(-1) T* with X2 = X, W = X2^(-1), Z = X1^(-1), and
     TW, ZT are Hermitian PSD.  plusdot_ok records ran T (+) ker T = H by the
-    rank-sum and zero-intersection test.  ||T|| and cond(G0) come from the
+    zero-intersection test; the dimensions of ran T and ker T, read off one
+    SVD of the square T, always sum to n.  ||T|| and cond(G0) come from the
     spectrum that decided the similarity.
     """
     T = as_matrix(T)
     sim, spec = _psd_similarity(T, tol)
     if not sim.accept:
         raise NotScalarNonneg("wsimilar_forms: T is not similar to a PSD matrix")
-    n = T.shape[0]
     G0inv = np.linalg.inv(sim.G)
     X = herm(G0inv.conj().T @ G0inv)
     Xi = herm(sim.G @ sim.G.conj().T)
@@ -547,7 +546,7 @@ def wsimilar_forms(T, tol: float = DEFAULT_TOL) -> WSimilarForms:
     )
     split = svd_split(T)
     inter = subspace_intersect(split.ran, split.ker)
-    forms.plusdot_ok = (split.ran.dim + split.ker.dim == n) and inter.dim == 0
+    forms.plusdot_ok = inter.dim == 0
     cond2 = spec.eigvec_condition ** 2
     ctol = tol * cond2 * max(1.0, spec.norm)
     forms.checks = {

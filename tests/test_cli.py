@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psdfactor import cli, serialize
+from psdfactor import cli, proptests, serialize
 from psdfactor.diagmodel import INF, DiagRel, DiagSymbol
 from psdfactor.errors import ParseError
 from psdfactor.linrel import rel_distance, rel_from_graph, rel_from_matrix
@@ -417,6 +417,22 @@ def test_cli_memory_error_exit_3(tmp_path, monkeypatch, capsys):
     assert err == f"psdfactor: cannot finish the job: MemoryError: {message}\n"
 
 
+@pytest.mark.parametrize("threads", ["1", "4"])
+def test_cli_proptest_keeps_the_floating_point_rules(monkeypatch, capsys, threads):
+    # a campaign's trials run under the job's np.errstate: an overflow ends the job
+    # (exit 3, one line) rather than reaching the report as inf, whatever --threads says
+    def overflowing_trial(rng, tol):
+        return {"value": float(np.float64(1e308) * 10.0), "ok": True}
+
+    monkeypatch.setitem(proptests.SUITES, "overflow", overflowing_trial)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"suite": "overflow"})))
+    code = cli.main(["proptest", "--in", "-", "--trials", "3", "--threads", threads])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err.startswith("psdfactor: cannot finish the job: FloatingPointError: ")
+    assert err.count("\n") == 1, err
+
+
 def test_cli_wall_clock_covers_reading_the_job(tmp_path, monkeypatch, capsys):
     # A fake clock that only reading and parsing the job advances: the report must show it.
     now = [100.0]
@@ -472,8 +488,8 @@ def test_run_job_in_process_determinism():
         "T": serialize.matrix_to_json(np.eye(3)),
         "B": serialize.matrix_to_json(np.diag([1.0, 2.0, 3.0])),
     }
-    a = strip_timing(cli.run_job("seb", job, tol=1e-8, seed=0, trials=1, threads=1))
-    b = strip_timing(cli.run_job("seb", job, tol=1e-8, seed=0, trials=1, threads=1))
+    a = strip_timing(cli.run_job("seb", job, tol=1e-8, seed=0, trials=1))
+    b = strip_timing(cli.run_job("seb", job, tol=1e-8, seed=0, trials=1))
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 

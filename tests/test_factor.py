@@ -363,8 +363,8 @@ def test_dense_engine_decomposition_counts(monkeypatch):
 
 def test_relation_decomposition_counts(monkeypatch):
     # Counts are machine-independent; the earlier forms took 5, 3 and 7 SVDs for
-    # compose, restrict and parts, 116 then 45 calls for seb_relation_solve and
-    # 227, 87 then 76 for reverse_solve.
+    # compose, restrict and parts, 116, 45 then 35 calls for seb_relation_solve and
+    # 227, 87, 76 then 39 for reverse_solve.
     rng = np.random.default_rng(31)
     n = 4
     T = rel_from_graph(rng.standard_normal((2 * n, 5)) + 1j * rng.standard_normal((2 * n, 5)), n, n)
@@ -387,11 +387,11 @@ def test_relation_decomposition_counts(monkeypatch):
     calls.clear()
     # one eigh of the form of T*B gives ker M, lambda* and G0; no T*T is formed
     assert factor.seb_relation_solve(Bm, Bm).feasible
-    assert sum(calls.values()) <= 35 and calls["eigh"] == 1, calls
+    assert sum(calls.values()) <= 33 and calls["eigh"] == 1, calls
     calls.clear()
-    # the dual's 35, the two adjoints, the span of X for Y and the rank of T*'s second block
+    # the dual's 33, the two adjoints, the span of X for Y and the rank of T*'s second block
     assert factor.reverse_solve(Tm, Bm).feasible
-    assert sum(calls.values()) <= 39 and calls["eigh"] == 1, calls
+    assert sum(calls.values()) <= 37 and calls["eigh"] == 1, calls
     calls.clear()
     # selfadjointness is read off the graph form: eigvalsh(F) and ||F - F*||, no adjoint
     calls.max_dim = 0
