@@ -21,20 +21,24 @@ range or the symbol class, LAPACK non-convergence, a ``MemoryError``; numpy
 overflow and invalid operations raise ``FloatingPointError`` inside every
 job); every exit 2 or 3 prints one line to stderr.
 
-A report is one line of JSON with sorted keys, written by json's C
-encoder (an ``indent`` would send it through the pure-Python one); matrices
-in it and in the job move through ``serialize`` a whole array at a time.
+The job is parsed by orjson, so NaN and Infinity literals, which are not
+JSON, exit 3; a seed, trial count or ``N`` written as an integer beyond 64
+bits, which orjson reads as a rounded float, exits 3 too, as does a job
+nested too deeply for the error message that names its bad value.
+A report is one line of JSON with sorted keys and ``(",", ": ")``
+separators, written by ``serialize.dumps_report``: json's C encoder writes
+every scalar and orjson writes each matrix's data from its float64 array;
+matrices in the job move through ``serialize`` a whole array at a time too.
 Reports are deterministic: a fixed JobSpec yields a byte-identical report
 apart from the ``wall_clock_s`` field.
 ``wall_clock_s`` runs from before the job is read to the end of the run, so
-it covers reading and parsing the job; only the final ``json.dumps`` of the
-report and its writing fall outside it.
+it covers reading and parsing the job; only the final ``dumps_report`` of
+the report and its writing fall outside it.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -69,6 +73,7 @@ from .linrel import (
 )
 from .numkernel import DEFAULT_TOL, span, sylvester_intertwiners
 from .serialize import (
+    dumps_report,
     loads,
     payload_from_json,
     payload_to_json,
@@ -98,6 +103,8 @@ def _tolerance(value, source):
 
 def _count(value, source, least=0):
     """A seed, trial or thread count: an integer >= least, or ParseError."""
+    if isinstance(value, float) and abs(value) >= 2.0**64:
+        raise ParseError(f"{source}: {value!r} is beyond 64 bits, where integers parse as rounded floats")
     try:
         n = int(value)
     except (TypeError, ValueError, OverflowError):
@@ -417,11 +424,14 @@ def main(argv=None) -> int:
     except HypothesisError as exc:
         print(f"psdfactor: hypothesis failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
+    except RecursionError:  # orjson parses any depth, but the repr of a bad value recurses
+        print("psdfactor: parse error: the job is nested too deeply", file=sys.stderr)
+        return EXIT_INPUT
     except (PsdFactorError, np.linalg.LinAlgError, ValueError, ArithmeticError, MemoryError) as exc:
         message = " ".join(str(exc).split())
         print(f"psdfactor: cannot finish the job: {type(exc).__name__}: {message}", file=sys.stderr)
         return EXIT_INPUT
-    text = json.dumps(report, sort_keys=True, separators=(",", ": "))
+    text = dumps_report(report)
     if args.outfile:
         with open(args.outfile, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

@@ -304,7 +304,9 @@ def _seb_factor(Ts, A, tol: float, who: str, D=None):
     A = D* M_s D = V diag(w) V* is the form of M on an orthonormal basis D of
     dom M (None: the identity) and Ts the operator part of T.  ker A is the
     eigenvectors with |w| <= RANK_RTOL max|w|; it must leak nothing into T,
-    ||Ts D V_ker|| <= tol (1 + ||Ts D||).  Then F = Ts D V_+ w_+^(-1/2),
+    ||Ts D V_ker|| <= tol (1 + ||Ts D||), where ||Ts D|| is taken by an SVD
+    only when its bounds, the largest column norm and the Frobenius norm,
+    leave the test open.  Then F = Ts D V_+ w_+^(-1/2),
     X = F F*, lambda* = lambda_max(X) = ||X|| and G0 = F (D V_+)* / sqrt(lambda*).
     Returns (leak, lambda*, X, G0), X None past the leak bound and
     lambda* = 0 with zero X and G0 when F vanishes.
@@ -315,7 +317,10 @@ def _seb_factor(Ts, A, tol: float, who: str, D=None):
     TD = Ts if D is None else Ts @ D
 
     leak = opnorm(TD @ V[:, np.abs(w) <= cut])
-    if leak and leak > tol * (1.0 + opnorm(TD)):
+    # max column norm <= ||TD|| <= ||TD||_F: the SVD settles only a leak between the two
+    if leak and leak > tol * (1.0 + np.linalg.norm(TD, axis=0).max(initial=0.0)) and (
+        leak > tol * (1.0 + frob(TD)) or leak > tol * (1.0 + opnorm(TD))
+    ):
         return leak, math.inf, None, None
 
     live = w > cut

@@ -8,16 +8,26 @@ round-trip exactly, signed zeros included, so serialize/deserialize is
 value-exact; the one exception is a matrix with no nonzero imaginary part,
 which ``as_matrix`` makes real on parse: its imaginary parts print as 0.0.
 
+Jobs are parsed by ``loads`` with orjson, which refuses the non-JSON
+literals NaN and Infinity and reads an integer beyond 64 bits as a float.
 Matrix data moves a whole array at a time.  ``matrix_to_json`` lists the
-(re, im) columns of the flattened matrix in one ``tolist``.
+(re, im) columns of the flattened matrix in one ``tolist``;
+``payload_to_json``, which builds the payloads of a report, keeps them as
+the ``(rows*cols, 2)`` float64 array, and ``dumps_report`` writes each such
+array with one ``orjson.dumps``.  The floats of matrix data in a report
+therefore carry the shortest round-trip digits in orjson's spelling, which
+can differ from json's in text but not in value: ``1e-05`` is written
+``0.00001`` and ``1e+16`` is written ``1e16``.  Every other scalar of a
+report keeps json's spelling, non-finite ones included (``Infinity``,
+``NaN``), until reports become strict JSON (ROADMAP item 2).
 ``matrix_from_json`` reads ``data`` with one ``np.array`` and takes the
 result only when it holds booleans, integers or floats, has shape
 ``(rows*cols, 2)`` (pairs) or ``(rows*cols,)`` (bare numbers) and is finite
 throughout; the float64 pairs are then viewed as complex128, which keeps an
 imaginary -0.0.  Any data that array refuses (mixed pairs and bare numbers,
-strings, null, NaN/Infinity, integers beyond the float range, ragged or
-nested lists) is parsed entry by entry with ``complex_from_json``, which
-accepts it or names its first bad entry.
+strings, null, integers beyond the float range, ragged or nested lists) is
+parsed entry by entry with ``complex_from_json``, which accepts it or names
+its first bad entry.
 """
 
 from __future__ import annotations
@@ -28,6 +38,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import orjson
 
 from .diagmodel import _MARKERS, DiagRel, DiagSymbol, _Marker
 from .errors import ParseError
@@ -46,6 +57,7 @@ __all__ = [
     "payload_to_json",
     "payload_from_json",
     "loads",
+    "dumps_report",
 ]
 
 def complex_to_json(z):
@@ -70,11 +82,17 @@ def complex_from_json(obj, where="scalar"):
     return z
 
 
-def matrix_to_json(M):
+def _matrix_payload(M):
+    """A matrix payload whose data is the (rows*cols, 2) float64 array of its (re, im) pairs."""
     M = as_matrix(M)
     flat = M.reshape(-1)
-    data = np.stack([flat.real, flat.imag], axis=1).tolist()
-    return {"rows": M.shape[0], "cols": M.shape[1], "data": data}
+    return {"rows": M.shape[0], "cols": M.shape[1], "data": np.stack([flat.real, flat.imag], axis=1)}
+
+
+def matrix_to_json(M):
+    obj = _matrix_payload(M)
+    obj["data"] = obj["data"].tolist()
+    return obj
 
 
 def _array_data(data, size):
@@ -119,12 +137,12 @@ def matrix_from_json(obj, where="matrix"):
     return as_matrix(flat.reshape(rows, cols))
 
 
+def _relation_payload(R: LinRel, matrix):
+    return {"n": R.dom_dim, "m": R.codom_dim, "graph_basis": matrix(R.graph.basis)}
+
+
 def relation_to_json(R: LinRel):
-    return {
-        "n": R.dom_dim,
-        "m": R.codom_dim,
-        "graph_basis": matrix_to_json(R.graph.basis),
-    }
+    return _relation_payload(R, matrix_to_json)
 
 
 def relation_from_json(obj, where="relation"):
@@ -208,16 +226,47 @@ def payload_from_json(obj, where="input"):
 
 
 def payload_to_json(value):
+    """The report payload of a value; matrix data stays an array, which ``dumps_report`` writes."""
     if isinstance(value, LinRel):
-        return relation_to_json(value)
+        return _relation_payload(value, _matrix_payload)
     if isinstance(value, (DiagRel, DiagSymbol)):
         return symbol_to_json(value)
-    return matrix_to_json(value)
+    return _matrix_payload(value)
 
 
 def loads(text: str):
-    """json.loads with line/column diagnostics folded into ParseError."""
+    """orjson.loads with line/column diagnostics folded into ParseError."""
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        return orjson.loads(text)
+    except orjson.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+
+
+# json writes the string "\0" as this; a matrix's data holds its place in json's pass
+_SLOT = '"\\u0000"'
+
+
+def dumps_report(report) -> str:
+    """A report as one line of JSON: sorted keys, json's ``(",", ": ")`` separators.
+
+    json's C encoder writes the whole report in one pass, every scalar in
+    json's spelling.  Each matrix data array (see ``payload_to_json``) holds
+    a placeholder there, which one ``orjson.dumps`` of the array then
+    replaces.  The arrays are finite, as ``as_matrix`` admits nothing else,
+    so orjson never meets the Infinity and NaN it would write as null.
+    """
+    arrays = []
+
+    def slot(obj):
+        if not isinstance(obj, np.ndarray):
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        arrays.append(obj)
+        return "\0"
+
+    pieces = json.dumps(report, sort_keys=True, separators=(",", ": "), default=slot).split(_SLOT)
+    if len(pieces) != len(arrays) + 1:
+        raise ValueError('a report string is "\\0", the placeholder of matrix data')
+    out = [pieces[0]]
+    for data, piece in zip(arrays, pieces[1:]):
+        out += (orjson.dumps(data, option=orjson.OPT_SERIALIZE_NUMPY).decode(), piece)
+    return "".join(out)

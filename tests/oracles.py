@@ -34,9 +34,13 @@ earlier ``subspace_distance``, the norm of the difference of the two
 projectors whatever the dimensions, and ``rel_classify``, which calls a
 relation selfadjoint when that distance from graph T to graph T* (built by
 ``rel_adjoint``) is at most tol, where the library measures subspaces on
-their bases and reads selfadjointness off the graph form.
+their bases and reads selfadjointness off the graph form.  The report writer
+reference is the earlier ``cli.main`` dump: one ``json.dumps`` with sorted
+keys, every matrix entry listed by ``tolist`` and written by json, where the
+library writes matrix data with orjson.
 """
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -636,6 +640,11 @@ def matrix_from_json_reference(obj, where="matrix"):
         raise ParseError(f"{where}: data must hold rows*cols = {rows * cols} entries")
     flat = [complex_from_json(z, f"{where}.data[{i}]") for i, z in enumerate(data)]
     return nk.as_matrix(np.array(flat, dtype=np.complex128).reshape(rows, cols))
+
+
+def dumps_report_reference(report):
+    """A report as one line of json's C encoder, matrix data arrays listed first."""
+    return json.dumps(report, sort_keys=True, separators=(",", ": "), default=np.ndarray.tolist)
 
 
 @dataclass(frozen=True)

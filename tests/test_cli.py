@@ -6,6 +6,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import types
@@ -24,7 +25,7 @@ from psdfactor.errors import ParseError
 from psdfactor.linrel import rel_distance, rel_from_graph, rel_from_matrix
 from psdfactor.proptests import random_relation
 
-from oracles import matrix_from_json_reference
+from oracles import dumps_report_reference, matrix_from_json_reference
 
 
 def run_cli(args, stdin=None):
@@ -159,7 +160,7 @@ def test_matrix_from_json_matches_reference():
 
 def test_cli_matrices_move_a_whole_array_at_a_time(tmp_path, monkeypatch):
     # a well-formed job and its report pass no matrix entry through the scalar codec,
-    # and the report is the one-line dump of json's C encoder
+    # and none through json: orjson parses the job, json writes only the report's frame
     rng = np.random.default_rng(64)
     A = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
     B = A @ A.conj().T + np.eye(64)
@@ -171,11 +172,18 @@ def test_cli_matrices_move_a_whole_array_at_a_time(tmp_path, monkeypatch):
             calls[_name] += 1
             return _codec(*args, **kwargs)
         monkeypatch.setattr(serialize, name, counted)
+    frames = []
+
+    def frame_dumps(*args, **kwargs):
+        frames.append(json.dumps(*args, **kwargs))
+        return frames[-1]
+
+    monkeypatch.setattr(serialize, "json", types.SimpleNamespace(dumps=frame_dumps))
     out = tmp_path / "report.json"
     assert cli.main(["seb", "--in", str(job), "--out", str(out)]) == 0
     assert calls == {"complex_from_json": 0, "complex_to_json": 0}
     text = out.read_text()
-    assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ": ")) + "\n"
+    assert len(frames) == 1 and len(frames[0]) < 1000 < len(text), frames
     X = serialize.matrix_from_json(json.loads(text)["results"]["X"])
     assert X.shape == (64, 64)
 
@@ -348,6 +356,41 @@ def test_cli_malformed_job_exit_3(tmp_path, capsys, command, job):
     assert err.startswith("psdfactor: parse error: ") and err.count("\n") == 1
 
 
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "command, text, named",
+    [
+        pytest.param("seb", _DEEP, None, id="whole-job"),
+        pytest.param("seb", json.dumps({"T": {"rows": 1, "cols": 1, "data": "*"}, "B": _ONE}).replace('"*"', _DEEP),
+                     None, id="matrix-data"),
+        pytest.param("proptest", json.dumps({"suite": "seb_roundtrip", "seed": 2**100}), "seed", id="seed-beyond-64-bits"),
+        pytest.param("proptest", json.dumps({"suite": "seb_roundtrip", "trials": 2**100}), "trials",
+                     id="trials-beyond-64-bits"),
+        pytest.param("diag", json.dumps({"op": "truncate", "t": "n", "N": 2**100}), "N", id="N-beyond-64-bits"),
+    ],
+)
+def test_cli_unreadable_job_text_exit_3(tmp_path, capsys, command, text, named):
+    # Deep nesting used to end in a RecursionError traceback (exit 1); an integer beyond
+    # 64 bits, which orjson reads as a rounded float, must not run rounded.
+    path = tmp_path / "job.json"
+    path.write_text(text)
+    code = cli.main([command, "--in", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err.startswith("psdfactor: parse error: ") and err.count("\n") == 1
+    assert named is None or err.startswith(f"psdfactor: parse error: job '{named}': "), err
+
+
+def test_cli_64_bit_seed_stays_exact(monkeypatch, capsys):
+    # orjson keeps integers up to 2**64 - 1 exact, as json did
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"suite": "seb_roundtrip", "seed": 2**64 - 1})))
+    assert cli.main(["proptest", "--in", "-", "--trials", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 2**64 - 1
+
+
 _ZERO_TAIL = {"head": [], "tail": {"coeff": [0.0, 0.0], "power": "1"}}
 _EMPTY = serialize.matrix_to_json(np.zeros((0, 0)))
 
@@ -490,7 +533,7 @@ def test_run_job_in_process_determinism():
     }
     a = strip_timing(cli.run_job("seb", job, tol=1e-8, seed=0, trials=1))
     b = strip_timing(cli.run_job("seb", job, tol=1e-8, seed=0, trials=1))
-    assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+    assert serialize.dumps_report(a) == serialize.dumps_report(b)
 
 
 def test_cli_rel_and_intertwine_commands():
@@ -716,6 +759,42 @@ _VALID_JOBS = [
     ("diag", {"op": "truncate", "t": _HEAD, "N": 3}),
     ("proptest", {"suite": "relation_involution", "trials": 2, "seed": 3}),
 ]
+
+
+def _bits(text):
+    """A report parsed with every float as its hex form, so -0.0 and 0.0 differ."""
+    return json.loads(text, parse_float=lambda s: float(s).hex(), parse_constant=str)
+
+
+def _frame(text):
+    """A report's text with the numbers of every matrix's data left out."""
+    return re.sub(r'"data": \[[^"{}]*\]', '"data": []', text)
+
+
+_SPELLED_APART = np.array([[1e-05, 1e16], [5e-324, -0.0], [-1e-05, 1.5]])
+
+
+@pytest.mark.parametrize("command, job", _VALID_JOBS)
+def test_report_writer_matches_json_encoder(command, job):
+    # dumps_report writes json's text outside matrix data, and data of the same bits
+    report = cli.run_job(command, job, job.get("tol", 1e-8), job.get("seed", 0), job.get("trials", 100))
+    text, reference = serialize.dumps_report(report), dumps_report_reference(report)
+    assert _bits(text) == _bits(reference)
+    assert _frame(text) == _frame(reference)
+    assert serialize.dumps_report(report) == text
+
+
+def test_report_writer_spells_data_floats_apart():
+    # orjson spells 1e-05 as 0.00001 and 1e+16 as 1e16, so a report with such an
+    # entry is not json's own dump of itself; its values are the same bits
+    report = {"X": serialize.payload_to_json(_SPELLED_APART), "tol": 1e-05, "big": 1e16}
+    text, reference = serialize.dumps_report(report), dumps_report_reference(report)
+    assert text != reference
+    assert _bits(text) == _bits(reference) and _frame(text) == _frame(reference)
+    assert '"big": 1e+16' in text and '"tol": 1e-05' in text
+    data = np.array(json.loads(text)["X"]["data"])
+    assert data.tobytes() == report["X"]["data"].tobytes()
+
 
 # Fields that size a job: a large value there asks for a large job, which is valid.
 _SIZE_KEYS = {"N", "n_max", "trials", "rows", "cols", "n", "m"}

@@ -325,8 +325,9 @@ def test_dense_engine_decomposition_counts(monkeypatch):
 
     cert = factor.seb_solve(T, B)
     assert cert.feasible and cert.residual_xb_t <= 1e-8 * (1 + frob(T))
-    # eigh(T*B), ||T K||, ||T||, lambda_max(X), ||G0||, the Loewner margin
-    assert sum(calls.values()) <= 6, calls
+    # eigh(T*B), ||T K||, lambda_max(X), ||G0||, the Loewner margin; the leak
+    # ||T K|| is below tol (1 + max column norm of T), so ||T|| takes no SVD
+    assert sum(calls.values()) <= 5, calls
 
     calls.clear()
     assert factor.bounded_S_checks(TS, G, S).all_passed
@@ -359,6 +360,32 @@ def test_dense_engine_decomposition_counts(monkeypatch):
     assert sum(calls.values()) <= 29 and calls["eigh"] == 1 and calls["eig"] == 0, calls
     # nothing larger than n x n (2n x n graph bases while tba_package ran reverse_solve)
     assert calls.max_dim == n, calls.max_dim
+
+
+def test_seb_leak_test_keeps_the_svd_verdict(monkeypatch):
+    # ||T|| is read off its bounds, max column norm <= ||T|| <= ||T||_F, before any
+    # SVD; tolerances on both sides of each bound give the verdict of the SVD rule
+    rng = np.random.default_rng(33)
+    n = 6
+    Q = random_unitary(rng, n)
+    t, b = rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n)
+    b[:2] = 0.0  # ker T*B = ker B, into which T leaks max(t[:2])
+    T, B = (Q * t) @ Q.conj().T, (Q * b) @ Q.conj().T
+    leak, norm_T = opnorm(T @ Q[:, :2]), opnorm(T)
+    col, fro = np.linalg.norm(T, axis=0).max(), frob(T)
+    assert col < norm_T < fro
+    of_T = []  # per opnorm call: is it ||T||?
+    monkeypatch.setattr(factor, "opnorm", lambda a: of_T.append(np.array_equal(a, T)) or opnorm(a))
+    svd_of_T = set()
+    edges = leak / (1.0 + np.array([0.5 * col, col, 0.5 * (col + norm_T), norm_T, 0.5 * (norm_T + fro), fro, 2 * fro]))
+    for tol in np.concatenate([edges * (1 - 1e-9), edges * (1 + 1e-9)]):
+        of_T.clear()
+        cert = factor.seb_solve(T, B, tol=tol)
+        assert cert.feasible == (leak <= tol * (1.0 + norm_T)), tol
+        if not cert.feasible:
+            assert cert.checks["kernel_obstruction"] == pytest.approx(leak, rel=1e-12)
+        svd_of_T.add(any(of_T))
+    assert svd_of_T == {True, False}
 
 
 def test_relation_decomposition_counts(monkeypatch):
