@@ -15,11 +15,12 @@ in order on one thread.  ``--threads J`` is still accepted and must be an
 integer >= 1 (default 1), but it selects nothing.
 Exit codes: 0 = completed (feasible and infeasible both count), 2 = a
 hypothesis gate failed, operands of mismatched shapes included, 3 =
-malformed input, a malformed tolerance, seed, trial count or thread count
-included, or a job the engines cannot finish (a result outside the float
-range or the symbol class, LAPACK non-convergence, a ``MemoryError``; numpy
-overflow and invalid operations raise ``FloatingPointError`` inside every
-job); every exit 2 or 3 prints one line to stderr.
+malformed input, an unknown command or option and a malformed tolerance,
+seed, trial count or thread count included, or a job the engines cannot
+finish (a result outside the float range or the symbol class, LAPACK
+non-convergence, a ``MemoryError``; numpy overflow and invalid operations
+raise ``FloatingPointError`` inside every job); every exit 2 or 3 prints
+one line to stderr.  ``--help`` and ``--version`` exit 0.
 
 The job is parsed by orjson, so NaN and Infinity literals, which are not
 JSON, exit 3; a seed, trial count or ``N`` written as an integer beyond 64
@@ -369,8 +370,13 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # malformed input exits 3; argparse would exit 2
+        raise ParseError(f"command line: {' '.join(message.split())}")
+
+
 def build_parser():
-    p = argparse.ArgumentParser(prog="psdfactor", description=__doc__)
+    p = _Parser(prog="psdfactor", description=__doc__)
     p.add_argument("command", choices=sorted(_COMMANDS))
     p.add_argument("--in", dest="infile", default=None, help="job JSON path, or - for stdin")
     p.add_argument("--out", dest="outfile", default=None, help="report path (default stdout)")
@@ -401,9 +407,9 @@ def run_job(command: str, job: dict, tol: float, seed: int, trials: int, started
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
+        args = build_parser().parse_args(argv)
         if args.infile is None:
             job = {}
         elif args.infile == "-":

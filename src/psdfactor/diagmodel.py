@@ -438,25 +438,29 @@ def diag_truncate(D, N: int, force_relation: bool = False):
     sym = _sym(D)
     if N < sym.head_len:
         raise ValueError(f"diag_truncate: N={N} is below the head length {sym.head_len}")
-    vals = sym.values(N)
-    if not force_relation and not any(isinstance(v, _Marker) for v in vals):
-        return np.diag(as_matrix([vals])[0])
+    # the result is allocated before the N values are listed: an N past memory fails at once
+    if not force_relation and not any(isinstance(v, _Marker) for v in sym.head):
+        out = np.zeros((N, N))
+        d = as_matrix([sym.values(N)])[0]
+        if d.dtype != out.dtype:
+            return np.diag(d)
+        np.fill_diagonal(out, d)
+        return out
     # per-index generators are mutually orthogonal, so normalizing each column
     # already yields an orthonormal graph basis; no re-orthonormalization
-    cols = []
-    for i, v in enumerate(vals):
-        e = np.zeros((N, 1), dtype=np.complex128)
-        e[i, 0] = 1.0
-        zero = np.zeros((N, 1), dtype=np.complex128)
-        if v is INF:
-            cols.append(np.vstack([zero, e]))
-        elif v is TRIVIAL:
+    width = sum(0 if v is TRIVIAL else 2 if v is FULL else 1 for v in sym.head) + N - sym.head_len
+    graph = np.zeros((2 * N, width), dtype=np.complex128)
+    j = 0
+    for i, v in enumerate(sym.values(N)):
+        if v is TRIVIAL:
             continue
+        if v is INF:
+            graph[N + i, j] = 1.0
         elif v is FULL:
-            cols.append(np.vstack([e, zero]))
-            cols.append(np.vstack([zero, e]))
+            graph[i, j] = graph[N + i, j + 1] = 1.0
+            j += 1
         else:
-            cols.append(np.vstack([e, complex(v) * e]) / np.sqrt(1.0 + abs(complex(v)) ** 2))
-    stacked = np.hstack(cols) if cols else np.zeros((2 * N, 0))
+            graph[[i, N + i], j] = np.array([1.0, v]) / np.sqrt(1.0 + abs(complex(v)) ** 2)
+        j += 1
     # real when every finite value is, so the relation engines run real LAPACK
-    return LinRel(N, N, Subspace(2 * N, as_matrix(stacked)))
+    return LinRel(N, N, Subspace(2 * N, as_matrix(graph)))

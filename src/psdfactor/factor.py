@@ -70,7 +70,6 @@ from .numkernel import (
     matrix_rank,
     opnorm,
     psd_power,
-    psd_powers,
     spectrum,
     subspace_contains,
     subspace_intersect,
@@ -529,31 +528,26 @@ def wsimilar_forms(T, tol: float = DEFAULT_TOL) -> WSimilarForms:
     From the similarity T = G0 S G0^(-1) the intertwiner G = G0^(-1) gives
     X = G*G with X T = T* X; then S = X^(1/2) T X^(-1/2), B1 = X T with
     X1 = X^(-1), B2 = X^(-1) T* with X2 = X, W = X2^(-1), Z = X1^(-1), and
-    TW, ZT are Hermitian PSD.  plusdot_ok records ran T (+) ker T = H by the
-    zero-intersection test; the dimensions of ran T and ker T, read off one
-    SVD of the square T, always sum to n.  ||T|| and cond(G0) come from the
-    spectrum that decided the similarity.
+    TW, ZT are Hermitian PSD.  One SVD G0 = U diag(s) V* gives every power
+    of X = (G0 G0*)^(-1) = U diag(s^-2) U*, with no inverse and no cut.
+    plusdot_ok records ran T (+) ker T = H by the zero-intersection test;
+    the dimensions of ran T and ker T, read off one SVD of the square T,
+    always sum to n.  ||T|| and cond(G0) come from the spectrum that decided
+    the similarity.
     """
     T = as_matrix(T)
     sim, spec = _psd_similarity(T, tol)
     if not sim.accept:
         raise NotScalarNonneg("wsimilar_forms: T is not similar to a PSD matrix")
-    G0inv = np.linalg.inv(sim.G)
-    X = herm(G0inv.conj().T @ G0inv)
-    Xi = herm(sim.G @ sim.G.conj().T)
-    Xh, Xmh = psd_powers(X, 0.5, -0.5, tol=tol)
-    S = herm(Xh @ T @ Xmh)
-    B1 = X @ T
-    B2 = Xi @ T.conj().T
-    forms = WSimilarForms(
-        X=X, S=S, X1=Xi, B1=B1, X2=X, B2=B2, W=Xi, Z=X,
-        plusdot_ok=False,
-    )
+    U, s, _ = np.linalg.svd(sim.G)
+    X, Xi = herm((U / s ** 2) @ U.conj().T), herm((U * s ** 2) @ U.conj().T)
+    S = herm((U / s) @ U.conj().T @ T @ (U * s) @ U.conj().T)
     split = svd_split(T)
-    inter = subspace_intersect(split.ran, split.ker)
-    forms.plusdot_ok = inter.dim == 0
+    forms = WSimilarForms(
+        X=X, S=S, X1=Xi, B1=X @ T, X2=X, B2=Xi @ T.conj().T, W=Xi, Z=X,
+        plusdot_ok=subspace_intersect(split.ran, split.ker).dim == 0,
+    )
     cond2 = spec.eigvec_condition ** 2
-    ctol = tol * cond2 * max(1.0, spec.norm)
     forms.checks = {
         "intertwine": frob(X @ T - T.conj().T @ X),
         "factor_T": frob(forms.X1 @ forms.B1 - T),
@@ -565,7 +559,7 @@ def wsimilar_forms(T, tol: float = DEFAULT_TOL) -> WSimilarForms:
         "S_herm_dev": frob(S - S.conj().T),
         "S_psd_margin": float(np.linalg.eigvalsh(S)[0]),
         "cond_G": math.sqrt(cond2),
-        "tol": ctol,
+        "tol": tol * cond2 * max(1.0, spec.norm),
     }
     return forms
 
@@ -604,14 +598,15 @@ def _check_intertwiner(G, left, right, tol, who):
     """Require right = S = S* >= 0 (the PSD gate, which gives ||S||) and an
     invertible G with G @ left = right @ G within tol scaled by the data.
 
-    One singular-value pass of G gives its rank, ||G|| and cond(G); returns
-    (cond(G), ||left||, ||S||) for the callers' tolerance scales and ||G||
-    for ||G*G|| = ||G||^2.
+    One SVD G = W diag(s) V* gives the rank of G by the rank rule, ||G|| =
+    s[0], cond(G) = s[0] / s[-1], G^(-1) = V diag(1/s) W* and the powers
+    (G*G)^a = V diag(s^(2a)) V*, with no cut: an accepted G keeps all n
+    directions.  Returns (cond(G), ||left||, ||S||, W, s, V).
     """
     eig_S = nk.hermitian_eig(right, tol, psd=True, who=f"{who}: S")
     if not G.size:
         raise ValueError(f"{who}: empty operands")
-    s = np.linalg.svd(G, compute_uv=False)
+    W, s, Vh = np.linalg.svd(G)
     if nk.numerical_rank(s) != G.shape[0]:
         raise NotInvertible(f"{who}: the intertwiner is not invertible")
     norm_left, norm_right = opnorm(left), eig_S.norm
@@ -619,24 +614,24 @@ def _check_intertwiner(G, left, right, tol, who):
     scale = (1.0 + norm_left + norm_right) * max(1.0, float(s[0]))
     if resid > tol * scale:
         raise NotIntertwining(f"{who}: intertwining residual {resid:.3e} exceeds tolerance")
-    return float(s[0] / s[-1]), norm_left, norm_right, float(s[0])
+    return float(s[0] / s[-1]), norm_left, norm_right, W, s, Vh.conj().T
 
 
-def _direct_side(T, G, S, lam, tol):
-    """X = G*G, X^(1/2), X^(-1/2), A = G* S G, herm(A T) and the residuals both
-    direct-side reports give, for G T = S G and lam = ||G||^2 = ||X||."""
-    X = herm(G.conj().T @ G)
-    Xh, Xmh = psd_powers(X, 0.5, -0.5, tol=tol)
+def _direct_side(T, G, S, s, V):
+    """X^(1/2) = |G| and X^(-1/2) for X = G*G, read off the SVD W diag(s) V*
+    of G, A = G* S G, herm(A T) and the residuals both direct-side reports
+    give, for G T = S G and lambda = ||X|| = s[0]^2."""
+    X = herm((V * s ** 2) @ V.conj().T)
     A = herm(G.conj().T @ S @ G)
     XT = X @ T
     AT = herm(A @ T)
-    gap = herm(T.conj().T @ T - AT / lam) if lam > 0 else herm(T.conj().T @ T)
+    gap = herm(T.conj().T @ T - AT / s[0] ** 2)
     residuals = {
         "xt_equals_tadjx": frob(XT - T.conj().T @ X),
         "xt_psd_margin": float(np.linalg.eigvalsh(herm(XT))[0]),
         "reversed_inequality_margin": float(np.linalg.eigvalsh(gap)[0]),
     }
-    return X, Xh, Xmh, A, AT, residuals
+    return (V * s) @ V.conj().T, (V / s) @ V.conj().T, A, AT, residuals
 
 
 def inclusionnfs_package(T, G, S, tol: float = DEFAULT_TOL) -> QAPackage:
@@ -647,9 +642,9 @@ def inclusionnfs_package(T, G, S, tol: float = DEFAULT_TOL) -> QAPackage:
     Hermitian-PSD gate for T*B_F holds automatically here.
     """
     T, G, S = _operands("inclusionnfs_package", T, G, S)
-    cond_G, norm_T, _, _ = _check_intertwiner(G, T.conj().T, S, tol, "inclusionnfs_package")
-    Ginv = np.linalg.inv(G)
-    A = herm(G.conj().T @ G)
+    cond_G, norm_T, _, W, s, V = _check_intertwiner(G, T.conj().T, S, tol, "inclusionnfs_package")
+    Ginv = (V / s) @ W.conj().T
+    A = herm((V * s ** 2) @ V.conj().T)
     B_F = herm(Ginv @ S @ Ginv.conj().T)
     ctol = tol * cond_G ** 2 * (1.0 + norm_T)  # ||T*|| = ||T||
     diag = {
@@ -670,7 +665,8 @@ def inclusionnfs_package(T, G, S, tol: float = DEFAULT_TOL) -> QAPackage:
 
 def tba_package(T, G, S, tol: float = DEFAULT_TOL) -> QAPackage:
     """Direct-side package: from G T = S G build the bounded factor
-    B = (G*G)^(-1), the extension A_F = G* S G, and T = B A_F.
+    B = (G*G)^(-1), the extension A_F = G* S G, and T = B A_F; B and the
+    polar normalization S0 = X^(1/2) T X^(-1/2) come from the SVD of G.
 
     X = G*G satisfies X T = T* X >= 0; the reversed inequality
     T*T >= (1/lambda) A_F T with lambda = ||G*G|| is checked directly and,
@@ -678,14 +674,14 @@ def tba_package(T, G, S, tol: float = DEFAULT_TOL) -> QAPackage:
     reverse_solve(T, A_F).
     """
     T, G, S = _operands("tba_package", T, G, S)
-    cond_G, norm_T, _, norm_G = _check_intertwiner(G, T, S, tol, "tba_package")
-    X, Xh, Xmh, A_F, _, residuals = _direct_side(T, G, S, norm_G ** 2, tol)
-    B = herm(np.linalg.inv(X))
+    cond_G, norm_T, _, _, s, V = _check_intertwiner(G, T, S, tol, "tba_package")
+    Xh, Xmh, A_F, _, residuals = _direct_side(T, G, S, s, V)
+    B = herm((V / s ** 2) @ V.conj().T)
     S0 = herm(Xh @ T @ Xmh)
     diag = {
         "reconstruction": frob(B @ A_F - T),
         **residuals,
-        "lambda": norm_G ** 2,
+        "lambda": float(s[0] ** 2),
         "S0": S0,
         "E_F": herm(Xh @ S0 @ Xh),
         "tol": tol * cond_G ** 2 * (1.0 + norm_T),
@@ -753,10 +749,10 @@ def bounded_S_checks(T, G, S, tol: float = DEFAULT_TOL) -> BoundedSReport:
     form with the inverse quasi-affinity X^(-1) on the adjoint side.
     """
     T, G, S = _operands("bounded_S_checks", T, G, S)
-    cond_G, norm_T, norm_S, norm_G = _check_intertwiner(G, T, S, tol, "bounded_S_checks")
+    cond_G, norm_T, norm_S, W, s, V = _check_intertwiner(G, T, S, tol, "bounded_S_checks")
     ctol = tol * cond_G ** 2 * (1.0 + norm_T + norm_S)
-    Ginv = np.linalg.inv(G)
-    _, Xh, Xmh, _, AT, residuals = _direct_side(T, G, S, norm_G ** 2, tol)
+    Ginv = (V / s) @ W.conj().T
+    Xh, Xmh, _, AT, residuals = _direct_side(T, G, S, s, V)
     items = []
 
     def add(name, residual, tolerance=ctol):

@@ -12,6 +12,9 @@ thus run LAPACK's real drivers, about four times cheaper than the complex
 ones; mixed operands promote by numpy's rules, and no engine branches on the
 dtype.  A :class:`Subspace` is an orthonormal column basis, and subspaces are
 measured through their ``n x k`` bases: no ``n x n`` projection is formed.
+``factor`` reads G^(-1) and the powers of G*G for an invertible intertwiner
+G off one SVD of G, with no cut; :func:`psd_power` of G*G would drop the
+singular values of G below 1e-5 s_max.
 
 Three global conventions keep kernels consistent across operations:
 
@@ -58,7 +61,6 @@ __all__ = [
     "herm",
     "hermitian_eig",
     "psd_power",
-    "psd_powers",
     "moore_penrose",
     "polar",
     "loewner_leq",
@@ -219,8 +221,8 @@ def hermitian_eig(
     return HermEig(eigenvalues=w, eigenvectors=v, norm=norm)
 
 
-def psd_powers(P, *alphas: float, tol: float = DEFAULT_TOL) -> tuple:
-    """Spectral powers P^alpha of a PSD matrix, one per alpha, from one eigh.
+def psd_power(P, alpha: float, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Spectral power P^alpha of a PSD matrix, from the eigh of its PSD gate.
 
     Eigenvalues below the global rank threshold are treated as exact zeros and
     stay zero for every alpha (for alpha < 0 this is the power of the
@@ -229,17 +231,9 @@ def psd_powers(P, *alphas: float, tol: float = DEFAULT_TOL) -> tuple:
     eig = hermitian_eig(P, tol, psd=True, who="psd_power")
     w, v = eig.eigenvalues, eig.eigenvectors
     live = w > RANK_RTOL * (max(float(w[-1]), 0.0) if w.size else 0.0)
-    powers = []
-    for alpha in alphas:
-        wa = np.zeros_like(w)
-        wa[live] = w[live] ** alpha
-        powers.append((v * wa) @ v.conj().T)
-    return tuple(powers)
-
-
-def psd_power(P, alpha: float, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Spectral power P^alpha of a PSD matrix (see :func:`psd_powers`)."""
-    return psd_powers(P, alpha, tol=tol)[0]
+    wa = np.zeros_like(w)
+    wa[live] = w[live] ** alpha
+    return (v * wa) @ v.conj().T
 
 
 def moore_penrose(T, atol: float = 0.0) -> np.ndarray:

@@ -9,6 +9,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 import types
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -389,6 +390,43 @@ def test_cli_64_bit_seed_stays_exact(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"suite": "seb_roundtrip", "seed": 2**64 - 1})))
     assert cli.main(["proptest", "--in", "-", "--trials", "1"]) == 0
     assert json.loads(capsys.readouterr().out)["seed"] == 2**64 - 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["seb", "--bogus"], ["nosuch"], [], ["seb", "--tol"]],
+    ids=["unknown-option", "unknown-command", "no-command", "option-without-value"],
+)
+def test_cli_malformed_command_line_exit_3(capsys, argv):
+    # argparse exited 2, the code of a failed hypothesis gate, with a usage message
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err.startswith("psdfactor: parse error: command line: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_cli_help_and_version_exit_0(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([flag])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("head", [[], ["inf"]], ids=["matrix", "relation"])
+def test_cli_truncation_past_memory_exits_at_once(monkeypatch, capsys, head):
+    # the N values were listed in a Python loop before any array existed, which ran
+    # past 20 s at N = 2**63 - 1; the result is now allocated first
+    t = {"head": head, "tail": {"coeff": [1.0, 0.0], "power": "1"}}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"op": "truncate", "t": t, "N": 2**63 - 1})))
+    started = time.monotonic()
+    code = cli.main(["diag", "--in", "-"])
+    assert time.monotonic() - started < 2.0
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err.startswith("psdfactor: cannot finish the job: ") and err.count("\n") == 1
 
 
 _ZERO_TAIL = {"head": [], "tail": {"coeff": [0.0, 0.0], "power": "1"}}

@@ -331,16 +331,18 @@ def test_dense_engine_decomposition_counts(monkeypatch):
 
     calls.clear()
     assert factor.bounded_S_checks(TS, G, S).all_passed
-    # the PSD gate of S, whose eigh gives ||S||; one svd(G) for rank, ||G||, cond(G)
-    # and ||X|| = ||G||^2; ||T||; inv, eigh, 4 margins
-    assert sum(calls.values()) <= 9, calls
-    assert calls["svd"] == 1 and calls["eigh"] == 2 and calls["inv"] == 1, calls
+    # the PSD gate of S, whose eigh gives ||S||; one svd(G) for rank, ||G||, cond(G),
+    # G^-1 and X^(+-1/2); ||T||; 4 margins (9 with inv(G) and an eigh of X = G*G)
+    assert sum(calls.values()) <= 7, calls
+    assert calls["svd"] == 1 and calls["eigh"] == 1 and calls["inv"] == 0, calls
 
     calls.clear()
     factor.wsimilar_forms(TS)
-    # ||T|| and cond(G0) come from spectrum; one svd(T) for ran T and ker T
-    assert sum(calls.values()) <= 9, calls
-    assert calls["eig"] == 1 and calls["eigh"] == 1 and calls["cond"] == 1, calls
+    # ||T|| and cond(G0) come from spectrum; one svd(G0) for every power of X; one
+    # svd(T) for ran T and ker T (9 with inv(G0) and an eigh of X)
+    assert sum(calls.values()) <= 8, calls
+    assert calls["eig"] == 1 and calls["cond"] == 1, calls
+    assert calls["eigh"] == 0 and calls["inv"] == 0, calls
 
     calls.clear()
     calls.max_dim = 0
@@ -1069,6 +1071,49 @@ def test_bounded_s_seeded():
 def test_bounded_s_zero_degenerate():
     rep = factor.bounded_S_checks(np.zeros((2, 2)), np.eye(2), np.zeros((2, 2)))
     assert rep.all_passed
+
+
+# G^-1 and (G*G)^(+-1/2) come from one SVD of G with no cut.  The eigh of X = G*G
+# cut X's eigenvalues at 1e-10 max, i.e. G's singular values at 1e-5 s_max, so
+# for cond(G) > 1e5 X^(-1/2) lost directions and S, S0 and B came out wrong by
+# O(1) while passing their cond(G)^2-scaled tolerances.  The eigenvalues of such
+# a T are themselves only good to about eps cond(G)^2, hence the bounds.
+
+
+def _planted_intertwiner(cond, n=6):
+    """G with cond(G) = cond and ||G|| = 1, a target S = S* > 0 and T = G^-1 S G."""
+    rng = np.random.default_rng(42)
+    G = conditioned_invertible(rng, n, cond)
+    S = random_psd(rng, n) + 0.1 * np.eye(n)
+    return np.linalg.inv(G) @ S @ G, G, S
+
+
+@pytest.mark.parametrize("cond", [1e6, 1e7])
+def test_wsimilar_S_keeps_the_spectrum_at_high_cond(cond):
+    rng = np.random.default_rng(41)
+    d = np.linspace(0.5, 3.0, 6)
+    G = conditioned_invertible(rng, 6, cond)
+    T = G @ np.diag(d) @ np.linalg.inv(G)
+    # at tol = 1e-8 spectrum's clustering at 100 tol ||T||, with ||T|| near cond, merges all of d
+    forms = factor.wsimilar_forms(T, tol=1e-10)
+    assert np.abs(np.linalg.eigvalsh(forms.S) - d).max() <= 1e-16 * cond**2
+
+
+@pytest.mark.parametrize("cond", [1e6, 1e7])
+def test_tba_S0_keeps_the_spectrum_at_high_cond(cond):
+    T, G, S = _planted_intertwiner(cond)
+    S0 = factor.tba_package(T, G, S).diagnostics["S0"]
+    assert np.abs(np.linalg.eigvalsh(S0) - np.linalg.eigvalsh(S)).max() <= 1e-16 * cond**2
+
+
+@pytest.mark.parametrize("cond", [1e6, 1e7])
+def test_tba_reconstruction_at_high_cond(cond):
+    T, G, S = _planted_intertwiner(cond)
+    pkg = factor.tba_package(T, G, S)
+    # B A_F - T to the rounding of a product with ||B|| = cond(G)^2 and ||A_F|| <= ||S||
+    assert pkg.diagnostics["reconstruction"] <= 10 * np.finfo(float).eps * cond**2 * opnorm(S)
+    rep = factor.bounded_S_checks(T, G, S)
+    assert rep.all_passed, [it for it in rep.items if not it.passed]
 
 
 # ----------------------------------------------------------------- power chain
