@@ -11,14 +11,13 @@ the ``presimilar`` and ``spectra_swap`` spectra included, runs at it.
 ``--seed`` and ``--trials`` likewise win over the job's ``"seed"`` and
 ``"trials"`` keys (defaults 0 and 100) and must be nonnegative integers;
 only ``proptest`` reads the seed.  A ``proptest`` campaign runs its trials
-in order on one thread.  ``--threads J`` is still accepted and must be an
-integer >= 1 (default 1), but it selects nothing.
+in order on one thread.
 Exit codes: 0 = completed (feasible and infeasible both count), 2 = a
 hypothesis gate failed, operands of mismatched shapes included, 3 =
 malformed input, an unknown command or option and a malformed tolerance,
-seed, trial count or thread count included, or a job the engines cannot
-finish (a result outside the float range or the symbol class, LAPACK
-non-convergence, a ``MemoryError``; numpy overflow and invalid operations
+seed or trial count included, or a job the engines cannot finish (a result
+outside the float range or the symbol class, LAPACK non-convergence, a
+``MemoryError``; numpy overflow and invalid operations
 raise ``FloatingPointError`` inside every job); every exit 2 or 3 prints
 one line to stderr.  ``--help`` and ``--version`` exit 0.
 
@@ -103,7 +102,7 @@ def _tolerance(value, source):
 
 
 def _count(value, source, least=0):
-    """A seed, trial or thread count: an integer >= least, or ParseError."""
+    """A seed or trial count: an integer >= least, or ParseError."""
     if isinstance(value, float) and abs(value) >= 2.0**64:
         raise ParseError(f"{source}: {value!r} is beyond 64 bits, where integers parse as rounded floats")
     try:
@@ -384,7 +383,6 @@ def build_parser():
     p.add_argument("--tol", default=None)
     p.add_argument("--seed", default=None)
     p.add_argument("--trials", default=None)
-    p.add_argument("--threads", default="1")
     p.add_argument("--version", action="version", version=__version__)
     return p
 
@@ -422,7 +420,6 @@ def main(argv=None) -> int:
         tol = _setting(args.tol, job, "tol", _tolerance, DEFAULT_TOL, env="PSDFACTOR_TOL")
         seed = _setting(args.seed, job, "seed", _count, 0)
         trials = _setting(args.trials, job, "trials", _count, 100)
-        _count(args.threads, "--threads", least=1)  # selects nothing, but is still checked
         report = run_job(args.command, job, tol, seed, trials, started=started)
     except ParseError as exc:
         print(f"psdfactor: parse error: {exc}", file=sys.stderr)

@@ -707,11 +707,11 @@ def quasiaffine_decide(T, S, tol: float = DEFAULT_TOL) -> QuasiAffinity:
     ``numkernel.hermitian_intertwiners``, contains a full-rank element.
     """
     T, S = _operands("quasiaffine_decide", T, S)
-    return _quasiaffine(T, nk.hermitian_eig(S, tol, psd=True, who="quasiaffine_decide: S"))
+    return _quasiaffine(T, nk.hermitian_eig(S, tol, psd=True, who="quasiaffine_decide: S"), opnorm(T))
 
 
-def _quasiaffine(T, eig_S) -> QuasiAffinity:
-    inter = nk.hermitian_intertwiners(T, eig_S)
+def _quasiaffine(T, eig_S, norm_T) -> QuasiAffinity:
+    inter = nk.hermitian_intertwiners(T, eig_S, norm_T)
     ok = inter.rank == T.shape[0]
     return QuasiAffinity(affine=ok, G=inter.max_rank_element if ok else None, space_dim=inter.dimension)
 
@@ -719,7 +719,8 @@ def _quasiaffine(T, eig_S) -> QuasiAffinity:
 def quasisimilar_decide(T, S, tol: float = DEFAULT_TOL) -> QuasiSimilarity:
     """T quasi-similar to S = S* >= 0 iff both T and T* are quasi-affine to S.
 
-    Both sides read their Sylvester spaces off one PSD gate of S.  Returns
+    Both sides read their Sylvester spaces off one PSD gate of S and one
+    ||T|| = ||T*||, which also scales the duality tolerance.  Returns
     the certificate: G1 T = S G1, G2 T* = S G2 and the duality check that
     G2* intertwines the adjoint pair backwards.  T's membership in the two
     product classes is built apart, by ``tba_package(T, G1, S)`` and
@@ -727,14 +728,15 @@ def quasisimilar_decide(T, S, tol: float = DEFAULT_TOL) -> QuasiSimilarity:
     """
     T, S = _operands("quasisimilar_decide", T, S)
     eig_S = nk.hermitian_eig(S, tol, psd=True, who="quasisimilar_decide: S")
-    qa1 = _quasiaffine(T, eig_S)
-    qa2 = _quasiaffine(T.conj().T, eig_S)
+    norm_T = opnorm(T)
+    qa1 = _quasiaffine(T, eig_S, norm_T)
+    qa2 = _quasiaffine(T.conj().T, eig_S, norm_T)
     if not (qa1.affine and qa2.affine):
         return QuasiSimilarity(similar_pair=False, G1=qa1.G, G2=qa2.G)
     G2 = qa2.G
     checks = {
         "duality_residual": frob(G2.conj().T @ S - T @ G2.conj().T),
-        "tol": tol * (1.0 + opnorm(T) + eig_S.norm) * max(1.0, opnorm(G2)),
+        "tol": tol * (1.0 + norm_T + eig_S.norm) * max(1.0, opnorm(G2)),
     }
     return QuasiSimilarity(similar_pair=True, G1=qa1.G, G2=G2, checks=checks)
 

@@ -32,11 +32,12 @@ from .numkernel import (
     Subspace,
     as_matrix,
     herm,
+    is_hermitian,
+    is_psd_spectrum,
     kernel_basis,
     moore_penrose,
     psd_power,
     span,
-    subspace_contains,
     subspace_distance,
     svd_split,
 )
@@ -60,10 +61,8 @@ __all__ = [
     "rel_sqrt",
     "rel_order_leq",
     "rel_moore_penrose",
-    "rel_scale",
     "rel_plusdot",
     "rel_equal",
-    "rel_contains",
     "rel_distance",
     "resolvent_contraction",
 ]
@@ -221,8 +220,9 @@ def rel_classify(T: LinRel, tol: float = DEFAULT_TOL) -> RelFlags:
     """Symmetry/nonnegativity of the graph form <y, x>, and selfadjointness.
 
     With graph basis pairs (x_i, y_i), the form matrix is F = X* Y; the
-    relation is symmetric iff F is Hermitian at tol, nonnegative iff F is
-    additionally PSD (||F|| read off its eigenvalues), selfadjoint iff it is
+    relation is symmetric iff F passes the gate's Hermitian test at tol
+    (``numkernel.is_hermitian``), nonnegative iff its eigenvalues also pass
+    the PSD test (``numkernel.is_psd_spectrum``), selfadjoint iff it is
     symmetric, dim graph T = n and ||F - F*|| <= tol: the exact distance to
     graph T*, whose complement J graph T has the orthonormal basis (Y; -X).
     A selfadjoint relation is symmetric, so the flags never say otherwise,
@@ -232,13 +232,9 @@ def rel_classify(T: LinRel, tol: float = DEFAULT_TOL) -> RelFlags:
         raise NotSquare("rel_classify: relation is not square")
     X, Y = T.blocks()
     F = X.conj().T @ Y
-    skew = F - F.conj().T
-    sym = nk.frob(skew) <= tol * (1.0 + nk.frob(F))
-    nonneg = False
-    if sym:
-        w = np.linalg.eigvalsh(herm(F)) if F.size else np.zeros(0)
-        nonneg = w.size == 0 or bool(w[0] >= -tol * (1.0 + max(-w[0], w[-1])))
-    gap = nk.opnorm(skew) if T.graph_dim == T.dom_dim else 1.0
+    sym = is_hermitian(F, tol)
+    nonneg = sym and is_psd_spectrum(np.linalg.eigvalsh(herm(F)) if F.size else np.zeros(0), tol)
+    gap = nk.opnorm(F - F.conj().T) if T.graph_dim == T.dom_dim else 1.0
     return RelFlags(symmetric=sym, nonnegative=nonneg, selfadjoint=sym and gap <= tol)
 
 
@@ -299,12 +295,6 @@ def rel_order_leq(Tlo: LinRel, Thi: LinRel, tol: float = DEFAULT_TOL) -> bool:
     return flag
 
 
-def rel_scale(T: LinRel, c: float) -> LinRel:
-    """The relation cT = {(x, cy)}."""
-    X, Y = T.blocks()
-    return rel_from_graph(np.vstack([X, c * Y]), T.dom_dim, T.codom_dim)
-
-
 def rel_plusdot(R: LinRel, extra_pairs) -> LinRel:
     """Componentwise sum of graph(R) with extra stacked (x; y) columns."""
     vecs = np.hstack([R.graph.basis, as_matrix(extra_pairs)]) if np.asarray(extra_pairs).size else R.graph.basis
@@ -335,11 +325,6 @@ def rel_equal(A: LinRel, B: LinRel, tol: float = DEFAULT_TOL) -> bool:
 
 def rel_distance(A: LinRel, B: LinRel) -> float:
     return subspace_distance(A.graph, B.graph)
-
-
-def rel_contains(big: LinRel, small: LinRel, tol: float = DEFAULT_TOL) -> bool:
-    """graph(small) <= graph(big) by projection residual."""
-    return subspace_contains(big.graph, small.graph, tol=tol)
 
 
 def rel_containment_residual(big: LinRel, small: LinRel) -> float:

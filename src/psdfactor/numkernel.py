@@ -2,9 +2,9 @@
 
 Everything downstream (relations, theorem engines, the diagonal model's
 truncations) is built on the handful of primitives here: Hermitian
-eigendecomposition, Moore-Penrose inverses, PSD fractional powers, polar
-decomposition, the Loewner order, spectra with a diagonalizability verdict,
-and Sylvester intertwiner spaces.  Matrices are plain ``numpy`` arrays, and
+eigendecomposition, Moore-Penrose inverses, PSD fractional powers, the
+Loewner order, spectra with a diagonalizability verdict, and Sylvester
+intertwiner spaces.  Matrices are plain ``numpy`` arrays, and
 :func:`as_matrix` alone chooses their dtype: ``float64`` when every entry is
 real (a complex array whose imaginary parts are all zero included),
 ``complex128`` otherwise.  Real problems, such as the diagonal truncations,
@@ -16,7 +16,7 @@ measured through their ``n x k`` bases: no ``n x n`` projection is formed.
 G off one SVD of G, with no cut; :func:`psd_power` of G*G would drop the
 singular values of G below 1e-5 s_max.
 
-Three global conventions keep kernels consistent across operations:
+Four global conventions keep kernels consistent across operations:
 
 * rank threshold: singular/eigen values below ``RANK_RTOL`` times the largest
   one are treated as zero everywhere (kernels, pseudo-inverses, PSD powers),
@@ -32,7 +32,11 @@ Three global conventions keep kernels consistent across operations:
   tested.  H passes as Hermitian when ||H - H*||_F <= tol (1 + ||H||_F) and as
   PSD when its smallest eigenvalue is >= -tol (1 + ||H||), with ||H|| the
   largest |eigenvalue|; callers that decide on a spectrum take it from the
-  gate instead of decomposing again.
+  gate instead of decomposing again; :func:`is_hermitian` and
+  :func:`is_psd_spectrum` state the two tests once for every caller;
+* one SVD step: ranges, kernels and pseudo-inverses all take their SVD from
+  ``_svd``, which retries once on A* when LAPACK fails to converge on A
+  (zgesdd can fail on a matrix whose adjoint it decomposes).
 """
 
 from __future__ import annotations
@@ -50,7 +54,6 @@ __all__ = [
     "RANK_RTOL",
     "DEFAULT_TOL",
     "HermEig",
-    "PolarParts",
     "Spectrum",
     "Intertwiners",
     "Subspace",
@@ -59,10 +62,11 @@ __all__ = [
     "frob",
     "opnorm",
     "herm",
+    "is_hermitian",
+    "is_psd_spectrum",
     "hermitian_eig",
     "psd_power",
     "moore_penrose",
-    "polar",
     "loewner_leq",
     "spectrum",
     "sylvester_intertwiners",
@@ -72,16 +76,13 @@ __all__ = [
     "svd_split",
     "matrix_rank",
     "kernel_basis",
-    "range_basis",
     "span",
     "full_space",
     "zero_space",
-    "subspace_sum",
     "subspace_intersect",
     "subspace_complement",
     "subspace_contains",
     "subspace_distance",
-    "subspace_equal",
 ]
 
 
@@ -131,10 +132,19 @@ def _require_square(a, who):
         raise NotSquare(f"{who}: expected square matrix, got {a.shape}")
 
 
+def is_hermitian(H, tol: float) -> bool:
+    """The Hermitian test of the gate: ||H - H*||_F <= tol (1 + ||H||_F)."""
+    return frob(H - H.conj().T) <= tol * (1.0 + frob(H))
+
+
+def is_psd_spectrum(w, tol: float) -> bool:
+    """The PSD test of the gate on ascending eigenvalues w: w[0] >= -tol (1 + max |w|); true for none."""
+    return not w.size or bool(w[0] >= -tol * (1.0 + max(-w[0], w[-1])))
+
+
 def _require_hermitian(a, tol, who, error=NotHermitian):
-    dev = frob(a - a.conj().T)
-    if dev > tol * (1.0 + frob(a)):
-        raise error(f"{who}: deviation from Hermitian {dev:.3e} exceeds tolerance")
+    if not is_hermitian(a, tol):
+        raise error(f"{who}: deviation from Hermitian {frob(a - a.conj().T):.3e} exceeds tolerance")
 
 
 @dataclass(frozen=True)
@@ -144,18 +154,6 @@ class HermEig:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     norm: float
-
-
-@dataclass(frozen=True)
-class PolarParts:
-    """G = unitary_factor @ modulus with modulus = (G*G)^(1/2) PSD.
-
-    ``unitary_factor`` is the canonical partial isometry with initial space
-    ran(modulus); it is unitary exactly when G is invertible.
-    """
-
-    unitary_factor: np.ndarray
-    modulus: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -216,7 +214,7 @@ def hermitian_eig(
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergence(str(exc)) from exc
     norm = float(max(-w[0], w[-1])) if w.size else 0.0
-    if psd and w.size and w[0] < -tol * (1.0 + norm):
+    if psd and not is_psd_spectrum(w, tol):
         raise error(f"{who}: min eigenvalue {w[0]:.3e} below -tol*(1 + ||H||)")
     return HermEig(eigenvalues=w, eigenvectors=v, norm=norm)
 
@@ -241,28 +239,12 @@ def moore_penrose(T, atol: float = 0.0) -> np.ndarray:
     return svd_split(T, atol).pinv
 
 
-def polar(G) -> PolarParts:
-    """Polar decomposition G = U |G| of a square matrix.
-
-    U is the partial isometry W_r V_r* from the thin SVD G = W diag(s) V*,
-    i.e. the zero extension of the isometry ran|G| -> ran G; the modulus is
-    V diag(s) V*.
-    """
-    G = as_matrix(G)
-    _require_square(G, "polar")
-    w, s, vh = np.linalg.svd(G)
-    r = numerical_rank(s)
-    u = w[:, :r] @ vh[:r, :]
-    modulus = herm((vh.conj().T * s) @ vh)
-    return PolarParts(unitary_factor=u, modulus=modulus)
-
-
 def loewner_leq(P, Q, tol: float = DEFAULT_TOL):
     """Decide P <= Q in the Loewner order for Hermitian P, Q.
 
     Returns (flag, margin) where margin is the smallest eigenvalue of Q - P
-    and flag is margin >= -tol * (1 + ||Q - P||), the norm read off the same
-    eigenvalues.
+    and flag is the gate's PSD test (:func:`is_psd_spectrum`) on the
+    eigenvalues of Q - P.
     """
     P, Q = as_matrix(P), as_matrix(Q)
     if P.shape != Q.shape:
@@ -270,10 +252,7 @@ def loewner_leq(P, Q, tol: float = DEFAULT_TOL):
     _require_hermitian(P, tol, "loewner_leq")
     _require_hermitian(Q, tol, "loewner_leq")
     w = np.linalg.eigvalsh(herm(Q - P))
-    if not w.size:
-        return True, 0.0
-    margin = float(w[0])
-    return margin >= -tol * (1.0 + max(-margin, float(w[-1]))), margin
+    return is_psd_spectrum(w, tol), float(w[0]) if w.size else 0.0
 
 
 def _clusters(values, ctol) -> list:
@@ -359,21 +338,22 @@ def sylvester_intertwiners(T, S, tol: float = DEFAULT_TOL) -> Intertwiners:
     return _kronecker_intertwiners(T, S, floor)
 
 
-def hermitian_intertwiners(T, eig: HermEig) -> Intertwiners:
+def hermitian_intertwiners(T, eig: HermEig, norm_T: float) -> Intertwiners:
     """:func:`sylvester_intertwiners` for a Hermitian S = V diag(w) V*, read off its eigh.
 
     Per cluster mu of w at the floor RANK_RTOL * max(||T||, ||S||), R_mu is
     its columns of V and L_mu is ker((T - mu)*) at the floor.  The R_mu
     together are V, so these blocks give the whole space whatever T is.
+    ``norm_T`` is ||T||, which a caller deciding T and T* takes once.
     """
     T = as_matrix(T)
     _require_square(T, "hermitian_intertwiners")
     if not T.size:
         raise ValueError("hermitian_intertwiners: empty matrix")
     w, V = eig.eigenvalues, eig.eigenvectors
-    floor = RANK_RTOL * max(opnorm(T), eig.norm)
+    floor = RANK_RTOL * max(norm_T, eig.norm)
     blocks = [
-        (V[:, run], _kernel_at((T - mu * np.eye(T.shape[0])).conj().T, floor))
+        (V[:, run], kernel_basis((T - mu * np.eye(T.shape[0])).conj().T, floor, rtol=0.0).basis)
         for run, mu in _clusters(w, floor)
     ]
     return _from_blocks(blocks, V.shape[0], T.shape[0])
@@ -390,26 +370,12 @@ def _fills(bases) -> bool:
     return V.shape[0] == V.shape[1] and matrix_rank(V) == V.shape[0]
 
 
-def _kernel_at(A, floor) -> np.ndarray:
-    """Orthonormal basis of ker A: the right singular vectors of values <= floor.
-
-    LAPACK's zgesdd can fail to converge on a matrix whose adjoint it
-    decomposes; the retry reads ker A off the left singular vectors of A*.
-    """
-    try:
-        _, s, vh = np.linalg.svd(A)
-        v = vh.conj().T
-    except np.linalg.LinAlgError:
-        v, s, _ = np.linalg.svd(A.conj().T)
-    return v[:, numerical_rank(s, floor, rtol=0.0):]
-
-
 def _eigenspace_blocks(eigenvalues, T, S, floor) -> list:
     """(ker(S - mu), ker((T - mu)*)) for each cluster mu of ``eigenvalues`` at the floor."""
     blocks = []
     for _, mu in _clusters(eigenvalues, floor):
-        R = _kernel_at(S - mu * np.eye(S.shape[0]), floor)
-        L = _kernel_at((T - mu * np.eye(T.shape[0])).conj().T, floor)
+        R = kernel_basis(S - mu * np.eye(S.shape[0]), floor, rtol=0.0).basis
+        L = kernel_basis((T - mu * np.eye(T.shape[0])).conj().T, floor, rtol=0.0).basis
         blocks.append((R, L))
     return blocks
 
@@ -519,6 +485,16 @@ class SvdSplit:
     pinv: np.ndarray
 
 
+def _svd(A):
+    """u, s, vh of A with u thin and vh n x n, so ker A reads off vh; on non-convergence, from A*'s SVD."""
+    full = A.shape[0] < A.shape[1]
+    try:
+        return np.linalg.svd(A, full_matrices=full)
+    except np.linalg.LinAlgError:
+        v, s, uh = np.linalg.svd(A.conj().T, full_matrices=full)
+        return uh.conj().T, s, v.conj().T
+
+
 def svd_split(A, atol: float = 0.0) -> SvdSplit:
     """Range, kernel and pseudo-inverse of A from one SVD, cut by :func:`numerical_rank`.
 
@@ -529,7 +505,7 @@ def svd_split(A, atol: float = 0.0) -> SvdSplit:
     m, n = A.shape
     if A.size == 0 or not A.any():
         return SvdSplit(zero_space(m), full_space(n), np.zeros((n, m)))
-    u, s, vh = np.linalg.svd(A, full_matrices=m < n)
+    u, s, vh = _svd(A)
     r = numerical_rank(s, atol)
     v = vh.conj().T
     return SvdSplit(
@@ -544,20 +520,14 @@ def matrix_rank(A, atol: float = 0.0) -> int:
     return numerical_rank(np.linalg.svd(A, compute_uv=False), atol) if A.any() else 0
 
 
-def kernel_basis(A, atol: float = 0.0) -> Subspace:
-    """Orthonormal basis of ker A at the global rank threshold."""
-    return svd_split(A, atol).ker
-
-
-def range_basis(A, atol: float = 0.0) -> Subspace:
-    """Orthonormal basis of ran A at the global rank threshold."""
-    return svd_split(A, atol).ran
-
-
-def subspace_sum(*spaces: Subspace) -> Subspace:
-    n = spaces[0].ambient_dim
-    cols = [sp.basis for sp in spaces]
-    return span(np.hstack(cols) if cols else np.zeros((n, 0)), ambient_dim=n)
+def kernel_basis(A, atol: float = 0.0, rtol: float = RANK_RTOL) -> Subspace:
+    """Orthonormal basis of ker A by :func:`numerical_rank`, off the SVD step of :func:`svd_split`."""
+    A = as_matrix(A)
+    n = A.shape[1]
+    if A.size == 0 or not A.any():
+        return full_space(n)
+    _, s, vh = _svd(A)
+    return Subspace(n, vh[numerical_rank(s, atol, rtol):].conj().T.copy())
 
 
 def subspace_complement(sp: Subspace) -> Subspace:
@@ -594,7 +564,3 @@ def subspace_distance(a: Subspace, b: Subspace) -> float:
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     return subspace_containment_residual(a, b) if a.dim == b.dim else 1.0
-
-
-def subspace_equal(a: Subspace, b: Subspace, tol: float = DEFAULT_TOL) -> bool:
-    return a.dim == b.dim and subspace_distance(a, b) <= tol

@@ -81,6 +81,7 @@ from psdfactor.linrel import (
     rel_containment_residual,
     rel_distance,
     rel_equal,
+    rel_from_graph,
     rel_from_matrix,
     rel_inverse,
     rel_parts,
@@ -100,7 +101,6 @@ from psdfactor.numkernel import (
     span,
     subspace_contains,
     subspace_intersect,
-    subspace_sum,
 )
 from psdfactor.serialize import complex_from_json
 
@@ -275,6 +275,17 @@ def subspace_distance_reference(a: Subspace, b: Subspace) -> float:
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     return opnorm(projector(a) - projector(b))
+
+
+def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
+    """a + b, spanned by the two bases side by side."""
+    return span(np.hstack([a.basis, b.basis]), ambient_dim=a.ambient_dim)
+
+
+def scaled_relation(T: LinRel, c: float) -> LinRel:
+    """The relation cT = {(x, cy)}."""
+    X, Y = T.blocks()
+    return rel_from_graph(np.vstack([X, c * Y]), T.dom_dim, T.codom_dim)
 
 
 def rel_classify_reference(T: LinRel, tol: float = DEFAULT_TOL) -> RelFlags:

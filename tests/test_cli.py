@@ -305,10 +305,11 @@ def identity_job(tmp_path, **extra):
         pytest.param(None, [], {"trials": -1}, id="job-trials-negative"),
         pytest.param(None, ["--seed", "x"], {}, id="flag-seed-x"),
         pytest.param(None, ["--trials", "-1"], {}, id="flag-trials-negative"),
-        pytest.param(None, ["--threads", "abc"], {}, id="flag-threads-abc"),
-        pytest.param(None, ["--threads", "0"], {}, id="flag-threads-zero"),
-        pytest.param(None, ["--threads", "-2"], {}, id="flag-threads-negative"),
-        pytest.param(None, ["--threads", "1.5"], {}, id="flag-threads-fraction"),
+        pytest.param(None, ["--threads", "1"], {}, id="unknown-threads-one"),  # valid until --threads went
+        pytest.param(None, ["--threads", "abc"], {}, id="unknown-threads-abc"),
+        pytest.param(None, ["--threads", "0"], {}, id="unknown-threads-zero"),
+        pytest.param(None, ["--threads", "-2"], {}, id="unknown-threads-negative"),
+        pytest.param(None, ["--threads", "1.5"], {}, id="unknown-threads-fraction"),
     ],
 )
 def test_cli_malformed_settings_exit_3(tmp_path, monkeypatch, capsys, env, flags, extra):
@@ -498,16 +499,15 @@ def test_cli_memory_error_exit_3(tmp_path, monkeypatch, capsys):
     assert err == f"psdfactor: cannot finish the job: MemoryError: {message}\n"
 
 
-@pytest.mark.parametrize("threads", ["1", "4"])
-def test_cli_proptest_keeps_the_floating_point_rules(monkeypatch, capsys, threads):
+def test_cli_proptest_keeps_the_floating_point_rules(monkeypatch, capsys):
     # a campaign's trials run under the job's np.errstate: an overflow ends the job
-    # (exit 3, one line) rather than reaching the report as inf, whatever --threads says
+    # (exit 3, one line) rather than reaching the report as inf
     def overflowing_trial(rng, tol):
         return {"value": float(np.float64(1e308) * 10.0), "ok": True}
 
     monkeypatch.setitem(proptests.SUITES, "overflow", overflowing_trial)
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"suite": "overflow"})))
-    code = cli.main(["proptest", "--in", "-", "--trials", "3", "--threads", threads])
+    code = cli.main(["proptest", "--in", "-", "--trials", "3"])
     out, err = capsys.readouterr()
     assert code == 3 and out == ""
     assert err.startswith("psdfactor: cannot finish the job: FloatingPointError: ")
@@ -550,18 +550,19 @@ def test_cli_tolerance_precedence(tmp_path, monkeypatch, capsys, flags, extra, e
 
 
 def test_cli_proptest_determinism_and_threads():
+    # three runs of one campaign are byte-identical; through ``python -m`` too,
+    # where sys.exit carries main's code, --threads is an unknown option (exit 3)
     job = json.dumps({"suite": "seb_roundtrip"})
     runs = []
-    for threads in ("1", "1", "4"):
-        proc = run_cli(
-            ["proptest", "--in", "-", "--trials", "16", "--seed", "42", "--threads", threads],
-            stdin=job,
-        )
+    for _ in range(3):
+        proc = run_cli(["proptest", "--in", "-", "--trials", "16", "--seed", "42"], stdin=job)
         assert proc.returncode == 0, proc.stderr
         runs.append(json.dumps(strip_timing(json.loads(proc.stdout)), sort_keys=True))
     assert runs[0] == runs[1] == runs[2]
     report = json.loads(runs[0])
     assert report["results"]["all_ok"]
+    proc = run_cli(["proptest", "--in", "-", "--threads", "1"], stdin=job)
+    assert proc.returncode == 3 and proc.stdout == "" and proc.stderr.count("\n") == 1, proc.stderr
 
 
 def test_run_job_in_process_determinism():

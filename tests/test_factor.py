@@ -16,7 +16,6 @@ from psdfactor.linrel import (
     rel_adjoint,
     rel_classify,
     rel_compose,
-    rel_contains,
     rel_distance,
     rel_equal,
     rel_from_graph,
@@ -26,7 +25,6 @@ from psdfactor.linrel import (
     rel_order_leq,
     rel_parts,
     rel_restrict,
-    rel_scale,
     rel_zero,
 )
 from psdfactor.numkernel import frob, herm, opnorm
@@ -39,6 +37,7 @@ from oracles import (
     random_psd,
     random_unitary,
     reverse_solve_reference,
+    scaled_relation,
     seb_relation_solve_reference,
     seb_solve_reference,
     sylvester_dimension,
@@ -75,7 +74,7 @@ def test_douglas_planted():
         assert sol.c <= opnorm(X) + 1e-8
         assert frob(sol.Y @ B - T) <= 1e-8 * (1 + frob(T))
         # ran Y <= ran T and ker B* <= ker Y
-        assert nk.subspace_contains(nk.range_basis(T), nk.range_basis(sol.Y), tol=1e-8)
+        assert nk.subspace_contains(nk.svd_split(T).ran, nk.svd_split(sol.Y).ran, tol=1e-8)
         kb = nk.kernel_basis(B.conj().T)
         if kb.dim:
             assert opnorm(sol.Y @ kb.basis) <= 1e-9
@@ -357,9 +356,11 @@ def test_dense_engine_decomposition_counts(monkeypatch):
     calls.clear()
     qs = factor.quasisimilar_decide(TS, S)
     assert qs.similar_pair
-    # one PSD gate of S for both sides, 2 x (||T||, 12 kernels), ||T|| and ||G2|| for
-    # the duality check (116 with spectrum(S), then 85 while it built both packages)
-    assert sum(calls.values()) <= 29 and calls["eigh"] == 1 and calls["eig"] == 0, calls
+    # one PSD gate of S and one ||T|| = ||T*|| for both sides and the duality tol,
+    # 2 x 12 kernels, ||G2|| for the duality check (116 with spectrum(S), then 85
+    # while it built both packages, then 29 with ||T|| taken three times)
+    assert sum(calls.values()) <= 27 and calls["eigh"] == 1 and calls["eig"] == 0, calls
+    assert calls["norm2"] == 2, calls
     # nothing larger than n x n (2n x n graph bases while tba_package ran reverse_solve)
     assert calls.max_dim == n, calls.max_dim
 
@@ -530,7 +531,7 @@ def test_seb_relation_block_reduction():
             # equivalence back-direction: the certified lambda* witnesses (i)
             M_rel = rel_compose(rel_adjoint(T), B)
             R_rel = rel_compose(rel_adjoint(T), T)
-            assert rel_order_leq(R_rel, rel_scale(M_rel, cert.lambda_star * (1 + 1e-9)))
+            assert rel_order_leq(R_rel, scaled_relation(M_rel, cert.lambda_star * (1 + 1e-9)))
 
 
 def _assert_same_seb(cert, ref):

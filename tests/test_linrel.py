@@ -15,7 +15,6 @@ from psdfactor.linrel import (
     rel_adjoint,
     rel_classify,
     rel_compose,
-    rel_contains,
     rel_distance,
     rel_equal,
     rel_from_graph,
@@ -41,6 +40,7 @@ from oracles import (
     rel_parts_reference,
     rel_restrict_reference,
     subspace_distance_reference,
+    subspace_sum,
 )
 
 
@@ -142,7 +142,7 @@ def test_compose_adjoint_containment_and_equality():
         S = random_relation(rng, m, k)
         lhs = rel_compose(rel_adjoint(T), rel_adjoint(S))  # T* S*
         rhs = rel_adjoint(rel_compose(S, T))  # (S T)*
-        assert rel_contains(rhs, lhs, tol=1e-9)
+        assert nk.subspace_contains(rhs.graph, lhs.graph, tol=1e-9)
         if trial % 3 == 0:
             S_mat = rng.standard_normal((k, m))  # dom S everywhere
             lhs = rel_compose(rel_adjoint(T), rel_adjoint(rel_from_matrix(S_mat)))
@@ -228,7 +228,7 @@ def test_inverse_adjoint_identities_behind_the_reverse_gates():
         S = rel_inverse(rel_adjoint(T))
         # at the graph floor: with r = 0 the operator part of S is rounding dust
         ker_ss_adj = nk.kernel_basis(rel_parts(S).operator_part_matrix.conj().T, atol=GRAPH_ATOL)
-        want = nk.subspace_sum(parts_Tadj.ker, parts_T.mul)
+        want = subspace_sum(parts_Tadj.ker, parts_T.mul)
         assert ker_ss_adj.dim == want.dim and nk.subspace_distance(ker_ss_adj, want) <= 1e-10
 
     # selfadjoint nonnegative, selfadjoint indefinite (both with a mul part),
@@ -370,7 +370,7 @@ def test_mul_of_tstar_t_is_domain_complement():
         vecs = np.vstack([dom.basis, M @ dom.basis])
         T = rel_from_graph(vecs, 4, 4)
         mul_tt = rel_parts(rel_compose(rel_adjoint(T), T)).mul
-        assert nk.subspace_equal(mul_tt, nk.subspace_complement(dom), tol=1e-9)
+        assert nk.subspace_distance(mul_tt, nk.subspace_complement(dom)) <= 1e-9
 
 
 def test_restriction_leaves_product_unchanged():

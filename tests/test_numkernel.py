@@ -7,7 +7,7 @@ import pytest
 
 from psdfactor import numkernel as nk
 from psdfactor.errors import HypothesisError, NotHermitian, NotPSD, NotSquare
-from psdfactor.factor import quasiaffine_decide
+from psdfactor.factor import douglas_solve, quasiaffine_decide
 
 from oracles import (
     charpoly_roots,
@@ -115,36 +115,6 @@ def test_moore_penrose_penrose_identities_bulk():
         if rng.integers(0, 2) and min(m, n) > 1:
             T[:, 0] = T @ rng.standard_normal(n)  # force rank deficiency
         assert max(penrose_residuals(T, nk.moore_penrose(T))) <= 1e-9
-
-
-def test_polar_trivials():
-    rng = np.random.default_rng(3)
-    U0 = random_unitary(rng, 3)
-    parts = nk.polar(U0)
-    assert nk.frob(parts.unitary_factor - U0) <= 1e-10
-    assert nk.frob(parts.modulus - np.eye(3)) <= 1e-10
-    P = random_psd(rng, 3, singular=True)
-    parts = nk.polar(P)
-    # partial isometry with initial space ran P: the orthogonal projection
-    u, s, vh = np.linalg.svd(P)
-    r = int(np.count_nonzero(s > 1e-12 * s[0]))
-    proj = u[:, :r] @ u[:, :r].conj().T
-    assert nk.frob(parts.unitary_factor - proj) <= 1e-10
-    assert nk.frob(parts.modulus - P) <= 1e-10
-
-
-def test_polar_reconstruction_bulk():
-    rng = np.random.default_rng(8)
-    for trial in range(200):
-        n = int(rng.integers(1, 7))
-        G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        parts = nk.polar(G)
-        assert nk.frob(parts.unitary_factor @ parts.modulus - G) <= 1e-9 * (1 + nk.frob(G))
-        w = np.linalg.eigvalsh(parts.modulus)
-        assert w[0] >= -1e-10 * (1 + w[-1])
-        if trial % 3 == 0:
-            U = parts.unitary_factor
-            assert nk.frob(U.conj().T @ U - np.eye(n)) <= 1e-9 or np.linalg.matrix_rank(G) < n
 
 
 def test_loewner_trivials():
@@ -289,6 +259,44 @@ def test_sylvester_kernel_survives_an_svd_failure(monkeypatch):
     assert nk.frob(G1 @ T - S @ G1) <= 1e-12 * (1 + 2 * nk.opnorm(S)) * nk.opnorm(G1)
 
 
+def test_svd_step_survives_an_svd_failure(monkeypatch):
+    # svd_split and kernel_basis take every SVD through one step, which reads the
+    # factors off an SVD of A* when LAPACK fails to converge on A; douglas_solve
+    # decides through svd_split
+    rng = np.random.default_rng(35)
+    svd = np.linalg.svd
+
+    def after_one_failure(call):
+        failed = []
+
+        def flaky(a, *args, **kwargs):
+            if not failed:
+                failed.append(a)
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", flaky)
+        try:
+            return call()
+        finally:
+            monkeypatch.setattr(np.linalg, "svd", svd)
+            assert failed
+
+    for m, n in ((5, 4), (4, 6)):  # tall and wide: thin and full factors
+        B = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+        B[:, 0] = B[:, 1]  # a kernel in both shapes
+        T = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) @ B
+        want, got = nk.svd_split(B), after_one_failure(lambda: nk.svd_split(B))
+        assert (got.ran.dim, got.ker.dim) == (want.ran.dim, want.ker.dim)
+        assert nk.subspace_distance(got.ran, want.ran) <= 1e-12
+        assert nk.subspace_distance(got.ker, want.ker) <= 1e-12
+        assert nk.frob(got.pinv - want.pinv) <= 1e-12 * nk.frob(want.pinv)
+        ker = after_one_failure(lambda: nk.kernel_basis(B))
+        assert ker.dim == want.ker.dim and nk.subspace_distance(ker, want.ker) <= 1e-12
+        sol = after_one_failure(lambda: douglas_solve(T, B))
+        assert sol.feasible and nk.frob(sol.Y @ B - T) <= 1e-10 * (1 + nk.frob(T))
+
+
 LEVELS = (0.0, 0.5, 1.5, 2.5)
 SYLVESTER_FAMILIES = ("hermitian", "diagonal", "nonnormal", "jordan_T", "jordan_S", "jordan_both", "equal")
 
@@ -393,7 +401,7 @@ def test_subspace_operations():
     comp = nk.subspace_complement(a)
     assert comp.dim == 3
     assert nk.subspace_intersect(a, comp).dim == 0
-    assert nk.subspace_equal(nk.subspace_sum(a, comp), nk.full_space(5))
+    assert nk.subspace_distance(nk.span(np.hstack([a.basis, comp.basis])), nk.full_space(5)) <= 1e-8
 
 
 def test_subspace_distance_matches_reference():
@@ -422,4 +430,4 @@ def test_subspace_distance_matches_reference():
 
 def test_require_square_guard():
     with pytest.raises(NotSquare):
-        nk.polar(np.zeros((2, 3)))
+        nk.spectrum(np.zeros((2, 3)))
