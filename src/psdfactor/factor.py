@@ -66,7 +66,6 @@ from .numkernel import (
     herm,
     hausdorff_distance,
     kernel_basis,
-    loewner_leq,
     matrix_rank,
     opnorm,
     psd_power,
@@ -341,15 +340,24 @@ def seb_solve(T, B, tol: float = DEFAULT_TOL) -> SebCertificate:
     of X B0-bar <= T), ker X = ker T* and lambda* = norm_X = ||X||, and G0
     is the contraction of the range construction, X = lambda* G0 G0*.
     T = 0 short-circuits to lambda* = 0, X = 0.
+
+    The upper side is certified by two recomputations: ``residual_xb_t`` =
+    ||X B - T||_F and ``checks["norm_bound_deficit"]``, the
+    :func:`numkernel.psd_deficit` of lambda* (1 + tau) I - X with
+    tau = max(tol, n eps), which one Cholesky settles.  X B = T and
+    X <= lambda* (1 + tau) I imply the rest: T*T = B* X^2 B <= ||X|| B* X B
+    <= lambda* (1 + tau) T*B, ||G0||^2 = ||X|| / lambda* <= 1 + tau (G0 is a
+    contraction to rounding), and T*B = B* X B <= lambda* (1 + tau) B*B.
     """
     T, B = _operands("seb_solve", T, B, square=False)
     M = T.conj().T @ B
     leak, lam, X, G0 = _seb_factor(T, M, tol, "seb_solve: T*B")
     if X is None:
         return _seb_infeasible(kernel_obstruction=leak)
+    n = X.shape[0]
+    tau = max(tol, n * np.finfo(float).eps)
     checks = {"zero_solution": True} if lam == 0.0 else {
-        "contraction_norm": opnorm(G0),
-        "b_majorization_margin": loewner_leq(M, lam * (B.conj().T @ B), tol=tol)[1],
+        "norm_bound_deficit": nk.psd_deficit(lam * (1.0 + tau) * np.eye(n) - X),
         "tol": tol,
     }
     return SebCertificate(
@@ -766,10 +774,10 @@ def bounded_S_checks(T, G, S, tol: float = DEFAULT_TOL) -> BoundedSReport:
     C1 = Xh @ T @ Xmh
     C2 = Xmh @ T.conj().T @ Xh
     add("polar_normalization_equality", frob(C1 - C2))
-    add("polar_normalization_psd", max(0.0, -float(np.linalg.eigvalsh(herm(C2))[0])))
+    add("polar_normalization_psd", nk.psd_deficit(herm(C2)))
     add("xt_equals_tadjx", residuals["xt_equals_tadjx"])
     add("xt_psd", max(0.0, -residuals["xt_psd_margin"]))
-    add("at_hermitian_psd", max(0.0, -float(np.linalg.eigvalsh(AT)[0])))
+    add("at_hermitian_psd", nk.psd_deficit(AT))
     add("reversed_inequality_margin", max(0.0, -residuals["reversed_inequality_margin"]))
     add("joint_form_T_side", frob(C1 - herm(C1)))
     # (X^(-1))^(+-1/2) = X^(-+1/2): the adjoint-side joint form is C2 - C1

@@ -16,7 +16,7 @@ measured through their ``n x k`` bases: no ``n x n`` projection is formed.
 G off one SVD of G, with no cut; :func:`psd_power` of G*G would drop the
 singular values of G below 1e-5 s_max.
 
-Four global conventions keep kernels consistent across operations:
+Five global conventions keep kernels consistent across operations:
 
 * rank threshold: singular/eigen values below ``RANK_RTOL`` times the largest
   one are treated as zero everywhere (kernels, pseudo-inverses, PSD powers),
@@ -36,7 +36,12 @@ Four global conventions keep kernels consistent across operations:
   :func:`is_psd_spectrum` state the two tests once for every caller;
 * one SVD step: ranges, kernels and pseudo-inverses all take their SVD from
   ``_svd``, which retries once on A* when LAPACK fails to converge on A
-  (zgesdd can fail on a matrix whose adjoint it decomposes).
+  (zgesdd can fail on a matrix whose adjoint it decomposes);
+* one Cholesky-first PSD residual: a check that H >= 0 reports
+  :func:`psd_deficit`, max(0, -lambda_min(H)), which is 0.0 when one
+  Cholesky factorization of H succeeds and takes ``eigvalsh`` only when it
+  fails, so a check that passes costs no spectrum.  Cholesky is called
+  nowhere else.
 """
 
 from __future__ import annotations
@@ -68,6 +73,7 @@ __all__ = [
     "psd_power",
     "moore_penrose",
     "loewner_leq",
+    "psd_deficit",
     "spectrum",
     "sylvester_intertwiners",
     "hermitian_intertwiners",
@@ -253,6 +259,21 @@ def loewner_leq(P, Q, tol: float = DEFAULT_TOL):
     _require_hermitian(Q, tol, "loewner_leq")
     w = np.linalg.eigvalsh(herm(Q - P))
     return is_psd_spectrum(w, tol), float(w[0]) if w.size else 0.0
+
+
+def psd_deficit(H) -> float:
+    """max(0, -lambda_min(H)) for a Hermitian H, Cholesky first.
+
+    A Cholesky factorization of H succeeds only when H is positive definite
+    to rounding, and then the deficit is 0.0 with no spectrum taken; only
+    when it fails does ``eigvalsh`` give the true deficit, about 0 for a
+    singular PSD H.
+    """
+    try:
+        np.linalg.cholesky(H)
+    except np.linalg.LinAlgError:
+        return max(0.0, -float(np.linalg.eigvalsh(H)[0]))
+    return 0.0
 
 
 def _clusters(values, ctol) -> list:

@@ -211,7 +211,7 @@ def seb_solve_reference(T, B, tol=1e-8):
     """
     from psdfactor.errors import HypothesisFailed
     from psdfactor.factor import SebCertificate
-    from psdfactor.numkernel import as_matrix, frob, herm, kernel_basis, loewner_leq, opnorm, psd_power
+    from psdfactor.numkernel import as_matrix, frob, herm, kernel_basis, opnorm, psd_power
 
     T, B = as_matrix(T), as_matrix(B)
     M = T.conj().T @ B
@@ -249,9 +249,11 @@ def seb_solve_reference(T, B, tol=1e-8):
         )
     G0 = T @ psd_power(lam * M, -0.5, tol=tol)
     X = herm(lam * (G0 @ G0.conj().T))
+    # the engine's upper-side rule from the whole spectrum, with no Cholesky
+    n = X.shape[0]
+    tau = max(tol, n * np.finfo(float).eps)
     checks = {
-        "contraction_norm": opnorm(G0),
-        "b_majorization_margin": loewner_leq(M, opnorm(X) * (B.conj().T @ B), tol=tol)[1],
+        "norm_bound_deficit": max(0.0, -float(np.linalg.eigvalsh(lam * (1.0 + tau) * np.eye(n) - X)[0])),
         "tol": tol,
     }
     return SebCertificate(

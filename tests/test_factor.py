@@ -181,7 +181,43 @@ def test_seb_matches_reference_solver():
         assert abs(cert.lambda_star - ref.lambda_star) <= 1e-12 * ref.lambda_star
         assert frob(cert.X - ref.X) <= 1e-10 * frob(ref.X)
         assert cert.checks.keys() == ref.checks.keys()
+        if "norm_bound_deficit" in ref.checks:
+            # the engine's Cholesky and the oracle's eigvalsh both find X <= lambda* (1 + tau) I
+            assert cert.checks["norm_bound_deficit"] == ref.checks["norm_bound_deficit"] == 0.0
     assert verdicts[True] >= 150 and verdicts[False] >= 50
+
+
+def test_seb_norm_bound_keeps_the_contraction_and_b_majorization():
+    # the claims the norm bound implies, recomputed: ||G0|| <= 1 by SVD and T*B <= lambda* B*B
+    feasible = 0
+    for T, B in [*_planted_pairs(), *_soundness_pairs(), *_truncation_pairs()]:
+        cert = factor.seb_solve(T, B)
+        if not cert.feasible or cert.lambda_star == 0.0:
+            continue
+        feasible += 1
+        assert np.linalg.svd(cert.G0, compute_uv=False)[0] <= 1.0 + 1e-8
+        M = herm(T.conj().T @ B)
+        assert nk.loewner_leq(M, cert.lambda_star * (B.conj().T @ B))[0]
+    assert feasible >= 150
+
+
+def test_seb_norm_bound_catches_an_underreported_lambda(monkeypatch):
+    # lambda* read 10% low by its eigvalsh: X <= lambda* (1 + tau) I fails by 0.1 lambda*
+    T, B = next(_planted_pairs())
+    honest = factor.seb_solve(T, B)
+    assert honest.checks["norm_bound_deficit"] == 0.0
+    eigvalsh, seen = np.linalg.eigvalsh, []
+
+    def low_first(a, *args, **kwargs):
+        seen.append(a)
+        w = eigvalsh(a, *args, **kwargs)
+        return 0.9 * w if len(seen) == 1 else w
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", low_first)
+    cert = factor.seb_solve(T, B)
+    assert len(seen) == 2  # lambda_max(X), then the deficit after the Cholesky failed
+    assert cert.lambda_star == pytest.approx(0.9 * honest.lambda_star, rel=1e-12)
+    assert cert.checks["norm_bound_deficit"] == pytest.approx(0.1 * honest.lambda_star, rel=1e-6)
 
 
 def _phase_twin(rng, *Ms):
@@ -262,7 +298,7 @@ def _count_linalg(monkeypatch):
     own internal calls (``cond`` -> ``svd``) are not seen twice.
     """
     calls = _LinalgCalls()
-    names = ("svd", "eig", "eigh", "eigvals", "eigvalsh", "inv", "pinv", "solve", "cond", "qr", "lstsq", "det")
+    names = ("svd", "eig", "eigh", "eigvals", "eigvalsh", "cholesky", "inv", "pinv", "solve", "cond", "qr", "lstsq", "det")
     for name in names:
         fn = getattr(np.linalg, name)
 
@@ -324,16 +360,19 @@ def test_dense_engine_decomposition_counts(monkeypatch):
 
     cert = factor.seb_solve(T, B)
     assert cert.feasible and cert.residual_xb_t <= 1e-8 * (1 + frob(T))
-    # eigh(T*B), ||T K||, lambda_max(X), ||G0||, the Loewner margin; the leak
+    # eigh(T*B), ||T K||, lambda_max(X) and one Cholesky of lambda* (1 + tau) I - X
+    # (5 with an SVD for ||G0|| and the eigvalsh of a Loewner margin); the leak
     # ||T K|| is below tol (1 + max column norm of T), so ||T|| takes no SVD
-    assert sum(calls.values()) <= 5, calls
+    assert calls == {"eigh": 1, "eigvalsh": 1, "cholesky": 1, "norm2": 1}, calls  # no svd
 
     calls.clear()
     assert factor.bounded_S_checks(TS, G, S).all_passed
     # the PSD gate of S, whose eigh gives ||S||; one svd(G) for rank, ||G||, cond(G),
-    # G^-1 and X^(+-1/2); ||T||; 4 margins (9 with inv(G) and an eigh of X = G*G)
+    # G^-1 and X^(+-1/2); ||T||; 2 signed margins and 2 PSD residuals, which one
+    # Cholesky each settles (9 with inv(G) and an eigh of X = G*G)
     assert sum(calls.values()) <= 7, calls
     assert calls["svd"] == 1 and calls["eigh"] == 1 and calls["inv"] == 0, calls
+    assert calls["eigvalsh"] == 2 and calls["cholesky"] == 2, calls
 
     calls.clear()
     factor.wsimilar_forms(TS)

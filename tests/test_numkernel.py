@@ -143,6 +143,19 @@ def test_loewner_transitive():
         assert nk.loewner_leq(P, R, tol=2e-8)[0]
 
 
+def test_psd_deficit_cholesky_first(monkeypatch):
+    # a definite H passes its Cholesky and takes no spectrum; otherwise eigvalsh gives the deficit
+    eigvalsh, spectra = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args: spectra.append(a) or eigvalsh(a, *args))
+    P = random_psd(np.random.default_rng(13), 5) + 0.1 * np.eye(5)
+    assert nk.psd_deficit(P) == 0.0 and not spectra
+    assert nk.psd_deficit(np.diag([1.0, -0.3])) == pytest.approx(0.3, rel=1e-15)
+    assert len(spectra) == 1
+    # singular PSD: the second Cholesky pivot is exactly 0, and the deficit is rounding dust
+    assert nk.psd_deficit(np.ones((3, 3))) <= 1e-15
+    assert len(spectra) == 2
+
+
 def test_spectrum_diagonal():
     spec = nk.spectrum(np.diag([1.0, 2.0, 3.0]))
     assert spec.diagonalizable
