@@ -248,6 +248,16 @@ class BoundedSReport:
     all_passed: bool
 
 
+def _leaks(leak, A, tol) -> bool:
+    """leak > tol (1 + ||A||), with ||A|| read off its bounds first.
+
+    max column norm <= ||A|| <= ||A||_F: an SVD settles only a leak between the two.
+    """
+    return bool(leak) and leak > tol * (1.0 + np.linalg.norm(A, axis=0).max(initial=0.0)) and (
+        leak > tol * (1.0 + frob(A)) or leak > tol * (1.0 + opnorm(A))
+    )
+
+
 def _operands(who, *Ms, square=True):
     """The operands as matrices of one shape, square unless ``square`` is off, else NotSquare."""
     Ms = [as_matrix(M) for M in Ms]
@@ -268,12 +278,14 @@ def douglas_solve(T, B, tol: float = DEFAULT_TOL) -> DouglasSolution:
 
     The minimal-norm solution is Y = T B+, already zero on (ran B)^perp, so
     ran Y <= ran T and ker B* <= ker Y; c = ||Y|| is the least constant with
-    T*T <= c^2 B*B.
+    T*T <= c^2 B*B.  ker B <= ker T is tested as ||T K|| <= tol (1 + ||T||)
+    on an orthonormal basis K of ker B; ``_leaks`` takes ||T|| by an SVD
+    only when its bounds leave that test open.
     """
     T, B = _operands("douglas_solve", T, B, square=False)
     split = svd_split(B)
     kb = split.ker
-    if kb.dim and opnorm(T @ kb.basis) > tol * (1.0 + opnorm(T)):
+    if kb.dim and _leaks(opnorm(T @ kb.basis), T, tol):
         return DouglasSolution(feasible=False, Y=None, c=math.inf)
     Y = T @ split.pinv
     return DouglasSolution(feasible=True, Y=Y, c=opnorm(Y))
@@ -315,10 +327,7 @@ def _seb_factor(Ts, A, tol: float, who: str, D=None):
     TD = Ts if D is None else Ts @ D
 
     leak = opnorm(TD @ V[:, np.abs(w) <= cut])
-    # max column norm <= ||TD|| <= ||TD||_F: the SVD settles only a leak between the two
-    if leak and leak > tol * (1.0 + np.linalg.norm(TD, axis=0).max(initial=0.0)) and (
-        leak > tol * (1.0 + frob(TD)) or leak > tol * (1.0 + opnorm(TD))
-    ):
+    if _leaks(leak, TD, tol):
         return leak, math.inf, None, None
 
     live = w > cut

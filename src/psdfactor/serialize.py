@@ -20,14 +20,15 @@ can differ from json's in text but not in value: ``1e-05`` is written
 ``0.00001`` and ``1e+16`` is written ``1e16``.  Every other scalar of a
 report keeps json's spelling, non-finite ones included (``Infinity``,
 ``NaN``), until reports become strict JSON (ROADMAP item 2).
-``matrix_from_json`` reads ``data`` with one ``np.array`` and takes the
-result only when it holds booleans, integers or floats, has shape
-``(rows*cols, 2)`` (pairs) or ``(rows*cols,)`` (bare numbers) and is finite
-throughout; the float64 pairs are then viewed as complex128, which keeps an
-imaginary -0.0.  Any data that array refuses (mixed pairs and bare numbers,
-strings, null, integers beyond the float range, ragged or nested lists) is
-parsed entry by entry with ``complex_from_json``, which accepts it or names
-its first bad entry.
+``matrix_from_json`` reads ``data`` in one C pass, ``array("d")`` over the
+chained entries when every entry has length 2 (pairs) and over the entries
+themselves otherwise (bare numbers), and takes the result only when it is
+finite throughout; the float64 pairs are then viewed as complex128, which
+keeps an imaginary -0.0.  ``array("d")`` accepts booleans, integers and
+floats and refuses strings, null, objects, lists and integers beyond the
+float range, so any data that pass refuses (mixed pairs and bare numbers,
+a two-character string, ragged or nested lists) is parsed entry by entry
+with ``complex_from_json``, which accepts it or names its first bad entry.
 """
 
 from __future__ import annotations
@@ -35,7 +36,9 @@ from __future__ import annotations
 import cmath
 import json
 import math
+from array import array
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 import orjson
@@ -95,19 +98,21 @@ def matrix_to_json(M):
     return obj
 
 
-def _array_data(data, size):
-    """``data`` as ``size`` entries, complex128 pairs or float64 bare numbers,
-    when one ``np.array`` reads it as finite numbers; else None."""
+def _array_data(data):
+    """``data`` as complex128 pairs or float64 bare numbers, when one
+    ``array("d")`` pass reads it as finite numbers; else None."""
     try:
-        a = np.array(data)
-    except (ValueError, TypeError, OverflowError):
+        pairs = set(map(len, data)) == {2}
+    except TypeError:  # a bare number has no length
+        pairs = False
+    try:
+        # array("d") presizes from a list, and grows step by step from an iterator
+        a = np.frombuffer(array("d", list(chain.from_iterable(data)) if pairs else data))
+    except (TypeError, OverflowError):
         return None
-    if a.dtype.kind not in "biuf" or a.shape not in ((size, 2), (size,)):
-        return None
-    a = np.ascontiguousarray(a, dtype=np.float64)
     if not np.isfinite(a).all():
         return None
-    return a.view(np.complex128).reshape(size) if a.ndim == 2 else a
+    return a.view(np.complex128) if pairs else a
 
 
 def _entry_data(data, where):
@@ -131,7 +136,7 @@ def matrix_from_json(obj, where="matrix"):
         raise ParseError(f"{where}: rows/cols must be nonnegative integers")
     if not isinstance(data, list) or len(data) != rows * cols:
         raise ParseError(f"{where}: data must hold rows*cols = {rows * cols} entries")
-    flat = _array_data(data, rows * cols)
+    flat = _array_data(data)
     if flat is None:
         flat = _entry_data(data, where)
     return as_matrix(flat.reshape(rows, cols))

@@ -366,6 +366,12 @@ def test_dense_engine_decomposition_counts(monkeypatch):
     assert calls == {"eigh": 1, "eigvalsh": 1, "cholesky": 1, "norm2": 1}, calls  # no svd
 
     calls.clear()
+    assert factor.douglas_solve(T, B).feasible
+    # svd(B) for ker B and B+, ||T K_B|| and c = ||Y||; the leak settles below
+    # tol (1 + max column norm of T), so ||T|| takes no SVD (norm2 3 before)
+    assert calls == {"svd": 1, "norm2": 2}, calls
+
+    calls.clear()
     assert factor.bounded_S_checks(TS, G, S).all_passed
     # the PSD gate of S, whose eigh gives ||S||; one svd(G) for rank, ||G||, cond(G),
     # G^-1 and X^(+-1/2); ||T||; 2 signed margins and 2 PSD residuals, which one
@@ -404,28 +410,51 @@ def test_dense_engine_decomposition_counts(monkeypatch):
     assert calls.max_dim == n, calls.max_dim
 
 
-def test_seb_leak_test_keeps_the_svd_verdict(monkeypatch):
-    # ||T|| is read off its bounds, max column norm <= ||T|| <= ||T||_F, before any
-    # SVD; tolerances on both sides of each bound give the verdict of the SVD rule
-    rng = np.random.default_rng(33)
+def _leak_case(rng, monkeypatch):
+    """T, B = Q diag(t) Q*, Q diag(b) Q* with ker B = span Q[:, :2], into which
+    T leaks max(t[:2]); tolerances on both sides of each bound of ||T||, max
+    column norm <= ||T|| <= ||T||_F; and a list that records, per ``factor.opnorm``
+    call, whether it took ||T||.
+    """
     n = 6
     Q = random_unitary(rng, n)
     t, b = rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n)
-    b[:2] = 0.0  # ker T*B = ker B, into which T leaks max(t[:2])
+    b[:2] = 0.0
     T, B = (Q * t) @ Q.conj().T, (Q * b) @ Q.conj().T
     leak, norm_T = opnorm(T @ Q[:, :2]), opnorm(T)
     col, fro = np.linalg.norm(T, axis=0).max(), frob(T)
     assert col < norm_T < fro
-    of_T = []  # per opnorm call: is it ||T||?
+    of_T = []
     monkeypatch.setattr(factor, "opnorm", lambda a: of_T.append(np.array_equal(a, T)) or opnorm(a))
-    svd_of_T = set()
     edges = leak / (1.0 + np.array([0.5 * col, col, 0.5 * (col + norm_T), norm_T, 0.5 * (norm_T + fro), fro, 2 * fro]))
-    for tol in np.concatenate([edges * (1 - 1e-9), edges * (1 + 1e-9)]):
+    tols = np.concatenate([edges * (1 - 1e-9), edges * (1 + 1e-9)])
+    return T, B, leak, norm_T, tols, of_T
+
+
+def test_seb_leak_test_keeps_the_svd_verdict(monkeypatch):
+    # ||T|| is read off its bounds before any SVD; tolerances on both sides of
+    # each bound give the verdict of the SVD rule (ker T*B = ker B here)
+    T, B, leak, norm_T, tols, of_T = _leak_case(np.random.default_rng(33), monkeypatch)
+    svd_of_T = set()
+    for tol in tols:
         of_T.clear()
         cert = factor.seb_solve(T, B, tol=tol)
         assert cert.feasible == (leak <= tol * (1.0 + norm_T)), tol
         if not cert.feasible:
             assert cert.checks["kernel_obstruction"] == pytest.approx(leak, rel=1e-12)
+        svd_of_T.add(any(of_T))
+    assert svd_of_T == {True, False}
+
+
+def test_douglas_leak_test_keeps_the_svd_verdict(monkeypatch):
+    # douglas_solve decides its leak by the same rule as seb_solve
+    T, B, leak, norm_T, tols, of_T = _leak_case(np.random.default_rng(34), monkeypatch)
+    svd_of_T = set()
+    for tol in tols:
+        of_T.clear()
+        sol = factor.douglas_solve(T, B, tol=tol)
+        assert sol.feasible == (leak <= tol * (1.0 + norm_T)), tol
+        assert (sol.c == math.inf) != sol.feasible
         svd_of_T.add(any(of_T))
     assert svd_of_T == {True, False}
 
