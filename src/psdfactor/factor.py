@@ -43,9 +43,9 @@ from .errors import (
     NotSquare,
 )
 from .linrel import (
-    GRAPH_ATOL,
     LinRel,
     as_relation,
+    operator_part_cokernel,
     operator_part_relation,
     rel_adjoint,
     rel_classify,
@@ -66,7 +66,6 @@ from .numkernel import (
     herm,
     hausdorff_distance,
     kernel_basis,
-    matrix_rank,
     opnorm,
     psd_power,
     spectrum,
@@ -398,14 +397,17 @@ def seb_relation_solve(T: LinRel, B: LinRel, tol: float = DEFAULT_TOL) -> SebCer
     additionally T = X B0-bar (+) T_mul and ker X = ker (T_s)*.
     ker (T_s)* = (P_s ran T)^perp = ker T* + mul T is read off the graph
     block P_s Y at the graph floor, the rule ``rel_parts`` uses for ker and
-    mul, so an operator part that is rounding dust counts as zero.
+    mul, so an operator part that is rounding dust counts as zero
+    (``linrel.operator_part_cokernel``).  Operands that keep an exact
+    canonical decomposition (matrices, and what ``linrel``'s constructors
+    build from them) give their parts for free, and their adjoints,
+    products and restrictions as matrix products.
     """
     if T.dom_dim != B.dom_dim or T.codom_dim != B.codom_dim:
         raise NotSquare("seb_relation_solve: T and B must share domain and codomain")
     parts_T = rel_parts(T)
     ts = parts_T.operator_part_matrix
-    Y, M = T.blocks()[1], parts_T.mul.basis
-    ker_ts_adj = kernel_basis((Y - M @ (M.conj().T @ Y)).conj().T, atol=GRAPH_ATOL)
+    ker_ts_adj = operator_part_cokernel(T)
     if not subspace_contains(ker_ts_adj, rel_parts(B).mul, tol=tol):
         raise HypothesisFailed("seb_relation_solve: mul B is not contained in ker (T_s)*")
     M_rel = rel_compose(rel_adjoint(T), B)
@@ -424,8 +426,9 @@ def seb_relation_solve(T: LinRel, B: LinRel, tol: float = DEFAULT_TOL) -> SebCer
     B0 = rel_restrict(B, parts_M.dom)
     B0adj = rel_adjoint(B0)
     XB0 = rel_compose(rel_from_matrix(X), B0)
-    incl_ts = rel_containment_residual(operator_part_relation(T, parts_T), XB0)
-    incl_t = rel_containment_residual(T, XB0)
+    Ts = operator_part_relation(T, parts_T)
+    incl_ts = rel_containment_residual(Ts, XB0)
+    incl_t = incl_ts if Ts is T else rel_containment_residual(T, XB0)
 
     # T* B0 = T* B = M_rel, as B0 is B restricted to dom M
     mid = rel_compose(B0adj, XB0)
@@ -486,9 +489,9 @@ def reverse_solve(T, B, tol: float = DEFAULT_TOL) -> ReverseCertificate:
     form is T* = B* Y.
     """
     T, B = as_relation(T), as_relation(B)
-    Tadj = rel_adjoint(T)
+    S = rel_inverse(rel_adjoint(T))
     try:
-        dual = seb_relation_solve(rel_inverse(Tadj), rel_inverse(rel_adjoint(B)), tol=tol)
+        dual = seb_relation_solve(S, rel_inverse(rel_adjoint(B)), tol=tol)
     except HypothesisFailed as exc:
         raise HypothesisFailed(f"reverse_solve: on the dual ((T*)^-1, (B*)^-1), {exc}") from exc
     if not dual.feasible:
@@ -501,8 +504,8 @@ def reverse_solve(T, B, tol: float = DEFAULT_TOL) -> ReverseCertificate:
     if "equality_mode" in dual.checks:
         residuals["adjoint_factorization"] = dual.checks["equality_mode"]
         residuals["mul_Y_matches"] = dual.checks["ker_X_equals_ker_Ts_adj"]
-        # ker T* = {0} iff the second block of T*'s orthonormal graph basis is injective
-        if matrix_rank(Tadj.blocks()[1], atol=GRAPH_ATOL) == Tadj.graph_dim:
+        # ker T* = mul (T*)^(-1), which the dual has decomposed
+        if not rel_parts(S).mul.dim:
             residuals["adjoint_operator_factorization"] = dual.checks["equality_mode"]
     return ReverseCertificate(
         feasible=True,
@@ -560,19 +563,20 @@ def wsimilar_forms(T, tol: float = DEFAULT_TOL) -> WSimilarForms:
     X, Xi = herm((U / s ** 2) @ U.conj().T), herm((U * s ** 2) @ U.conj().T)
     S = herm((U / s) @ U.conj().T @ T @ (U * s) @ U.conj().T)
     split = svd_split(T)
+    XT, TW = X @ T, T @ Xi  # B1 = Z T = X T and T W = T X^(-1)
     forms = WSimilarForms(
-        X=X, S=S, X1=Xi, B1=X @ T, X2=X, B2=Xi @ T.conj().T, W=Xi, Z=X,
+        X=X, S=S, X1=Xi, B1=XT, X2=X, B2=Xi @ T.conj().T, W=Xi, Z=X,
         plusdot_ok=subspace_intersect(split.ran, split.ker).dim == 0,
     )
     cond2 = spec.eigvec_condition ** 2
     forms.checks = {
-        "intertwine": frob(X @ T - T.conj().T @ X),
-        "factor_T": frob(forms.X1 @ forms.B1 - T),
-        "factor_Tadj": frob(forms.X2 @ forms.B2 - T.conj().T),
-        "TW_psd_margin": float(np.linalg.eigvalsh(herm(T @ forms.W))[0]),
-        "ZT_psd_margin": float(np.linalg.eigvalsh(herm(forms.Z @ T))[0]),
-        "TW_herm_dev": frob(T @ forms.W - (T @ forms.W).conj().T),
-        "ZT_herm_dev": frob(forms.Z @ T - (forms.Z @ T).conj().T),
+        "intertwine": frob(XT - T.conj().T @ X),
+        "factor_T": frob(Xi @ XT - T),
+        "factor_Tadj": frob(X @ forms.B2 - T.conj().T),
+        "TW_psd_margin": float(np.linalg.eigvalsh(herm(TW))[0]),
+        "ZT_psd_margin": float(np.linalg.eigvalsh(herm(XT))[0]),
+        "TW_herm_dev": frob(TW - TW.conj().T),
+        "ZT_herm_dev": frob(XT - XT.conj().T),
         "S_herm_dev": frob(S - S.conj().T),
         "S_psd_margin": float(np.linalg.eigvalsh(S)[0]),
         "cond_G": math.sqrt(cond2),

@@ -34,9 +34,10 @@ Five global conventions keep kernels consistent across operations:
   largest |eigenvalue|; callers that decide on a spectrum take it from the
   gate instead of decomposing again; :func:`is_hermitian` and
   :func:`is_psd_spectrum` state the two tests once for every caller;
-* one SVD step: ranges, kernels and pseudo-inverses all take their SVD from
-  ``_svd``, which retries once on A* when LAPACK fails to converge on A
-  (zgesdd can fail on a matrix whose adjoint it decomposes);
+* one SVD step: ranges, kernels, pseudo-inverses, spans, ranks and
+  orthogonal complements all take their SVD from ``_svd``, which retries
+  once on A* when LAPACK fails to converge on A (zgesdd can fail on a matrix
+  whose adjoint it decomposes);
 * one Cholesky-first PSD residual: a check that H >= 0 reports
   :func:`psd_deficit`, max(0, -lambda_min(H)), which is 0.0 when one
   Cholesky factorization of H succeeds and takes ``eigvalsh`` only when it
@@ -480,7 +481,7 @@ def span(vectors, ambient_dim=None, rtol: float = RANK_RTOL, atol: float = 0.0) 
         raise ValueError("ambient dimension mismatch")
     if A.shape[1] == 0 or not A.any():
         return zero_space(ambient_dim)
-    u, s, _ = np.linalg.svd(A, full_matrices=False)
+    u, s, _ = _svd(A, full=False)
     return Subspace(ambient_dim, u[:, : numerical_rank(s, atol, rtol)].copy())
 
 
@@ -499,46 +500,56 @@ def numerical_rank(s, atol: float = 0.0, rtol: float = RANK_RTOL) -> int:
 
 @dataclass(frozen=True)
 class SvdSplit:
-    """A = U_r diag(s_r) V_r*: ran = span U_r, ker = (span V_r)^perp, pinv = V_r diag(1/s_r) U_r*."""
+    """A = U_r diag(s_r) V_r*: ran = span U_r, ker = (span V_r)^perp, pinv = V_r diag(1/s_r) U_r*,
+    and the kept singular values s_r, descending."""
 
     ran: Subspace
     ker: Subspace
     pinv: np.ndarray
+    values: np.ndarray
 
 
-def _svd(A):
-    """u, s, vh of A with u thin and vh n x n, so ker A reads off vh; on non-convergence, from A*'s SVD."""
-    full = A.shape[0] < A.shape[1]
+def _svd(A, full=None, uv: bool = True):
+    """u, s, vh of A, or s alone when ``uv`` is off; on non-convergence, from A*'s SVD.
+
+    ``full`` None gives u thin and vh n x n, so ker A reads off vh; True
+    gives both square, so (ran A)^perp reads off u; False gives both thin.
+    """
+    full = A.shape[0] < A.shape[1] if full is None else full
     try:
-        return np.linalg.svd(A, full_matrices=full)
+        return np.linalg.svd(A, full_matrices=full, compute_uv=uv)
     except np.linalg.LinAlgError:
+        if not uv:
+            return np.linalg.svd(A.conj().T, compute_uv=False)
         v, s, uh = np.linalg.svd(A.conj().T, full_matrices=full)
         return uh.conj().T, s, v.conj().T
 
 
-def svd_split(A, atol: float = 0.0) -> SvdSplit:
+def svd_split(A, atol: float = 0.0, rank=None) -> SvdSplit:
     """Range, kernel and pseudo-inverse of A from one SVD, cut by :func:`numerical_rank`.
 
     ``atol`` is an absolute floor for data on the scale of an orthonormal
-    basis, where a block of pure rounding dust must count as zero.
+    basis, where a block of pure rounding dust must count as zero.  ``rank``,
+    a function of the descending singular values, replaces the rule.
     """
     A = as_matrix(A)
     m, n = A.shape
     if A.size == 0 or not A.any():
-        return SvdSplit(zero_space(m), full_space(n), np.zeros((n, m)))
+        return SvdSplit(zero_space(m), full_space(n), np.zeros((n, m)), np.zeros(0))
     u, s, vh = _svd(A)
-    r = numerical_rank(s, atol)
+    r = numerical_rank(s, atol) if rank is None else rank(s)
     v = vh.conj().T
     return SvdSplit(
         ran=Subspace(m, u[:, :r].copy()),
         ker=Subspace(n, v[:, r:].copy()),
         pinv=(v[:, :r] / s[:r]) @ u[:, :r].conj().T,
+        values=s[:r],
     )
 
 
 def matrix_rank(A, atol: float = 0.0) -> int:
     A = as_matrix(A)
-    return numerical_rank(np.linalg.svd(A, compute_uv=False), atol) if A.any() else 0
+    return numerical_rank(_svd(A, uv=False), atol) if A.any() else 0
 
 
 def kernel_basis(A, atol: float = 0.0, rtol: float = RANK_RTOL) -> Subspace:
@@ -554,7 +565,9 @@ def kernel_basis(A, atol: float = 0.0, rtol: float = RANK_RTOL) -> Subspace:
 def subspace_complement(sp: Subspace) -> Subspace:
     if sp.dim == 0:
         return full_space(sp.ambient_dim)
-    u, s, _ = np.linalg.svd(sp.basis, full_matrices=True)
+    if sp.dim == sp.ambient_dim:
+        return zero_space(sp.ambient_dim)
+    u, _, _ = _svd(sp.basis, full=True)
     return Subspace(sp.ambient_dim, u[:, sp.dim:].copy())
 
 

@@ -480,3 +480,106 @@ def test_relation_ops_match_reference_forms():
         for D in domains:
             _assert_same_subspace(rel_restrict(T, D).graph, rel_restrict_reference(T, D).graph, what)
         assert rel_restrict(T, rel_parts(T).dom).graph_dim == T.graph_dim
+
+
+# ------------------------------------------- the exact canonical decomposition
+
+# (singular values of a 4 x 4 matrix M, how many the graph rule keeps, whether
+# rel_inverse keeps the inverted decomposition).  The last value sits on
+# either side of the rule: of the relative cut, at 7.1e-11 as s_max ~
+# 1/sqrt(2) (cond near 1e10), and of the floor GRAPH_ATOL, which cuts first
+# when s_max is small.  A kept part with cond(M) past INVERSE_COND_MAX is
+# decomposed on its graph instead.
+_RANK_RULE_CASES = (
+    ((2.0, 1.0, 0.5, 0.3), 4, True),
+    ((2.0, 1.0, 0.5, 0.0), 3, True),
+    ((1.0, 0.5, 1e-3, 2e-10), 4, False),
+    ((1.0, 0.5, 1e-3, 3e-11), 3, True),
+    ((1e-3, 5e-4, 1e-4, 5e-12), 4, False),
+    ((1e-9, 5e-10, 2e-10, 1.5e-12), 4, True),
+    ((1e-9, 5e-10, 2e-10, 5e-13), 3, True),
+)
+
+
+def _svd_planted(rng, sv, complex_data):
+    """(U, V, M = U diag(sv) V*) with U, V random unitary (orthogonal for real data)."""
+    U, V = (
+        np.linalg.qr(rng.standard_normal((4, 4)) + (1j * rng.standard_normal((4, 4)) if complex_data else 0.0))[0]
+        for _ in range(2)
+    )
+    return U, V, U @ np.diag(sv) @ V.conj().T
+
+
+def _graph_only(R):
+    """The same graph with no decomposition: operations on it take the graph path."""
+    return LinRel(R.dom_dim, R.codom_dim, R.graph)
+
+
+def _assert_same_decomposition(exact, graph_path, what):
+    # the same dims, and dom, mul and T_s (relative) within 1e-10, against the
+    # reference parts of exact's own graph and against the graph path.  Those
+    # read the parts off the block X of an orthonormal basis, which carries
+    # rounding of about eps against singular values down to 1/(1 + ||T_s||):
+    # past ||T_s|| = 1e5 they are good to 1e-15 ||T_s|| only.
+    assert exact.exact and not graph_path.exact, what
+    got = rel_parts(exact)
+    for want in (rel_parts_reference(exact), rel_parts(graph_path)):
+        ts_g, ts_w = got.operator_part_matrix, want.operator_part_matrix
+        tol = max(1e-10, 1e-15 * nk.opnorm(ts_w))
+        for name in ("dom", "mul"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert g.dim == w.dim and nk.subspace_distance(g, w) <= tol, (what, name)
+        assert nk.frob(ts_g - ts_w) <= tol * (1.0 + nk.frob(ts_w)), what
+    assert rel_distance(exact, graph_path) <= 1e-10, what
+
+
+def test_exact_decomposition_matches_graph_path():
+    # rel_from_matrix, rel_adjoint, rel_inverse, rel_compose and rel_restrict on
+    # operators build dom, mul and T_s with no SVD of a graph (rel_inverse with
+    # one SVD of T_s); each agrees with the reference parts of its own graph and
+    # with the same operation on graph-only operands, and rel_inverse cuts at
+    # the graph rule on both sides of it.
+    rng = np.random.default_rng(41)
+    for complex_data in (False, True):
+        for sv, kept, exact_inverse in _RANK_RULE_CASES:
+            what = (complex_data, sv)
+            U, V, M = _svd_planted(rng, sv, complex_data)
+            N = _svd_planted(rng, (1.5, 1.0, 0.7, 0.2), complex_data)[2]
+            E, F = rel_from_matrix(M), rel_from_matrix(N)
+            G, H = _graph_only(E), _graph_only(F)
+            D = nk.span(rng.standard_normal((4, 2)) + (1j * rng.standard_normal((4, 2)) if complex_data else 0.0))
+            cases = [
+                (E, G),
+                (rel_adjoint(E), rel_adjoint(G)),
+                (rel_compose(F, E), rel_compose(H, G)),
+                (rel_compose(E, rel_inverse(F)), rel_compose(G, rel_inverse(H))),
+                (rel_restrict(E, D), rel_restrict(G, D)),
+                (rel_compose(F, rel_restrict(E, D)), rel_compose(H, rel_restrict(G, D))),
+                # everywhere defined with mul = D^perp, after an operator
+                (rel_compose(rel_adjoint(rel_restrict(E, D)), F), rel_compose(rel_adjoint(rel_restrict(G, D)), H)),
+            ]
+            inverse = rel_inverse(E)
+            assert inverse.exact == exact_inverse, what
+            if exact_inverse:
+                cases += [
+                    (inverse, rel_inverse(G)),
+                    (rel_adjoint(inverse), rel_adjoint(rel_inverse(G))),
+                    (rel_inverse(rel_adjoint(E)), rel_inverse(rel_adjoint(G))),
+                ]
+            for i, (exact, graph_path) in enumerate(cases):
+                _assert_same_decomposition(exact, graph_path, (what, i))
+            for R in (inverse, rel_inverse(G)):
+                assert (rel_parts(R).dom.dim, rel_parts(R).mul.dim) == (kept, 4 - kept), what
+            # dom M^(-1) = ran M and mul M^(-1) = ker M, as planted
+            parts = rel_parts(inverse)
+            assert nk.subspace_distance(parts.dom, nk.Subspace(4, U[:, :kept])) <= 1e-10, what
+            assert nk.subspace_distance(parts.mul, nk.Subspace(4, V[:, kept:])) <= 1e-10, what
+            assert rel_restrict(E, nk.full_space(4)) is E
+    # With mul T != {0} the graph block of T^(-1)'s domain side also has mul's
+    # singular values 1, so the relative cut is 1e-10 even for a tiny T_s.
+    Q, W = (np.linalg.qr(rng.standard_normal((4, 4)))[0] for _ in range(2))
+    ts = Q[:, :3] @ np.diag([1e-9, 3e-10, 5e-11]) @ W[:, :3].T  # into (mul T)^perp = span Q[:, :3]
+    T = LinRel(4, 4, canon=(nk.full_space(4), nk.Subspace(4, Q[:, 3:]), ts))
+    for R in (rel_inverse(T), rel_inverse(_graph_only(T))):
+        assert (rel_parts(R).dom.dim, rel_parts(R).mul.dim) == (3, 2)
+    _assert_same_decomposition(rel_inverse(T), rel_inverse(_graph_only(T)), "mul T != {0}")

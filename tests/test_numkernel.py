@@ -273,9 +273,9 @@ def test_sylvester_kernel_survives_an_svd_failure(monkeypatch):
 
 
 def test_svd_step_survives_an_svd_failure(monkeypatch):
-    # svd_split and kernel_basis take every SVD through one step, which reads the
-    # factors off an SVD of A* when LAPACK fails to converge on A; douglas_solve
-    # decides through svd_split
+    # svd_split, kernel_basis, span, matrix_rank and subspace_complement take every
+    # SVD through one step, which reads the factors off an SVD of A* when LAPACK
+    # fails to converge on A; douglas_solve decides through svd_split
     rng = np.random.default_rng(35)
     svd = np.linalg.svd
 
@@ -308,6 +308,14 @@ def test_svd_step_survives_an_svd_failure(monkeypatch):
         assert ker.dim == want.ker.dim and nk.subspace_distance(ker, want.ker) <= 1e-12
         sol = after_one_failure(lambda: douglas_solve(T, B))
         assert sol.feasible and nk.frob(sol.Y @ B - T) <= 1e-10 * (1 + nk.frob(T))
+        assert after_one_failure(lambda: nk.matrix_rank(B)) == nk.matrix_rank(B) == want.ran.dim
+        sp = nk.span(B)
+        got = after_one_failure(lambda: nk.span(B))
+        assert got.dim == sp.dim == want.ran.dim and nk.subspace_distance(got, sp) <= 1e-12
+        comp = nk.subspace_complement(want.ker)  # ran B* in both shapes
+        got = after_one_failure(lambda: nk.subspace_complement(want.ker))
+        assert got.dim == comp.dim == want.ran.dim and nk.subspace_distance(got, comp) <= 1e-12
+        assert nk.opnorm(want.ker.basis.conj().T @ got.basis) <= 1e-12
 
 
 LEVELS = (0.0, 0.5, 1.5, 2.5)
