@@ -330,8 +330,9 @@ def _seb_factor(Ts, A, tol: float, who: str, D=None):
         return leak, math.inf, None, None
 
     live = w > cut
-    DV = V[:, live] if D is None else D @ V[:, live]
-    F = (TD @ V[:, live]) * w[live] ** -0.5
+    V_live = V[:, live]
+    DV = V_live if D is None else D @ V_live
+    F = (TD @ V_live) * w[live] ** -0.5
     if not F.any():
         n_K = Ts.shape[0]
         return leak, 0.0, np.zeros((n_K, n_K), dtype=F.dtype), np.zeros(Ts.shape, dtype=F.dtype)
@@ -364,10 +365,12 @@ def seb_solve(T, B, tol: float = DEFAULT_TOL) -> SebCertificate:
         return _seb_infeasible(kernel_obstruction=leak)
     n = X.shape[0]
     tau = max(tol, n * np.finfo(float).eps)
-    checks = {"zero_solution": True} if lam == 0.0 else {
-        "norm_bound_deficit": nk.psd_deficit(lam * (1.0 + tau) * np.eye(n) - X),
-        "tol": tol,
-    }
+    if lam == 0.0:
+        checks = {"zero_solution": True}
+    else:
+        gap = -X  # lambda* (1 + tau) I - X with no identity formed: raise the diagonal in place
+        gap.flat[:: n + 1] += lam * (1.0 + tau)
+        checks = {"norm_bound_deficit": nk.psd_deficit(gap), "tol": tol}
     return SebCertificate(
         feasible=True,
         lambda_star=lam,

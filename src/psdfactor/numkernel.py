@@ -34,10 +34,11 @@ Five global conventions keep kernels consistent across operations:
   largest |eigenvalue|; callers that decide on a spectrum take it from the
   gate instead of decomposing again; :func:`is_hermitian` and
   :func:`is_psd_spectrum` state the two tests once for every caller;
-* one SVD step: ranges, kernels, pseudo-inverses, spans, ranks and
-  orthogonal complements all take their SVD from ``_svd``, which retries
-  once on A* when LAPACK fails to converge on A (zgesdd can fail on a matrix
-  whose adjoint it decomposes);
+* one SVD step: ranges, kernels, pseudo-inverses, spans, ranks, spectral
+  norms (:func:`opnorm`, the rank tests of :func:`spectrum`) and orthogonal
+  complements all take their SVD from ``_svd``, which retries once on A*
+  when LAPACK fails to converge on A (zgesdd can fail on a matrix whose
+  adjoint it decomposes);
 * one Cholesky-first PSD residual: a check that H >= 0 reports
   :func:`psd_deficit`, max(0, -lambda_min(H)), which is 0.0 when one
   Cholesky factorization of H succeeds and takes ``eigvalsh`` only when it
@@ -122,10 +123,11 @@ def frob(a) -> float:
 
 
 def opnorm(a) -> float:
+    """Spectral norm ||a||, the largest singular value from the SVD step; 0.0 for a zero matrix."""
     a = np.asarray(a)
     if a.size == 0 or not a.any():
         return 0.0
-    return float(np.linalg.norm(a, 2))
+    return float(_svd(a, uv=False)[0])
 
 
 def herm(a) -> np.ndarray:
@@ -217,7 +219,7 @@ def hermitian_eig(
     _require_square(H, who)
     _require_hermitian(H, tol, who, error)
     try:
-        w, v = np.linalg.eigh(herm(H))
+        w, v = np.linalg.eigh(0.5 * (H + H.conj().T))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergence(str(exc)) from exc
     norm = float(max(-w[0], w[-1])) if w.size else 0.0
@@ -311,7 +313,7 @@ def spectrum(T, tol: float = DEFAULT_TOL) -> Spectrum:
     for run, lam in _clusters(w, dtol):
         if len(run) == 1:
             continue
-        s = np.linalg.svd(T - lam * np.eye(n), compute_uv=False)
+        s = _svd(T - lam * np.eye(n), uv=False)
         rank = int(np.count_nonzero(s > dtol))
         if rank != n - len(run):
             diagonalizable = False

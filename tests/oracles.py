@@ -139,7 +139,10 @@ def lambda_sweep_feasible(T, B, points=64, tol=1e-8):
     """Does some lambda on a fixed geometric grid make lambda T*B - T*T PSD?
 
     The PSD test is relative to ||T*T||, not to the swept matrix, so a
-    fixed-size negative dip is never absorbed by a huge lambda.
+    fixed-size negative dip is never absorbed by a huge lambda.  One
+    ``eigvalsh`` per grid point, stopping at the first feasible one, where
+    ``proptests.lambda_sweep_feasible`` decides the whole grid by one
+    stacked ``eigvalsh``.
     """
     T, B = np.asarray(T), np.asarray(B)
     M = T.conj().T @ B

@@ -294,8 +294,10 @@ class _LinalgCalls(Counter):
 def _count_linalg(monkeypatch):
     """Count numpy.linalg decompositions by name for the rest of the test.
 
-    ``norm`` counts only for the spectral norm, which runs an SVD; numpy's
-    own internal calls (``cond`` -> ``svd``) are not seen twice.
+    A values-only SVD counts as ``svdvals``, whether ``svd`` runs it with
+    ``compute_uv=False`` or ``norm`` does for the spectral norm; ``norm``
+    counts only then.  numpy's own internal calls (``cond`` -> ``svd``) are
+    not seen twice.
     """
     calls = _LinalgCalls()
     names = ("svd", "eig", "eigh", "eigvals", "eigvalsh", "cholesky", "inv", "pinv", "solve", "cond", "qr", "lstsq", "det")
@@ -303,7 +305,8 @@ def _count_linalg(monkeypatch):
         fn = getattr(np.linalg, name)
 
         def counted(a, *args, _fn=fn, _name=name, **kwargs):
-            calls.record(_name, a)
+            values_only = _name == "svd" and not kwargs.get("compute_uv", args[1] if len(args) > 1 else True)
+            calls.record("svdvals" if values_only else _name, a)
             return _fn(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
@@ -311,7 +314,7 @@ def _count_linalg(monkeypatch):
 
     def counted_norm(x, ord=None, *args, **kwargs):
         if ord in (2, -2, "nuc"):
-            calls.record("norm2", x)
+            calls.record("svdvals", x)
         return norm(x, ord, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "norm", counted_norm)
@@ -363,13 +366,13 @@ def test_dense_engine_decomposition_counts(monkeypatch):
     # eigh(T*B), ||T K||, lambda_max(X) and one Cholesky of lambda* (1 + tau) I - X
     # (5 with an SVD for ||G0|| and the eigvalsh of a Loewner margin); the leak
     # ||T K|| is below tol (1 + max column norm of T), so ||T|| takes no SVD
-    assert calls == {"eigh": 1, "eigvalsh": 1, "cholesky": 1, "norm2": 1}, calls  # no svd
+    assert calls == {"eigh": 1, "eigvalsh": 1, "cholesky": 1, "svdvals": 1}, calls  # no svd
 
     calls.clear()
     assert factor.douglas_solve(T, B).feasible
     # svd(B) for ker B and B+, ||T K_B|| and c = ||Y||; the leak settles below
-    # tol (1 + max column norm of T), so ||T|| takes no SVD (norm2 3 before)
-    assert calls == {"svd": 1, "norm2": 2}, calls
+    # tol (1 + max column norm of T), so ||T|| takes no SVD (svdvals 3 before)
+    assert calls == {"svd": 1, "svdvals": 2}, calls
 
     calls.clear()
     assert factor.bounded_S_checks(TS, G, S).all_passed
@@ -405,7 +408,7 @@ def test_dense_engine_decomposition_counts(monkeypatch):
     # 2 x 12 kernels, ||G2|| for the duality check (116 with spectrum(S), then 85
     # while it built both packages, then 29 with ||T|| taken three times)
     assert sum(calls.values()) <= 27 and calls["eigh"] == 1 and calls["eig"] == 0, calls
-    assert calls["norm2"] == 2, calls
+    assert calls["svdvals"] == 2, calls
     # nothing larger than n x n (2n x n graph bases while tba_package ran reverse_solve)
     assert calls.max_dim == n, calls.max_dim
 

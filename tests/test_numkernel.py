@@ -273,17 +273,20 @@ def test_sylvester_kernel_survives_an_svd_failure(monkeypatch):
 
 
 def test_svd_step_survives_an_svd_failure(monkeypatch):
-    # svd_split, kernel_basis, span, matrix_rank and subspace_complement take every
-    # SVD through one step, which reads the factors off an SVD of A* when LAPACK
-    # fails to converge on A; douglas_solve decides through svd_split
+    # svd_split, kernel_basis, span, matrix_rank, subspace_complement, opnorm and
+    # spectrum's rank test take every SVD through one step, which reads the
+    # factors off an SVD of A* when LAPACK fails to converge on A; douglas_solve
+    # decides through svd_split
     rng = np.random.default_rng(35)
     svd = np.linalg.svd
 
-    def after_one_failure(call):
-        failed = []
+    def after_one_failure(call, skip=0):
+        """call() with the SVD after the first ``skip`` ones failing once."""
+        seen, failed = [], []
 
         def flaky(a, *args, **kwargs):
-            if not failed:
+            seen.append(a)
+            if len(seen) == skip + 1:
                 failed.append(a)
                 raise np.linalg.LinAlgError("SVD did not converge")
             return svd(a, *args, **kwargs)
@@ -316,6 +319,20 @@ def test_svd_step_survives_an_svd_failure(monkeypatch):
         got = after_one_failure(lambda: nk.subspace_complement(want.ker))
         assert got.dim == comp.dim == want.ran.dim and nk.subspace_distance(got, comp) <= 1e-12
         assert nk.opnorm(want.ker.basis.conj().T @ got.basis) <= 1e-12
+        # the spectral norm is the largest singular value numpy's norm reads
+        assert nk.opnorm(B) == np.linalg.norm(B, 2)
+        assert after_one_failure(lambda: nk.opnorm(B)) == pytest.approx(nk.opnorm(B), rel=1e-14)
+
+    # spectrum takes ||T|| first, then one rank test per repeated eigenvalue
+    G = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) + 4 * np.eye(4)
+    jordan = np.diag([1.0, 1.0, 2.0, 3.0]).astype(complex)
+    jordan[0, 1] = 1.0
+    for D, diagonalizable in ((np.diag([1.0, 1.0, 2.0, 3.0]), True), (jordan, False)):
+        T = G @ D @ np.linalg.inv(G)
+        want = nk.spectrum(T)
+        got = after_one_failure(lambda: nk.spectrum(T), skip=1)
+        assert got.diagonalizable == want.diagonalizable == diagonalizable
+        assert np.array_equal(got.eigenvalues, want.eigenvalues) and got.norm == want.norm
 
 
 LEVELS = (0.0, 0.5, 1.5, 2.5)
