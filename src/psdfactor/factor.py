@@ -536,8 +536,7 @@ def _psd_similarity(T, tol: float):
     """psd_similarity_decide's verdict and the spectrum of T it was read off."""
     (T,) = _operands("psd_similarity_decide", T)
     spec = spectrum(T, tol=tol)
-    dtol = 100.0 * tol * max(spec.norm, 1e-300)
-    w = spec.eigenvalues
+    dtol, w = spec.cluster_radius, spec.eigenvalues
     real_ok = bool(np.all(np.abs(w.imag) <= dtol) and np.all(w.real >= -dtol))
     if not (spec.diagonalizable and real_ok):
         return PsdSimilarity(accept=False, G=None, S=None), spec

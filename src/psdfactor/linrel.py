@@ -21,8 +21,13 @@ The constructors build the decomposition exactly, with no SVD:
 ((T*)_s = (T_s)*, dom T* = (mul T)^perp and mul T* = (dom T)^perp, two
 complements that cost nothing for an everywhere-defined operator),
 ``rel_compose`` of an everywhere-defined S after a single-valued T (dom T,
-mul S, S_s T_s: one matmul) and ``rel_restrict`` of an everywhere-defined B
-to D (dom D, mul B, B_s P_D; B itself when D is the whole space).
+mul S, S_s T_s: one matmul), ``rel_restrict`` of an everywhere-defined B
+to D (dom D, mul B, B_s P_D; B itself when D is the whole space),
+``operator_part_relation`` (dom T, {0}, T_s; T itself when mul T = {0}),
+``rel_sqrt`` (dom T, mul T, P_s (T_s)^(1/2) P_dom) and ``rel_mul_everything``
+({0}, C^m, 0).  The operator part and the root start from whatever
+decomposition T has, read off its graph when T came as one, and take no
+SVD of their own.
 ``rel_inverse`` takes one SVD of T_s D.  Its rank decision is the one the
 graph path makes: the block T_s D C of an orthonormal graph basis has the
 singular values s / sqrt(1 + s^2) of T_s D's singular values s (C = (I +
@@ -268,9 +273,8 @@ def rel_zero(n: int, m: int) -> LinRel:
 
 
 def rel_mul_everything(n: int, m: int) -> LinRel:
-    """The relation {0} x C^m from C^n to C^m."""
-    vecs = np.vstack([np.zeros((n, m)), np.eye(m)])
-    return rel_from_graph(vecs, n, m)
+    """The relation {0} x C^m from C^n to C^m: dom = {0}, mul = C^m, T_s = 0."""
+    return LinRel(n, m, canon=(zero_space(n), full_space(m), np.zeros((m, n))))
 
 
 def rel_parts(T: LinRel) -> RelParts:
@@ -289,16 +293,12 @@ def rel_parts(T: LinRel) -> RelParts:
 def operator_part_relation(T: LinRel, parts: RelParts | None = None) -> LinRel:
     """T_s = P_s T as a relation on dom T (single valued); ``parts`` = rel_parts(T) if known.
 
-    An exact T gives T_s exactly, and is its own operator part when mul T = {0}.
+    Built from the decomposition (dom T, {0}, T_s), and T itself when mul T = {0}.
     """
     parts = rel_parts(T) if parts is None else parts
-    if T.exact:
-        return T if not parts.mul.dim else LinRel(
-            T.dom_dim, T.codom_dim, canon=(parts.dom, zero_space(T.codom_dim), parts.operator_part_matrix)
-        )
-    D = parts.dom.basis
-    vecs = np.vstack([D, parts.operator_part_matrix @ D])
-    return rel_from_graph(vecs, T.dom_dim, T.codom_dim)
+    if not parts.mul.dim:
+        return T
+    return LinRel(T.dom_dim, T.codom_dim, canon=(parts.dom, zero_space(T.codom_dim), parts.operator_part_matrix))
 
 
 def operator_part_cokernel(T: LinRel) -> Subspace:
@@ -434,22 +434,15 @@ def _require_nonneg_selfadjoint(T, who, tol: float = DEFAULT_TOL):
 def rel_sqrt(T: LinRel, tol: float = DEFAULT_TOL) -> LinRel:
     """Square root of a nonnegative selfadjoint relation, gated at ``tol``.
 
-    The operator part gets its PSD square root on dom T; the multivalued part
-    is preserved, matching (T^(1/2))_s = (T_s)^(1/2).
+    (T^(1/2))_s = (T_s)^(1/2) on dom T, and mul T is kept.  The root is
+    projected onto (mul T)^perp, which leaves the graph span (d; root d) +
+    {0} x mul T as it is and keeps the decomposition's two blocks orthogonal.
     """
     _require_nonneg_selfadjoint(T, "rel_sqrt", tol)
-    parts = rel_parts(T)
-    root = psd_power(herm(parts.operator_part_matrix), 0.5, tol)
-    D = parts.dom.basis
-    M = parts.mul.basis
-    n = T.dom_dim
-    vecs = np.hstack(
-        [
-            np.vstack([D, root @ D]),
-            np.vstack([np.zeros((n, M.shape[1])), M]),
-        ]
-    )
-    return rel_from_graph(vecs, n, n)
+    dom, mul, ts = T.canon
+    D, M = dom.basis, mul.basis
+    root = (psd_power(herm(ts), 0.5, tol) @ D) @ D.conj().T
+    return LinRel(T.dom_dim, T.codom_dim, canon=(dom, mul, root - M @ (M.conj().T @ root)))
 
 
 def resolvent_contraction(T: LinRel) -> np.ndarray:

@@ -35,10 +35,11 @@ Five global conventions keep kernels consistent across operations:
   gate instead of decomposing again; :func:`is_hermitian` and
   :func:`is_psd_spectrum` state the two tests once for every caller;
 * one SVD step: ranges, kernels, pseudo-inverses, spans, ranks, spectral
-  norms (:func:`opnorm`, the rank tests of :func:`spectrum`) and orthogonal
-  complements all take their SVD from ``_svd``, which retries once on A*
-  when LAPACK fails to converge on A (zgesdd can fail on a matrix whose
-  adjoint it decomposes);
+  norms (:func:`opnorm`, the rank tests and cond(V) of :func:`spectrum`),
+  orthogonal complements and the Kronecker fallback of
+  :func:`sylvester_intertwiners` all take their SVD from ``_svd``, which
+  retries once on A* when LAPACK fails to converge on A (zgesdd can fail on
+  a matrix whose adjoint it decomposes);
 * one Cholesky-first PSD residual: a check that H >= 0 reports
   :func:`psd_deficit`, max(0, -lambda_min(H)), which is 0.0 when one
   Cholesky factorization of H succeeds and takes ``eigvalsh`` only when it
@@ -168,13 +169,14 @@ class HermEig:
 @dataclass(frozen=True)
 class Spectrum:
     """Eigenvalues sorted by (real, imag), the matching eigenvector columns,
-    and the spectral norm ||T|| that scaled the clustering."""
+    the spectral norm ||T|| and the cluster radius 100 tol ||T|| it scaled."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     diagonalizable: bool
     eigvec_condition: float
     norm: float
+    cluster_radius: float
 
 
 @dataclass(frozen=True)
@@ -290,16 +292,18 @@ def _clusters(values, ctol) -> list:
 def spectrum(T, tol: float = DEFAULT_TOL) -> Spectrum:
     """Eigenvalues of T plus a rank-test diagonalizability verdict.
 
-    Eigenvalues within 100*tol*||T|| of each other are clustered; T is
-    diagonalizable iff for each cluster (mean value lam, multiplicity m)
-    rank(T - lam I) = n - m, ranks taken at the same 100*tol threshold, and
-    cond(V) <= 1/RANK_RTOL for the eigenvector matrix V: a Jordan block of
-    size 3 or more scatters its eigenvalue past the clustering, and only
-    cond(V) shows it.
+    Eigenvalues within the cluster radius 100*tol*||T|| of each other are
+    clustered; T is diagonalizable iff for each cluster (mean value lam,
+    multiplicity m) rank(T - lam I) = n - m, ranks taken at the same radius,
+    and cond(V) = s_max/s_min <= 1/RANK_RTOL for the eigenvector matrix V
+    (inf when s_min = 0): a Jordan block of size 3 or more scatters its
+    eigenvalue past the clustering, and only cond(V) shows it.
     """
     T = as_matrix(T)
     _require_square(T, "spectrum")
     n = T.shape[0]
+    if not n:
+        raise ValueError("spectrum: empty matrix")
     try:
         w, v = np.linalg.eig(T)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
@@ -318,9 +322,12 @@ def spectrum(T, tol: float = DEFAULT_TOL) -> Spectrum:
         if rank != n - len(run):
             diagonalizable = False
             break
-    cond = float(np.linalg.cond(v, 2)) if diagonalizable else float("inf")
-    diagonalizable = cond <= 1.0 / RANK_RTOL
-    return Spectrum(eigenvalues=w, eigenvectors=v, diagonalizable=diagonalizable, eigvec_condition=cond, norm=norm)
+    cond = float("inf")
+    if diagonalizable:
+        s = _svd(v, uv=False)
+        cond = float(s[0] / s[-1]) if s[-1] else cond
+    return Spectrum(eigenvalues=w, eigenvectors=v, diagonalizable=cond <= 1.0 / RANK_RTOL, eigvec_condition=cond,
+                    norm=norm, cluster_radius=dtol)
 
 
 _KRONECKER_COMBOS = 64
@@ -420,7 +427,7 @@ def _kronecker_intertwiners(T, S, floor) -> Intertwiners:
     """The fallback for two non-diagonalizable matrices: a null space of size pn x pn."""
     n, p = T.shape[0], S.shape[0]
     M = np.kron(T.T, np.eye(p)) - np.kron(np.eye(n), S)
-    _, s, vh = np.linalg.svd(M)
+    _, s, vh = _svd(M)
     null = vh[numerical_rank(s, floor):, :].conj().T
     dim = null.shape[1]
     if not dim:
@@ -431,7 +438,7 @@ def _kronecker_intertwiners(T, S, floor) -> Intertwiners:
     for _ in range(_KRONECKER_COMBOS):
         c = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         cand = (null @ (c / np.linalg.norm(c))).reshape((p, n), order="F")
-        sv = np.linalg.svd(cand, compute_uv=False)
+        sv = _svd(cand, uv=False)
         r = numerical_rank(sv)
         key = (r, float(sv[r - 1]) if r > 0 else 0.0)
         if key > best_key:

@@ -9,8 +9,13 @@ ker M from an SVD and lambda* from ||T M^(+1/2)||^2 instead of the single
 eigendecomposition of the library engine.  The relation references are the
 earlier ``rel_parts`` (up to seven SVDs, ``mul`` and ``ker`` re-orthonormalized),
 ``rel_compose`` (one subspace intersection inside H x K x L) and
-``rel_restrict`` (graph(B) intersected with D x K).  The relation Sebestyen
-reference is the earlier ``seb_relation_solve``: it forms T*T as a relation,
+``rel_restrict`` (graph(B) intersected with D x K); the operator-part and
+square-root references are the earlier graph builders of
+``operator_part_relation`` and ``rel_sqrt``, one span (an SVD) of (D; T_s D)
+or of (D; (T_s)^(1/2) D) beside (0; M), where the library keeps the
+decomposition (dom T, {0}, T_s) or (dom T, mul T, P_s (T_s)^(1/2) P_dom).
+The relation Sebestyen reference is the earlier ``seb_relation_solve``, with
+the operator-part reference for its inclusion in T_s: it forms T*T as a relation,
 decides ker M on the compressed form of T*T (an SVD of the form of M, the
 leak measured as ||T_s D V_ker||^2) and takes lambda* and G0 from two further
 PSD powers, where the library engine shares the one eigendecomposition of
@@ -63,6 +68,7 @@ from psdfactor.diagmodel import (
 from psdfactor.errors import (
     DimensionMismatch,
     HypothesisFailed,
+    NotNonnegSelfadjoint,
     NotSquare,
     ParseError,
     UnrepresentableSymbol,
@@ -74,7 +80,6 @@ from psdfactor.linrel import (
     RelFlags,
     RelParts,
     as_relation,
-    operator_part_relation,
     rel_adjoint,
     rel_classify,
     rel_compose,
@@ -382,6 +387,26 @@ def rel_restrict_reference(B: LinRel, D: Subspace) -> LinRel:
     return LinRel(B.dom_dim, B.codom_dim, inter)
 
 
+def operator_part_relation_reference(T: LinRel, parts: RelParts | None = None) -> LinRel:
+    """T_s as a relation on dom T: the span of (D; T_s D), D an orthonormal basis of dom T."""
+    parts = rel_parts(T) if parts is None else parts
+    D = parts.dom.basis
+    return rel_from_graph(np.vstack([D, parts.operator_part_matrix @ D]), T.dom_dim, T.codom_dim)
+
+
+def rel_sqrt_reference(T: LinRel, tol: float = DEFAULT_TOL) -> LinRel:
+    """The square root of a nonnegative selfadjoint T: the span of (D; (T_s)^(1/2) D)
+    and (0; M), D and M orthonormal bases of dom T and mul T."""
+    flags = rel_classify(T, tol=tol)
+    if not (flags.selfadjoint and flags.nonnegative):
+        raise NotNonnegSelfadjoint("rel_sqrt: relation is not nonnegative selfadjoint")
+    parts = rel_parts(T)
+    root = psd_power(herm(parts.operator_part_matrix), 0.5, tol)
+    D, M = parts.dom.basis, parts.mul.basis
+    vecs = np.hstack([np.vstack([D, root @ D]), np.vstack([np.zeros((T.dom_dim, M.shape[1])), M])])
+    return rel_from_graph(vecs, T.dom_dim, T.codom_dim)
+
+
 def _form_compression(parts, D):
     """Quadratic form of a nonneg selfadjoint relation, given its parts, compressed to columns D."""
     ts = parts.operator_part_matrix
@@ -457,7 +482,7 @@ def seb_relation_solve_reference(T: LinRel, B: LinRel, tol: float = DEFAULT_TOL)
     B0 = rel_restrict(B, parts_M.dom)
     B0adj = rel_adjoint(B0)
     XB0 = rel_compose(rel_from_matrix(X), B0)
-    incl_ts = rel_containment_residual(operator_part_relation(T, parts_T), XB0)
+    incl_ts = rel_containment_residual(operator_part_relation_reference(T, parts_T), XB0)
     incl_t = rel_containment_residual(T, XB0)
 
     lhs = rel_compose(Tadj, B0)

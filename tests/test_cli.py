@@ -466,13 +466,18 @@ def _svd_does_not_converge(*args, **kwargs):
                 ("factor", "inclusionnfs"),
                 ("factor", "tba"),
                 ("factor", "bounded_s"),
+                ("factor", "psd_similarity"),
+                ("factor", "ldeux"),
+                ("intertwine", "sylvester"),
+                ("wsimilar", "wsimilar"),
             )
         ],
     ],
 )
 def test_cli_unfinishable_job_exit_3(tmp_path, monkeypatch, capsys, command, job, patch, error):
     # Each of these used to exit 1, by a traceback or through a catch-all branch;
-    # of the empty jobs, the deciders exited 3 through LAPACK's empty-array error.
+    # of the empty jobs, the deciders exited 3 through LAPACK's empty-array error,
+    # and the jobs that take a spectrum stop at spectrum's empty-matrix check.
     if patch is not None:
         monkeypatch.setattr(np.linalg, "svd", patch)
     path = tmp_path / "job.json"

@@ -13,6 +13,7 @@ from psdfactor import numkernel as nk
 from psdfactor.diagmodel import INF, DiagRel, DiagSymbol, diag_truncate
 from psdfactor.errors import HypothesisFailed, NotPSD, NotScalarNonneg
 from psdfactor.linrel import (
+    operator_part_relation,
     rel_adjoint,
     rel_classify,
     rel_compose,
@@ -25,6 +26,7 @@ from psdfactor.linrel import (
     rel_order_leq,
     rel_parts,
     rel_restrict,
+    rel_sqrt,
     rel_zero,
 )
 from psdfactor.numkernel import frob, herm, opnorm
@@ -385,10 +387,11 @@ def test_dense_engine_decomposition_counts(monkeypatch):
 
     calls.clear()
     factor.wsimilar_forms(TS)
-    # ||T|| and cond(G0) come from spectrum; one svd(G0) for every power of X; one
-    # svd(T) for ran T and ker T (9 with inv(G0) and an eigh of X)
+    # ||T|| and cond(G0) come from spectrum, two values-only SVDs (one svdvals and
+    # one cond before); one svd(G0) for every power of X; one svd(T) for ran T and
+    # ker T (9 with inv(G0) and an eigh of X)
     assert sum(calls.values()) <= 8, calls
-    assert calls["eig"] == 1 and calls["cond"] == 1, calls
+    assert calls["eig"] == 1 and calls["svdvals"] == 2 and calls["cond"] == 0, calls
     assert calls["eigh"] == 0 and calls["inv"] == 0, calls
 
     calls.clear()
@@ -398,9 +401,10 @@ def test_dense_engine_decomposition_counts(monkeypatch):
     # the eigenspace construction decomposes nothing larger than n x n (n^2 x n^2 before)
     assert calls.max_dim == n, calls.max_dim
     # the PSD gate of S, whose eigenvectors are the R_mu; ||T||; ker((T - mu)*) for
-    # 12 clusters (29 calls with spectrum(S), ker(S - mu) and the rank of the R_mu)
+    # 12 clusters (29 calls with spectrum(S), ker(S - mu) and the rank of the R_mu);
+    # ||T|| is the one values-only SVD, as no spectrum takes cond(V)
     assert sum(calls.values()) <= 14 and calls["eigh"] == 1, calls
-    assert calls["eig"] == 0 and calls["cond"] == 0, calls
+    assert calls["eig"] == 0 and calls["svdvals"] == 1, calls
     calls.clear()
     qs = factor.quasisimilar_decide(TS, S)
     assert qs.similar_pair
@@ -487,6 +491,15 @@ def test_relation_decomposition_counts(monkeypatch):
     parts = rel_parts(T)
     (parts.ran, parts.ker)
     assert sum(calls.values()) <= 2, calls  # one SVD of X, one of Y for ran and ker
+    calls.clear()
+    # the operator part is the decomposition in hand, (dom T, {0}, T_s): no call
+    # (one SVD for the span of (D; T_s D) before); mul T != {0} here
+    Ts = operator_part_relation(T, parts)
+    assert Ts is not T and not rel_parts(Ts).mul.dim and sum(calls.values()) == 0, calls
+    # the root of a matrix keeps (C^n, {0}, P^(1/2)): the gate's QR of the graph,
+    # eigvalsh and ||F - F*||, and one eigh for the root (an SVD for its span before)
+    rel_sqrt(rel_from_matrix(M))
+    assert calls == {"qr": 1, "eigvalsh": 1, "svdvals": 1, "eigh": 1}, calls  # no svd
     calls.clear()
     # one eigh of the form of T*B gives ker M, lambda* and G0; no T*T is formed.
     # Parts, adjoints, products and restrictions of the matrix operands cost

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from psdfactor import numkernel as nk
-from psdfactor.diagmodel import FULL, INF, TRIVIAL, DiagRel, diag_truncate
+from psdfactor.diagmodel import FULL, INF, TRIVIAL, DiagRel, DiagSymbol, diag_truncate
 from psdfactor.errors import DimensionMismatch, NotNonnegSelfadjoint
 from psdfactor.linrel import (
     GRAPH_ATOL,
@@ -33,12 +33,15 @@ from psdfactor.linrel import (
 
 from oracles import (
     form_order_leq_definition,
+    operator_part_relation_reference,
     projector,
     random_psd,
+    random_unitary,
     rel_classify_reference,
     rel_compose_reference,
     rel_parts_reference,
     rel_restrict_reference,
+    rel_sqrt_reference,
     subspace_distance_reference,
     subspace_sum,
 )
@@ -319,6 +322,47 @@ def test_sqrt_squares_back():
         root = rel_sqrt(R)
         sq = rel_compose(root, root)
         assert rel_distance(sq, R) <= 1e-8
+
+
+def _nonneg_selfadjoint_relations(rng):
+    """Nonnegative selfadjoint relations with every kind of decomposition: graph-given
+    ones with mul of each dimension 0..n-1, diagonal truncations with INF entries
+    (and a finite one forced to a relation), and matrices."""
+    rels = []
+    for n in range(1, 9):
+        for k in range(n):
+            for real in (True, False):
+                Q = np.linalg.qr(rng.standard_normal((n, n)))[0] if real else random_unitary(rng, n)
+                M, D = Q[:, :k], Q[:, k:]
+                w = rng.uniform(0.0, 4.0, n - k)
+                w[rng.random(n - k) < 0.25] = 0.0
+                pairs = np.hstack([np.vstack([D, (D * w) @ D.conj().T @ D]), np.vstack([np.zeros((n, k)), M])])
+                rels.append(rel_from_graph(pairs @ rng.standard_normal((n, n)), n, n))
+    for N in (3, 6, 10):
+        rels.append(diag_truncate(DiagRel.from_head([INF, 0.5, 2.0]), N))
+        rels.append(diag_truncate(DiagRel(DiagSymbol(head=(0.0, INF, INF), tail_coeff=1.1, tail_power=1)), N))
+        rels.append(diag_truncate(DiagRel.from_tail(0.7, 1), N, True))
+        rels.append(rel_from_matrix(random_psd(rng, N, singular=N > 3)))
+    return rels
+
+
+def test_operator_part_and_sqrt_match_graph_builders():
+    # operator_part_relation and rel_sqrt build the decomposition they have in hand
+    # and take their graph from one QR; the graphs are the earlier SVD spans of
+    # (D; T_s D) and (D; (T_s)^(1/2) D) beside (0; M), and orthonormal
+    rng = np.random.default_rng(47)
+    rels = _nonneg_selfadjoint_relations(rng)
+    assert len(rels) >= 60
+    for i, T in enumerate(rels):
+        mul_free = not rel_parts(T).mul.dim
+        Ts = operator_part_relation(T)
+        assert (Ts is T) == mul_free, i
+        for got, want in ((Ts, operator_part_relation_reference(T)), (rel_sqrt(T), rel_sqrt_reference(T))):
+            G = got.graph.basis
+            assert rel_distance(got, want) <= 1e-13, i
+            assert nk.opnorm(G.conj().T @ G - np.eye(G.shape[1])) <= 1e-13, i
+    # T is its own operator part for graph-given relations too, not only for matrices
+    assert sum(not rel_parts(T).mul.dim and not T.exact for T in rels) >= 8
 
 
 def test_order_examples():

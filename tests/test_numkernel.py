@@ -273,10 +273,10 @@ def test_sylvester_kernel_survives_an_svd_failure(monkeypatch):
 
 
 def test_svd_step_survives_an_svd_failure(monkeypatch):
-    # svd_split, kernel_basis, span, matrix_rank, subspace_complement, opnorm and
-    # spectrum's rank test take every SVD through one step, which reads the
-    # factors off an SVD of A* when LAPACK fails to converge on A; douglas_solve
-    # decides through svd_split
+    # svd_split, kernel_basis, span, matrix_rank, subspace_complement, opnorm,
+    # spectrum's rank test and cond(V) and the Kronecker fallback take every SVD
+    # through one step, which reads the factors off an SVD of A* when LAPACK fails
+    # to converge on A; douglas_solve decides through svd_split
     rng = np.random.default_rng(35)
     svd = np.linalg.svd
 
@@ -323,16 +323,37 @@ def test_svd_step_survives_an_svd_failure(monkeypatch):
         assert nk.opnorm(B) == np.linalg.norm(B, 2)
         assert after_one_failure(lambda: nk.opnorm(B)) == pytest.approx(nk.opnorm(B), rel=1e-14)
 
-    # spectrum takes ||T|| first, then one rank test per repeated eigenvalue
+    # spectrum takes ||T|| first, then one rank test per repeated eigenvalue, then
+    # cond(V) when every rank test passes: numpy's cond, read off the same step
     G = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) + 4 * np.eye(4)
     jordan = np.diag([1.0, 1.0, 2.0, 3.0]).astype(complex)
     jordan[0, 1] = 1.0
     for D, diagonalizable in ((np.diag([1.0, 1.0, 2.0, 3.0]), True), (jordan, False)):
         T = G @ D @ np.linalg.inv(G)
         want = nk.spectrum(T)
-        got = after_one_failure(lambda: nk.spectrum(T), skip=1)
-        assert got.diagonalizable == want.diagonalizable == diagonalizable
-        assert np.array_equal(got.eigenvalues, want.eigenvalues) and got.norm == want.norm
+        if diagonalizable:
+            assert want.eigvec_condition == np.linalg.cond(want.eigenvectors, 2)
+        for skip in (1, 2) if diagonalizable else (1,):
+            got = after_one_failure(lambda: nk.spectrum(T), skip=skip)
+            assert got.diagonalizable == want.diagonalizable == diagonalizable
+            assert np.array_equal(got.eigenvalues, want.eigenvalues) and got.norm == want.norm
+            assert got.eigvec_condition == pytest.approx(want.eigvec_condition, rel=1e-12)
+
+    # the Kronecker fallback, for two matrices neither of which is diagonalizable:
+    # its null-space SVD, then the first SVD of its maximal-rank search
+    J = np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0]])
+    want = nk.sylvester_intertwiners(J, J)
+    shapes = []
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: shapes.append(a.shape) or svd(a, *args, **kwargs))
+    nk.sylvester_intertwiners(J, J)
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    kron = shapes.index((9, 9))
+    for skip in (kron, kron + 1):
+        got = after_one_failure(lambda: nk.sylvester_intertwiners(J, J), skip=skip)
+        assert want.kernel is not None and (got.dimension, got.rank) == (want.dimension, want.rank) == (5, 3)
+        assert nk.subspace_distance(nk.Subspace(9, got.kernel), nk.Subspace(9, want.kernel)) <= 1e-12
+        G1 = got.max_rank_element
+        assert nk.frob(G1 @ J - J @ G1) <= 1e-12 * nk.opnorm(G1)
 
 
 LEVELS = (0.0, 0.5, 1.5, 2.5)
