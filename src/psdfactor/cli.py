@@ -25,6 +25,11 @@ The job is parsed by orjson, so NaN and Infinity literals, which are not
 JSON, exit 3; a seed, trial count or ``N`` written as an integer beyond 64
 bits, which orjson reads as a rounded float, exits 3 too, as does a job
 nested too deeply for the error message that names its bad value.
+A report's ``results`` are the engine's certificate in the form
+``serialize.report_value`` gives it, field by field with an infinite float
+written ``"inf"``; ``seb``, ``ldeux`` and ``power_chain`` write their
+residuals as ``{"value", "tol"}``.  ``proptest`` reports ``run_suite``'s
+dict as it is, so a non-finite scalar there is written ``Infinity``.
 A report is one line of JSON with sorted keys and ``(",", ": ")``
 separators, written by ``serialize.dumps_report``: json's C encoder writes
 every scalar and orjson writes each matrix's data from its float64 array;
@@ -84,22 +89,11 @@ from .linrel import (
     rel_sqrt,
 )
 from .numkernel import DEFAULT_TOL, span, sylvester_intertwiners
-from .serialize import (
-    dumps_report,
-    loads,
-    payload_from_json,
-    payload_to_json,
-)
+from .serialize import dumps_report, loads, payload_from_json, report_value
 
 EXIT_OK = 0
 EXIT_HYPOTHESIS = 2
 EXIT_INPUT = 3  # malformed input, or a job the engines cannot finish
-
-
-def _num(x):
-    if isinstance(x, float) and math.isinf(x):
-        return "inf"
-    return x
 
 
 def _tolerance(value, source):
@@ -137,10 +131,6 @@ def _setting(flag, job, key, parse, default, env=None):
     return default
 
 
-def _maybe(value):
-    return None if value is None else payload_to_json(value)
-
-
 _OPERAND = (np.ndarray, LinRel)
 
 
@@ -161,40 +151,19 @@ def _run_seb(job, tol, seed, trials):
         cert = factor.seb_relation_solve(as_relation(T), as_relation(B), tol=tol)
     else:
         cert = factor.seb_solve(T, B, tol=tol)
-    return {
-        "feasible": cert.feasible,
-        "lambda_star": _num(cert.lambda_star),
-        "X": _maybe(cert.X),
-        "G0": _maybe(cert.G0),
-        "residual_xb_t": {"value": _num(cert.residual_xb_t), "tol": tol},
-        "norm_X": _num(cert.norm_X),
-        "checks": {k: _num(v) for k, v in cert.checks.items()},
-    }
+    out = report_value(cert)
+    out["residual_xb_t"] = {"value": out["residual_xb_t"], "tol": tol}
+    return out
 
 
 def _run_reverse(job, tol, seed, trials):
     T = as_relation(_want(job, "T", "reverse", _OPERAND))
     B = as_relation(_want(job, "B", "reverse", _OPERAND))
-    cert = factor.reverse_solve(T, B, tol=tol)
-    return {
-        "feasible": cert.feasible,
-        "eta_star": _num(cert.eta_star),
-        "Y": _maybe(cert.Y),
-        "residuals": {k: _num(v) for k, v in cert.residuals.items()},
-        "tol": tol,
-    }
+    return {**report_value(factor.reverse_solve(T, B, tol=tol)), "tol": tol}
 
 
 def _run_wsimilar(job, tol, seed, trials):
-    T = _want(job, "T", "wsimilar")
-    forms = factor.wsimilar_forms(T, tol=tol)
-    out = {
-        name: payload_to_json(getattr(forms, name))
-        for name in ("X", "S", "X1", "B1", "X2", "B2", "W", "Z")
-    }
-    out["plusdot_ok"] = forms.plusdot_ok
-    out["checks"] = {k: _num(v) for k, v in forms.checks.items()}
-    return out
+    return report_value(factor.wsimilar_forms(_want(job, "T", "wsimilar"), tol=tol))
 
 
 def _run_intertwine(job, tol, seed, trials):
@@ -203,49 +172,31 @@ def _run_intertwine(job, tol, seed, trials):
     S = _want(job, "S", "intertwine")
     if op == "sylvester":
         inter = sylvester_intertwiners(T, S, tol=tol)
-        return {
-            "dimension": inter.dimension,
-            "rank": inter.rank,
-            "max_rank_element": payload_to_json(inter.max_rank_element),
-        }
+        return report_value({k: getattr(inter, k) for k in ("dimension", "rank", "max_rank_element")})
     if op == "quasiaffine":
-        qa = factor.quasiaffine_decide(T, S, tol=tol)
-        return {"affine": qa.affine, "G": _maybe(qa.G), "space_dim": qa.space_dim}
+        return report_value(factor.quasiaffine_decide(T, S, tol=tol))
     if op == "quasisimilar":
-        qs = factor.quasisimilar_decide(T, S, tol=tol)
-        return {
-            "similar_pair": qs.similar_pair,
-            "G1": _maybe(qs.G1),
-            "G2": _maybe(qs.G2),
-            "checks": {k: _num(v) for k, v in qs.checks.items()},
-        }
+        return report_value(factor.quasisimilar_decide(T, S, tol=tol))
     raise ParseError(f"intertwine: unknown op {op!r}")
 
 
 def _run_factor(job, tol, seed, trials):
     op = job.get("op")
     if op == "douglas":
-        sol = factor.douglas_solve(_want(job, "T", op), _want(job, "B", op), tol=tol)
-        return {"feasible": sol.feasible, "Y": _maybe(sol.Y), "c": _num(sol.c)}
+        return report_value(factor.douglas_solve(_want(job, "T", op), _want(job, "B", op), tol=tol))
     if op == "ldeux":
         hint = _want(job, "Y_hint", op) if "Y_hint" in job else None
-        cert = factor.ldeux_certify(_want(job, "T", op), Y_hint=hint, tol=tol)
-        return {
-            "in_class": cert.in_class,
-            "A": _maybe(cert.A),
-            "B": _maybe(cert.B),
-            "Y": _maybe(cert.Y),
-            "residual": {"value": _num(cert.residual), "tol": tol},
-        }
+        out = report_value(factor.ldeux_certify(_want(job, "T", op), Y_hint=hint, tol=tol))
+        out["residual"] = {"value": out["residual"], "tol": tol}
+        return out
     if op == "psd_similarity":
-        sim = factor.psd_similarity_decide(_want(job, "T", op), tol=tol)
-        return {"accept": sim.accept, "G": _maybe(sim.G), "S": _maybe(sim.S)}
+        return report_value(factor.psd_similarity_decide(_want(job, "T", op), tol=tol))
     if op == "presimilar":
         S, match = factor.presimilar_S(_want(job, "A", op), _want(job, "B", op), tol=tol)
-        return {"S": payload_to_json(S), "spectra_match": match, "tol": tol}
+        return report_value({"S": S, "spectra_match": match, "tol": tol})
     if op == "spectra_swap":
         flag = factor.spectra_swap_check(_want(job, "A", op), _want(job, "B", op), tol=tol)
-        return {"swap_ok": flag, "tol": tol}
+        return report_value({"swap_ok": flag, "tol": tol})
     if op == "power_chain":
         chain = factor.power_chain(
             _want(job, "A", op),
@@ -253,34 +204,19 @@ def _run_factor(job, tol, seed, trials):
             n_max=_count(job.get("n_max", 4), "job 'n_max'"),
             tol=tol,
         )
-        return {
-            "levels": len(chain.S_seq),
-            "S_seq": [payload_to_json(S) for S in chain.S_seq],
-            "residuals": [{"value": r, "tol": tol} for r in chain.residuals],
-            "psd_margins": chain.psd_margins,
-        }
+        out = report_value(chain)
+        out["levels"] = len(chain.S_seq)
+        out["residuals"] = [{"value": r, "tol": tol} for r in out["residuals"]]
+        return out
     if op in ("inclusionnfs", "tba", "bounded_s"):
         # an intertwiner G of T (inclusionnfs: of T*) with a target S = S* >= 0
         T, G, S = (_want(job, key, op) for key in ("T", "G", "S"))
         if op == "bounded_s":
-            rep = factor.bounded_S_checks(T, G, S, tol=tol)
-            return {
-                "all_passed": rep.all_passed,
-                "items": [
-                    {"name": it.name, "residual": it.residual, "tol": it.tol, "passed": it.passed}
-                    for it in rep.items
-                ],
-            }
+            return report_value(factor.bounded_S_checks(T, G, S, tol=tol))
         package = factor.inclusionnfs_package if op == "inclusionnfs" else factor.tba_package
-        pkg = package(T, G, S, tol=tol)
-        diag = {k: payload_to_json(v) if isinstance(v, np.ndarray) else _num(v) for k, v in pkg.diagnostics.items()}
-        return {
-            "direction": pkg.direction,
-            "A": payload_to_json(pkg.A),
-            "B_F": _maybe(pkg.B_F),
-            "A_F": _maybe(pkg.A_F),
-            "diagnostics": diag,
-        }
+        out = report_value(package(T, G, S, tol=tol))
+        del out["G"], out["S"]  # the job's own inputs
+        return out
     raise ParseError(f"factor: unknown op {op!r}")
 
 
@@ -288,41 +224,33 @@ def _run_rel(job, tol, seed, trials):
     op = job.get("op")
     if op in ("adjoint", "inverse", "sqrt", "moore_penrose", "parts", "classify"):
         T = as_relation(_want(job, "T", f"rel.{op}", _OPERAND))
-        if op == "adjoint":
-            return {"result": payload_to_json(rel_adjoint(T))}
-        if op == "inverse":
-            return {"result": payload_to_json(rel_inverse(T))}
-        if op == "sqrt":
-            return {"result": payload_to_json(rel_sqrt(T, tol=tol))}
-        if op == "moore_penrose":
-            return {"result": payload_to_json(rel_moore_penrose(T))}
         if op == "classify":
-            flags = rel_classify(T, tol=tol)
-            return {
-                "symmetric": flags.symmetric,
-                "nonnegative": flags.nonnegative,
-                "selfadjoint": flags.selfadjoint,
-            }
-        parts = rel_parts(T)
-        return {
-            "dom_dim": parts.dom.dim,
-            "ran_dim": parts.ran.dim,
-            "ker_dim": parts.ker.dim,
-            "mul_dim": parts.mul.dim,
-            "operator_part": payload_to_json(parts.operator_part_matrix),
-        }
+            return report_value(rel_classify(T, tol=tol))
+        if op == "parts":
+            parts = rel_parts(T)
+            return report_value({
+                "dom_dim": parts.dom.dim,
+                "ran_dim": parts.ran.dim,
+                "ker_dim": parts.ker.dim,
+                "mul_dim": parts.mul.dim,
+                "operator_part": parts.operator_part_matrix,
+            })
+        if op == "sqrt":
+            return report_value({"result": rel_sqrt(T, tol=tol)})
+        unary = {"adjoint": rel_adjoint, "inverse": rel_inverse, "moore_penrose": rel_moore_penrose}
+        return report_value({"result": unary[op](T)})
     if op == "compose":
         S = as_relation(_want(job, "S", "rel.compose", _OPERAND))
         T = as_relation(_want(job, "T", "rel.compose", _OPERAND))
-        return {"result": payload_to_json(rel_compose(S, T))}
+        return report_value({"result": rel_compose(S, T)})
     if op == "restrict":
         B = as_relation(_want(job, "B", "rel.restrict", _OPERAND))
         D = _want(job, "D", "rel.restrict")
-        return {"result": payload_to_json(rel_restrict(B, span(D, ambient_dim=B.dom_dim)))}
+        return report_value({"result": rel_restrict(B, span(D, ambient_dim=B.dom_dim))})
     if op == "order_leq":
         lo = as_relation(_want(job, "Tlo", "rel.order_leq", _OPERAND))
         hi = as_relation(_want(job, "Thi", "rel.order_leq", _OPERAND))
-        return {"leq": rel_order_leq(lo, hi, tol=tol), "tol": tol}
+        return report_value({"leq": rel_order_leq(lo, hi, tol=tol), "tol": tol})
     raise ParseError(f"rel: unknown op {op!r}")
 
 
@@ -332,33 +260,19 @@ def _run_diag(job, tol, seed, trials):
         t = _want(job, "t", f"diag.{op}", DiagRel)
         b = _want(job, "b", f"diag.{op}", DiagRel)
         if op == "seb":
-            res = diag_seb_solve(t, b, tol)
-            return {
-                "feasible": res.feasible,
-                "lambda_star": _num(res.lambda_star),
-                "X": _maybe(res.X),
-                "checks": res.checks,
-            }
+            return report_value(diag_seb_solve(t, b, tol))
         if op == "reverse":
-            res = diag_reverse_solve(t, b, tol)
-            return {
-                "feasible": res.feasible,
-                "eta_star": _num(res.eta_star),
-                "Y": _maybe(res.Y),
-                "checks": res.checks,
-            }
+            return report_value(diag_reverse_solve(t, b, tol))
         if op == "compose":
-            return {"result": payload_to_json(diag_compose(t, b))}
-        return {"leq": diag_order_leq(t, b)}
+            return report_value({"result": diag_compose(t, b)})
+        return report_value({"leq": diag_order_leq(t, b)})
     if op in ("adjoint", "inverse"):
         t = _want(job, "t", f"diag.{op}", DiagRel)
-        out = diag_adjoint(t) if op == "adjoint" else diag_inverse(t)
-        return {"result": payload_to_json(out)}
+        return report_value({"result": diag_adjoint(t) if op == "adjoint" else diag_inverse(t)})
     if op == "truncate":
         t = _want(job, "t", "diag.truncate", DiagRel)
         N = _count(job.get("N", 10), "job 'N'", least=t.symbol.head_len)
-        out = diag_truncate(t, N)
-        return {"result": payload_to_json(out)}
+        return report_value({"result": diag_truncate(t, N)})
     raise ParseError(f"diag: unknown op {op!r}")
 
 

@@ -429,7 +429,7 @@ def seb_relation_solve(T: LinRel, B: LinRel, tol: float = DEFAULT_TOL) -> SebCer
     B0 = rel_restrict(B, parts_M.dom)
     B0adj = rel_adjoint(B0)
     XB0 = rel_compose(rel_from_matrix(X), B0)
-    Ts = operator_part_relation(T, parts_T)
+    Ts = operator_part_relation(T)
     incl_ts = rel_containment_residual(Ts, XB0)
     incl_t = incl_ts if Ts is T else rel_containment_residual(T, XB0)
 
@@ -561,7 +561,7 @@ def wsimilar_forms(T, tol: float = DEFAULT_TOL) -> WSimilarForms:
     sim, spec = _psd_similarity(T, tol)
     if not sim.accept:
         raise NotScalarNonneg("wsimilar_forms: T is not similar to a PSD matrix")
-    U, s, _ = np.linalg.svd(sim.G)
+    U, s, _ = nk.svd(sim.G)
     X, Xi = herm((U / s ** 2) @ U.conj().T), herm((U * s ** 2) @ U.conj().T)
     S = herm((U / s) @ U.conj().T @ T @ (U * s) @ U.conj().T)
     split = svd_split(T)
@@ -629,7 +629,7 @@ def _check_intertwiner(G, left, right, tol, who):
     eig_S = nk.hermitian_eig(right, tol, psd=True, who=f"{who}: S")
     if not G.size:
         raise ValueError(f"{who}: empty operands")
-    W, s, Vh = np.linalg.svd(G)
+    W, s, Vh = nk.svd(G)
     if nk.numerical_rank(s) != G.shape[0]:
         raise NotInvertible(f"{who}: the intertwiner is not invertible")
     norm_left, norm_right = opnorm(left), eig_S.norm

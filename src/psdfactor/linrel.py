@@ -290,15 +290,15 @@ def rel_parts(T: LinRel) -> RelParts:
     return RelParts(dom, mul, ts, relation=T)
 
 
-def operator_part_relation(T: LinRel, parts: RelParts | None = None) -> LinRel:
-    """T_s = P_s T as a relation on dom T (single valued); ``parts`` = rel_parts(T) if known.
+def operator_part_relation(T: LinRel) -> LinRel:
+    """T_s = P_s T as a relation on dom T (single valued).
 
-    Built from the decomposition (dom T, {0}, T_s), and T itself when mul T = {0}.
+    Built from T's kept decomposition (dom T, {0}, T_s), and T itself when mul T = {0}.
     """
-    parts = rel_parts(T) if parts is None else parts
-    if not parts.mul.dim:
+    dom, mul, ts = T.canon
+    if not mul.dim:
         return T
-    return LinRel(T.dom_dim, T.codom_dim, canon=(parts.dom, zero_space(T.codom_dim), parts.operator_part_matrix))
+    return LinRel(T.dom_dim, T.codom_dim, canon=(dom, zero_space(T.codom_dim), ts))
 
 
 def operator_part_cokernel(T: LinRel) -> Subspace:

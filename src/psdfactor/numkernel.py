@@ -36,10 +36,11 @@ Five global conventions keep kernels consistent across operations:
   :func:`is_psd_spectrum` state the two tests once for every caller;
 * one SVD step: ranges, kernels, pseudo-inverses, spans, ranks, spectral
   norms (:func:`opnorm`, the rank tests and cond(V) of :func:`spectrum`),
-  orthogonal complements and the Kronecker fallback of
-  :func:`sylvester_intertwiners` all take their SVD from ``_svd``, which
-  retries once on A* when LAPACK fails to converge on A (zgesdd can fail on
-  a matrix whose adjoint it decomposes);
+  orthogonal complements, the Kronecker fallback of
+  :func:`sylvester_intertwiners` and ``factor``'s SVDs of an intertwiner
+  all take their SVD from :func:`svd`, which retries once on A* when LAPACK
+  fails to converge on A (zgesdd can fail on a matrix whose adjoint it
+  decomposes);
 * one Cholesky-first PSD residual: a check that H >= 0 reports
   :func:`psd_deficit`, max(0, -lambda_min(H)), which is 0.0 when one
   Cholesky factorization of H succeeds and takes ``eigvalsh`` only when it
@@ -82,6 +83,7 @@ __all__ = [
     "hermitian_intertwiners",
     "hausdorff_distance",
     "numerical_rank",
+    "svd",
     "svd_split",
     "matrix_rank",
     "kernel_basis",
@@ -128,7 +130,7 @@ def opnorm(a) -> float:
     a = np.asarray(a)
     if a.size == 0 or not a.any():
         return 0.0
-    return float(_svd(a, uv=False)[0])
+    return float(svd(a, uv=False)[0])
 
 
 def herm(a) -> np.ndarray:
@@ -317,14 +319,14 @@ def spectrum(T, tol: float = DEFAULT_TOL) -> Spectrum:
     for run, lam in _clusters(w, dtol):
         if len(run) == 1:
             continue
-        s = _svd(T - lam * np.eye(n), uv=False)
+        s = svd(T - lam * np.eye(n), uv=False)
         rank = int(np.count_nonzero(s > dtol))
         if rank != n - len(run):
             diagonalizable = False
             break
     cond = float("inf")
     if diagonalizable:
-        s = _svd(v, uv=False)
+        s = svd(v, uv=False)
         cond = float(s[0] / s[-1]) if s[-1] else cond
     return Spectrum(eigenvalues=w, eigenvectors=v, diagonalizable=cond <= 1.0 / RANK_RTOL, eigvec_condition=cond,
                     norm=norm, cluster_radius=dtol)
@@ -427,7 +429,7 @@ def _kronecker_intertwiners(T, S, floor) -> Intertwiners:
     """The fallback for two non-diagonalizable matrices: a null space of size pn x pn."""
     n, p = T.shape[0], S.shape[0]
     M = np.kron(T.T, np.eye(p)) - np.kron(np.eye(n), S)
-    _, s, vh = _svd(M)
+    _, s, vh = svd(M)
     null = vh[numerical_rank(s, floor):, :].conj().T
     dim = null.shape[1]
     if not dim:
@@ -438,7 +440,7 @@ def _kronecker_intertwiners(T, S, floor) -> Intertwiners:
     for _ in range(_KRONECKER_COMBOS):
         c = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         cand = (null @ (c / np.linalg.norm(c))).reshape((p, n), order="F")
-        sv = _svd(cand, uv=False)
+        sv = svd(cand, uv=False)
         r = numerical_rank(sv)
         key = (r, float(sv[r - 1]) if r > 0 else 0.0)
         if key > best_key:
@@ -476,7 +478,7 @@ class Subspace:
         return self.basis.shape[1]
 
 
-def span(vectors, ambient_dim=None, rtol: float = RANK_RTOL, atol: float = 0.0) -> Subspace:
+def span(vectors, ambient_dim=None, atol: float = 0.0) -> Subspace:
     """Orthonormalize a spanning set of column vectors into a Subspace.
 
     ``atol`` is an absolute singular-value floor; pass it when the columns
@@ -490,8 +492,8 @@ def span(vectors, ambient_dim=None, rtol: float = RANK_RTOL, atol: float = 0.0) 
         raise ValueError("ambient dimension mismatch")
     if A.shape[1] == 0 or not A.any():
         return zero_space(ambient_dim)
-    u, s, _ = _svd(A, full=False)
-    return Subspace(ambient_dim, u[:, : numerical_rank(s, atol, rtol)].copy())
+    u, s, _ = svd(A, full=False)
+    return Subspace(ambient_dim, u[:, : numerical_rank(s, atol)].copy())
 
 
 def full_space(n: int) -> Subspace:
@@ -518,7 +520,7 @@ class SvdSplit:
     values: np.ndarray
 
 
-def _svd(A, full=None, uv: bool = True):
+def svd(A, full=None, uv: bool = True):
     """u, s, vh of A, or s alone when ``uv`` is off; on non-convergence, from A*'s SVD.
 
     ``full`` None gives u thin and vh n x n, so ker A reads off vh; True
@@ -545,7 +547,7 @@ def svd_split(A, atol: float = 0.0, rank=None) -> SvdSplit:
     m, n = A.shape
     if A.size == 0 or not A.any():
         return SvdSplit(zero_space(m), full_space(n), np.zeros((n, m)), np.zeros(0))
-    u, s, vh = _svd(A)
+    u, s, vh = svd(A)
     r = numerical_rank(s, atol) if rank is None else rank(s)
     v = vh.conj().T
     return SvdSplit(
@@ -558,7 +560,7 @@ def svd_split(A, atol: float = 0.0, rank=None) -> SvdSplit:
 
 def matrix_rank(A, atol: float = 0.0) -> int:
     A = as_matrix(A)
-    return numerical_rank(_svd(A, uv=False), atol) if A.any() else 0
+    return numerical_rank(svd(A, uv=False), atol) if A.any() else 0
 
 
 def kernel_basis(A, atol: float = 0.0, rtol: float = RANK_RTOL) -> Subspace:
@@ -567,7 +569,7 @@ def kernel_basis(A, atol: float = 0.0, rtol: float = RANK_RTOL) -> Subspace:
     n = A.shape[1]
     if A.size == 0 or not A.any():
         return full_space(n)
-    _, s, vh = _svd(A)
+    _, s, vh = svd(A)
     return Subspace(n, vh[numerical_rank(s, atol, rtol):].conj().T.copy())
 
 
@@ -576,7 +578,7 @@ def subspace_complement(sp: Subspace) -> Subspace:
         return full_space(sp.ambient_dim)
     if sp.dim == sp.ambient_dim:
         return zero_space(sp.ambient_dim)
-    u, _, _ = _svd(sp.basis, full=True)
+    u, _, _ = svd(sp.basis, full=True)
     return Subspace(sp.ambient_dim, u[:, sp.dim:].copy())
 
 

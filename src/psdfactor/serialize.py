@@ -18,8 +18,12 @@ array with one ``orjson.dumps``.  The floats of matrix data in a report
 therefore carry the shortest round-trip digits in orjson's spelling, which
 can differ from json's in text but not in value: ``1e-05`` is written
 ``0.00001`` and ``1e+16`` is written ``1e16``.  Every other scalar of a
-report keeps json's spelling, non-finite ones included (``Infinity``,
-``NaN``), until reports become strict JSON (ROADMAP item 2).
+report keeps json's spelling.  ``report_value`` turns an engine's result
+into its report form by one rule: dataclass fields and dict and list
+entries one by one, matrices, relations and symbols as payloads, and an
+infinite float as the string ``"inf"``.  A ``proptest`` report is
+``run_suite``'s dict as it is, so its non-finite scalars are still written
+``Infinity`` (ROADMAP item 2).
 ``matrix_from_json`` reads ``data`` in one C pass, ``array("d")`` over the
 chained entries when every entry has length 2 (pairs) and over the entries
 themselves otherwise (bare numbers), and takes the result only when it is
@@ -34,6 +38,7 @@ with ``complex_from_json``, which accepts it or names its first bad entry.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import json
 import math
 from array import array
@@ -59,6 +64,7 @@ __all__ = [
     "symbol_from_json",
     "payload_to_json",
     "payload_from_json",
+    "report_value",
     "loads",
     "dumps_report",
 ]
@@ -237,6 +243,29 @@ def payload_to_json(value):
     if isinstance(value, (DiagRel, DiagSymbol)):
         return symbol_to_json(value)
     return _matrix_payload(value)
+
+
+_PAYLOADS = (np.ndarray, LinRel, DiagRel, DiagSymbol)
+
+
+def report_value(obj):
+    """The report form of a result: a dataclass as {field: report form}, dicts
+    and lists entry by entry, a matrix, relation or symbol as its payload, an
+    infinite float as ``"inf"``; None, bools, ints, strings and finite floats
+    as they are.  Any other type, a numpy bool or integer included, is a TypeError."""
+    if isinstance(obj, _PAYLOADS):  # before dataclasses: DiagRel and DiagSymbol are ones
+        return payload_to_json(obj)
+    if isinstance(obj, float):
+        return "inf" if math.isinf(obj) else obj
+    if obj is None or isinstance(obj, (bool, int, str)):
+        return obj
+    if isinstance(obj, dict):
+        return {k: report_value(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [report_value(v) for v in obj]
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: report_value(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    raise TypeError(f"a {type(obj).__name__} has no report form")
 
 
 def loads(text: str):

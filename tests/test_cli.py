@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psdfactor import cli, proptests, serialize
+from psdfactor import cli, factor, proptests, serialize
 from psdfactor.diagmodel import INF, DiagRel, DiagSymbol
 from psdfactor.errors import ParseError
 from psdfactor.linrel import rel_distance, rel_from_graph, rel_from_matrix
@@ -963,3 +963,100 @@ def test_cli_main_restores_the_collector_state(monkeypatch, enabled):
 
 def test_cli_builds_one_parser():
     assert cli.build_parser() is cli.build_parser()
+
+
+# ------------------------------------------------------- report schema
+
+_WRAPPED = ("checks", "residuals", "diagnostics", "items", "residual", "residual_xb_t")
+
+# the sorted keys of each report's results and of its nested check records (of
+# a list's first entry): a change here is a change of the report format
+_SCHEMA = {
+    ("seb", "matrix"): (["G0", "X", "checks", "feasible", "lambda_star", "norm_X", "residual_xb_t"],
+                        {"checks": ["norm_bound_deficit", "tol"], "residual_xb_t": ["tol", "value"]}),
+    ("seb", "relation"): (["G0", "X", "checks", "feasible", "lambda_star", "norm_X", "residual_xb_t"],
+                          {"checks": ["equality_mode", "inclusion_in_T", "inclusion_in_Ts", "ker_Ts_adj_in_ker_X",
+                                      "ker_X_equals_ker_Ts_adj", "restricted_product_chain", "tol"],
+                           "residual_xb_t": ["tol", "value"]}),
+    ("reverse", "matrix"): (["Y", "eta_star", "feasible", "residuals", "tol"],
+                            {"residuals": ["adjoint_factorization", "adjoint_operator_factorization",
+                                           "dual_lambda_star", "mul_Y_matches", "restricted_product_chain", "tol"]}),
+    ("wsimilar", "matrix"): (["B1", "B2", "S", "W", "X", "X1", "X2", "Z", "checks", "plusdot_ok"],
+                             {"checks": ["S_herm_dev", "S_psd_margin", "TW_herm_dev", "TW_psd_margin", "ZT_herm_dev",
+                                         "ZT_psd_margin", "cond_G", "factor_T", "factor_Tadj", "intertwine", "tol"]}),
+    ("intertwine", "sylvester"): (["dimension", "max_rank_element", "rank"], {}),
+    ("intertwine", "quasiaffine"): (["G", "affine", "space_dim"], {}),
+    ("intertwine", "quasisimilar"): (["G1", "G2", "checks", "similar_pair"], {"checks": ["duality_residual", "tol"]}),
+    ("factor", "douglas"): (["Y", "c", "feasible"], {}),
+    ("factor", "ldeux"): (["A", "B", "Y", "in_class", "residual"], {"residual": ["tol", "value"]}),
+    ("factor", "psd_similarity"): (["G", "S", "accept"], {}),
+    ("factor", "presimilar"): (["S", "spectra_match", "tol"], {}),
+    ("factor", "spectra_swap"): (["swap_ok", "tol"], {}),
+    ("factor", "power_chain"): (["S_seq", "levels", "psd_margins", "residuals"], {"residuals": ["tol", "value"]}),
+    ("factor", "inclusionnfs"): (["A", "A_F", "B_F", "diagnostics", "direction"],
+                                 {"diagnostics": ["reconstruction", "seb_feasible", "seb_lambda_star", "tol"]}),
+    ("factor", "tba"): (["A", "A_F", "B_F", "diagnostics", "direction"],
+                        {"diagnostics": ["E_F", "S0", "lambda", "reconstruction", "reverse_eta_star", "reverse_feasible",
+                                         "reversed_inequality_margin", "tol", "xt_equals_tadjx", "xt_psd_margin"]}),
+    ("factor", "bounded_s"): (["all_passed", "items"], {"items": ["name", "passed", "residual", "tol"]}),
+    **{("rel", op): (["result"], {}) for op in ("sqrt", "compose", "restrict", "adjoint", "inverse", "moore_penrose")},
+    ("rel", "parts"): (["dom_dim", "ker_dim", "mul_dim", "operator_part", "ran_dim"], {}),
+    ("rel", "order_leq"): (["leq", "tol"], {}),
+    ("rel", "classify"): (["nonnegative", "selfadjoint", "symmetric"], {}),
+    ("diag", "seb"): (["X", "checks", "feasible", "lambda_star"], {"checks": ["B_unbounded", "X_bounded", "sup_X"]}),
+    ("diag", "reverse"): (["Y", "checks", "eta_star", "feasible"], {"checks": []}),
+    **{("diag", op): (["result"], {}) for op in ("compose", "inverse", "truncate", "adjoint")},
+    ("diag", "order_leq"): (["leq"], {}),
+    **{("proptest", suite): (["all_ok", "failed", "passed", "per_trial", "suite", "tol", "trials"], {})
+       for suite in proptests.SUITES},
+}
+
+
+def _strict(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_every_report_keeps_its_schema_and_strict_json():
+    # every exit-0 job of _EVERY_JOB; only proptest may write Infinity (ROADMAP item 2)
+    seen = set()
+    for command, text, expected in _EVERY_JOB:
+        if expected:
+            continue
+        job = json.loads(text)
+        kind = job.get("op") or job.get("suite") or ("relation" if "graph_basis" in job["T"] else "matrix")
+        report = cli.run_job(command, job, job.get("tol", 1e-8), job.get("seed", 0), job.get("trials", 100))
+        text = serialize.dumps_report(report)
+        results = json.loads(text, parse_constant=None if command == "proptest" else _strict)["results"]
+        nested = {}
+        for key in _WRAPPED:
+            value = results.get(key)
+            value = value[0] if isinstance(value, list) and value else value
+            if isinstance(value, dict):
+                nested[key] = sorted(value)
+        assert (sorted(results), nested) == _SCHEMA[command, kind], (command, kind)
+        seen.add((command, kind))
+    assert seen == set(_SCHEMA)
+
+
+@pytest.mark.parametrize("value", [np.bool_(True), {1.0}, (1.0,), np.int64(1)], ids=["np_bool", "set", "tuple", "np_int"])
+def test_report_value_refuses_what_has_no_report_form(value):
+    # payload_to_json would read a numpy bool as a 1 x 1 matrix; report_value raises instead
+    with pytest.raises(TypeError):
+        serialize.report_value(value)
+    with pytest.raises(TypeError):
+        serialize.report_value({"checks": [value]})
+
+
+def test_report_value_encodes_certificates_field_by_field():
+    cert = factor.SebCertificate(
+        feasible=False, lambda_star=math.inf, X=None, G0=np.eye(1), residual_xb_t=math.inf, norm_X=1.5,
+        checks={"tol": 1e-8, "nan": math.nan, "flag": True},
+    )
+    out = serialize.report_value(cert)
+    assert list(out) == ["feasible", "lambda_star", "X", "G0", "residual_xb_t", "norm_X", "checks"]
+    assert (out["lambda_star"], out["residual_xb_t"], out["X"], out["norm_X"]) == ("inf", "inf", None, 1.5)
+    assert out["G0"]["rows"] == 1 and out["G0"]["data"].tolist() == [[1.0, 0.0]]
+    assert out["checks"]["tol"] == 1e-8 and math.isnan(out["checks"]["nan"]) and out["checks"]["flag"] is True
+    # DiagRel and DiagSymbol are dataclasses, but report as symbol payloads
+    sym = DiagSymbol(head=(INF, 2.0), tail_coeff=1, tail_power=Fraction(1))
+    assert serialize.report_value([DiagRel(sym), sym]) == [serialize.symbol_to_json(sym)] * 2

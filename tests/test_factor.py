@@ -494,7 +494,7 @@ def test_relation_decomposition_counts(monkeypatch):
     calls.clear()
     # the operator part is the decomposition in hand, (dom T, {0}, T_s): no call
     # (one SVD for the span of (D; T_s D) before); mul T != {0} here
-    Ts = operator_part_relation(T, parts)
+    Ts = operator_part_relation(T)
     assert Ts is not T and not rel_parts(Ts).mul.dim and sum(calls.values()) == 0, calls
     # the root of a matrix keeps (C^n, {0}, P^(1/2)): the gate's QR of the graph,
     # eigvalsh and ||F - F*||, and one eigh for the root (an SVD for its span before)

@@ -7,7 +7,7 @@ import pytest
 
 from psdfactor import numkernel as nk
 from psdfactor.errors import HypothesisError, NotHermitian, NotPSD, NotSquare
-from psdfactor.factor import douglas_solve, quasiaffine_decide
+from psdfactor.factor import bounded_S_checks, douglas_solve, psd_similarity_decide, quasiaffine_decide, wsimilar_forms
 
 from oracles import (
     charpoly_roots,
@@ -274,9 +274,10 @@ def test_sylvester_kernel_survives_an_svd_failure(monkeypatch):
 
 def test_svd_step_survives_an_svd_failure(monkeypatch):
     # svd_split, kernel_basis, span, matrix_rank, subspace_complement, opnorm,
-    # spectrum's rank test and cond(V) and the Kronecker fallback take every SVD
-    # through one step, which reads the factors off an SVD of A* when LAPACK fails
-    # to converge on A; douglas_solve decides through svd_split
+    # spectrum's rank test and cond(V), the Kronecker fallback and factor's SVDs
+    # of an intertwiner take every SVD through one step, which reads the factors
+    # off an SVD of A* when LAPACK fails to converge on A; douglas_solve decides
+    # through svd_split
     rng = np.random.default_rng(35)
     svd = np.linalg.svd
 
@@ -354,6 +355,31 @@ def test_svd_step_survives_an_svd_failure(monkeypatch):
         assert nk.subspace_distance(nk.Subspace(9, got.kernel), nk.Subspace(9, want.kernel)) <= 1e-12
         G1 = got.max_rank_element
         assert nk.frob(G1 @ J - J @ G1) <= 1e-12 * nk.opnorm(G1)
+
+    def svd_index(call, target):
+        """The index of call()'s first SVD of ``target``."""
+        inputs = []
+        monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: inputs.append(a) or svd(a, *args, **kwargs))
+        call()
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        return next(i for i, a in enumerate(inputs) if a.shape == target.shape and np.array_equal(a, target))
+
+    # wsimilar_forms reads X^(+-1) off the SVD of the similarity G, and
+    # bounded_S_checks G^(-1) and X^(+-1/2) off the SVD of the intertwiner G
+    G = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) + 4 * np.eye(4)
+    S = np.diag([1.0, 2.0, 3.0, 4.0])
+    T = np.linalg.solve(G, S @ G)  # G T = S G
+    want = wsimilar_forms(T)
+    skip = svd_index(lambda: wsimilar_forms(T), psd_similarity_decide(T).G)
+    got = after_one_failure(lambda: wsimilar_forms(T), skip=skip)
+    for name in ("X", "S", "X1", "B1", "X2", "B2", "W", "Z"):
+        assert nk.frob(getattr(got, name) - getattr(want, name)) <= 1e-10 * nk.frob(getattr(want, name)), name
+    assert got.plusdot_ok == want.plusdot_ok
+    want = bounded_S_checks(T, G, S)
+    got = after_one_failure(lambda: bounded_S_checks(T, G, S), skip=svd_index(lambda: bounded_S_checks(T, G, S), G))
+    assert want.all_passed and got.all_passed
+    assert [it.name for it in got.items] == [it.name for it in want.items]
+    assert [it.tol for it in got.items] == pytest.approx([it.tol for it in want.items], rel=1e-12)
 
 
 LEVELS = (0.0, 0.5, 1.5, 2.5)
