@@ -20,6 +20,7 @@ solve of ((T*)^(-1), (B*)^(-1)), as ``factor.reverse_solve`` is that of
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -324,7 +325,9 @@ def diag_seb_solve(T, B, tol: float = DEFAULT_TOL) -> DiagSebResult:
     over binding indices is finite, which for the tails means
     tail_power(t) <= tail_power(b); the solution symbol x = t/b is bounded
     with sup |x| = lambda_star, computed in closed form (head maximum plus a
-    tail bound attained at the tail start).
+    tail bound attained at the tail start).  Raises OverflowError when a
+    head ratio, the tail ratio or lambda_star of a feasible problem leaves
+    the float range, as a matrix engine's result would.
     """
     s_t, s_b = _sym(T), _sym(B)
     start = max(s_t.head_len, s_b.head_len) + 1
@@ -382,6 +385,8 @@ def diag_seb_solve(T, B, tol: float = DEFAULT_TOL) -> DiagSebResult:
 
     if not feasible:
         return DiagSebResult(feasible=False, lambda_star=float("inf"), X=None)
+    if not all(cmath.isfinite(v) for v in (lam, x_tail, *head_x)):
+        raise OverflowError("diag_seb_solve: the solution symbol x = t/b leaves the float range")
     X = DiagSymbol(head=tuple(head_x), tail_coeff=x_tail, tail_power=x_pow)
     return DiagSebResult(
         feasible=True,

@@ -247,16 +247,6 @@ class BoundedSReport:
     all_passed: bool
 
 
-def _leaks(leak, A, tol) -> bool:
-    """leak > tol (1 + ||A||), with ||A|| read off its bounds first.
-
-    max column norm <= ||A|| <= ||A||_F: an SVD settles only a leak between the two.
-    """
-    return bool(leak) and leak > tol * (1.0 + np.linalg.norm(A, axis=0).max(initial=0.0)) and (
-        leak > tol * (1.0 + frob(A)) or leak > tol * (1.0 + opnorm(A))
-    )
-
-
 def _operands(who, *Ms, square=True):
     """The operands as matrices of one shape, square unless ``square`` is off, else NotSquare."""
     Ms = [as_matrix(M) for M in Ms]
@@ -278,13 +268,14 @@ def douglas_solve(T, B, tol: float = DEFAULT_TOL) -> DouglasSolution:
     The minimal-norm solution is Y = T B+, already zero on (ran B)^perp, so
     ran Y <= ran T and ker B* <= ker Y; c = ||Y|| is the least constant with
     T*T <= c^2 B*B.  ker B <= ker T is tested as ||T K|| <= tol (1 + ||T||)
-    on an orthonormal basis K of ker B; ``_leaks`` takes ||T|| by an SVD
-    only when its bounds leave that test open.
+    on an orthonormal basis K of ker B, decided by ``numkernel.opnorm_holds``,
+    which takes ||T|| by an SVD only when its bounds leave that test open.
     """
     T, B = _operands("douglas_solve", T, B, square=False)
     split = svd_split(B)
     kb = split.ker
-    if kb.dim and _leaks(opnorm(T @ kb.basis), T, tol):
+    leak = opnorm(T @ kb.basis) if kb.dim else 0.0
+    if leak and nk.opnorm_holds(T, lambda norm: leak > tol * (1.0 + norm)):
         return DouglasSolution(feasible=False, Y=None, c=math.inf)
     Y = T @ split.pinv
     return DouglasSolution(feasible=True, Y=Y, c=opnorm(Y))
@@ -313,9 +304,9 @@ def _seb_factor(Ts, A, tol: float, who: str, D=None):
     A = D* M_s D = V diag(w) V* is the form of M on an orthonormal basis D of
     dom M (None: the identity) and Ts the operator part of T.  ker A is the
     eigenvectors with |w| <= RANK_RTOL max|w|; it must leak nothing into T,
-    ||Ts D V_ker|| <= tol (1 + ||Ts D||), where ||Ts D|| is taken by an SVD
-    only when its bounds, the largest column norm and the Frobenius norm,
-    leave the test open.  Then F = Ts D V_+ w_+^(-1/2),
+    ||Ts D V_ker|| <= tol (1 + ||Ts D||), decided by ``numkernel.opnorm_holds``:
+    ||Ts D|| is taken by an SVD only when its bounds, the largest column norm
+    and the Frobenius norm, leave the test open.  Then F = Ts D V_+ w_+^(-1/2),
     X = F F*, lambda* = lambda_max(X) = ||X|| and G0 = F (D V_+)* / sqrt(lambda*).
     Returns (leak, lambda*, X, G0), X None past the leak bound and
     lambda* = 0 with zero X and G0 when F vanishes.
@@ -326,7 +317,7 @@ def _seb_factor(Ts, A, tol: float, who: str, D=None):
     TD = Ts if D is None else Ts @ D
 
     leak = opnorm(TD @ V[:, np.abs(w) <= cut])
-    if _leaks(leak, TD, tol):
+    if leak and nk.opnorm_holds(TD, lambda norm: leak > tol * (1.0 + norm)):
         return leak, math.inf, None, None
 
     live = w > cut
@@ -552,10 +543,13 @@ def wsimilar_forms(T, tol: float = DEFAULT_TOL) -> WSimilarForms:
     X1 = X^(-1), B2 = X^(-1) T* with X2 = X, W = X2^(-1), Z = X1^(-1), and
     TW, ZT are Hermitian PSD.  One SVD G0 = U diag(s) V* gives every power
     of X = (G0 G0*)^(-1) = U diag(s^-2) U*, with no inverse and no cut.
-    plusdot_ok records ran T (+) ker T = H by the zero-intersection test;
-    the dimensions of ran T and ker T, read off one SVD of the square T,
-    always sum to n.  ||T|| and cond(G0) come from the spectrum that decided
-    the similarity.
+    plusdot_ok records ran T (+) ker T = H: it holds at once when T has
+    rank n by the rank rule on the singular values the spectrum kept, and
+    is otherwise the zero-intersection test on one SVD of the square T,
+    whose ran T and ker T dimensions always sum to n.  ||T|| and cond(G0)
+    come from the spectrum that decided the similarity.  The checks report
+    ``TW_psd_deficit``, ``ZT_psd_deficit`` and ``S_psd_deficit``, the
+    Cholesky-first ``numkernel.psd_deficit`` of herm(TW), herm(ZT) and S.
     """
     T = as_matrix(T)
     sim, spec = _psd_similarity(T, tol)
@@ -564,23 +558,25 @@ def wsimilar_forms(T, tol: float = DEFAULT_TOL) -> WSimilarForms:
     U, s, _ = nk.svd(sim.G)
     X, Xi = herm((U / s ** 2) @ U.conj().T), herm((U * s ** 2) @ U.conj().T)
     S = herm((U / s) @ U.conj().T @ T @ (U * s) @ U.conj().T)
-    split = svd_split(T)
+    plusdot_ok = nk.numerical_rank(spec.singular_values) == T.shape[0]  # ker T = {0}
+    if not plusdot_ok:
+        split = svd_split(T)
+        plusdot_ok = subspace_intersect(split.ran, split.ker).dim == 0
     XT, TW = X @ T, T @ Xi  # B1 = Z T = X T and T W = T X^(-1)
     forms = WSimilarForms(
-        X=X, S=S, X1=Xi, B1=XT, X2=X, B2=Xi @ T.conj().T, W=Xi, Z=X,
-        plusdot_ok=subspace_intersect(split.ran, split.ker).dim == 0,
+        X=X, S=S, X1=Xi, B1=XT, X2=X, B2=Xi @ T.conj().T, W=Xi, Z=X, plusdot_ok=plusdot_ok,
     )
     cond2 = spec.eigvec_condition ** 2
     forms.checks = {
         "intertwine": frob(XT - T.conj().T @ X),
         "factor_T": frob(Xi @ XT - T),
         "factor_Tadj": frob(X @ forms.B2 - T.conj().T),
-        "TW_psd_margin": float(np.linalg.eigvalsh(herm(TW))[0]),
-        "ZT_psd_margin": float(np.linalg.eigvalsh(herm(XT))[0]),
+        "TW_psd_deficit": nk.psd_deficit(herm(TW)),
+        "ZT_psd_deficit": nk.psd_deficit(herm(XT)),
         "TW_herm_dev": frob(TW - TW.conj().T),
         "ZT_herm_dev": frob(XT - XT.conj().T),
         "S_herm_dev": frob(S - S.conj().T),
-        "S_psd_margin": float(np.linalg.eigvalsh(S)[0]),
+        "S_psd_deficit": nk.psd_deficit(S),
         "cond_G": math.sqrt(cond2),
         "tol": tol * cond2 * max(1.0, spec.norm),
     }
@@ -643,7 +639,9 @@ def _check_intertwiner(G, left, right, tol, who):
 def _direct_side(T, G, S, s, V):
     """X^(1/2) = |G| and X^(-1/2) for X = G*G, read off the SVD W diag(s) V*
     of G, A = G* S G, herm(A T) and the residuals both direct-side reports
-    give, for G T = S G and lambda = ||X|| = s[0]^2."""
+    give, for G T = S G and lambda = ||X|| = s[0]^2: ``xt_psd_deficit`` is
+    the Cholesky-first ``numkernel.psd_deficit`` of herm(X T), and the tight
+    reversed-inequality gap keeps its signed ``eigvalsh`` margin."""
     X = herm((V * s ** 2) @ V.conj().T)
     A = herm(G.conj().T @ S @ G)
     XT = X @ T
@@ -651,7 +649,7 @@ def _direct_side(T, G, S, s, V):
     gap = herm(T.conj().T @ T - AT / s[0] ** 2)
     residuals = {
         "xt_equals_tadjx": frob(XT - T.conj().T @ X),
-        "xt_psd_margin": float(np.linalg.eigvalsh(herm(XT))[0]),
+        "xt_psd_deficit": nk.psd_deficit(herm(XT)),
         "reversed_inequality_margin": float(np.linalg.eigvalsh(gap)[0]),
     }
     return (V * s) @ V.conj().T, (V / s) @ V.conj().T, A, AT, residuals
@@ -694,7 +692,9 @@ def tba_package(T, G, S, tol: float = DEFAULT_TOL) -> QAPackage:
     X = G*G satisfies X T = T* X >= 0; the reversed inequality
     T*T >= (1/lambda) A_F T with lambda = ||G*G|| is checked directly and,
     when its relation-level hypotheses hold, re-derived through
-    reverse_solve(T, A_F).
+    reverse_solve(T, A_F).  The diagnostics report X T >= 0 as
+    ``xt_psd_deficit`` (Cholesky first) and the reversed inequality as its
+    signed ``reversed_inequality_margin``.
     """
     T, G, S = _operands("tba_package", T, G, S)
     cond_G, norm_T, _, _, s, V = _check_intertwiner(G, T, S, tol, "tba_package")
@@ -791,7 +791,7 @@ def bounded_S_checks(T, G, S, tol: float = DEFAULT_TOL) -> BoundedSReport:
     add("polar_normalization_equality", frob(C1 - C2))
     add("polar_normalization_psd", nk.psd_deficit(herm(C2)))
     add("xt_equals_tadjx", residuals["xt_equals_tadjx"])
-    add("xt_psd", max(0.0, -residuals["xt_psd_margin"]))
+    add("xt_psd", residuals["xt_psd_deficit"])
     add("at_hermitian_psd", nk.psd_deficit(AT))
     add("reversed_inequality_margin", max(0.0, -residuals["reversed_inequality_margin"]))
     add("joint_form_T_side", frob(C1 - herm(C1)))

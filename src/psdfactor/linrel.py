@@ -411,7 +411,8 @@ def rel_classify(T: LinRel, tol: float = DEFAULT_TOL) -> RelFlags:
     (``numkernel.is_hermitian``), nonnegative iff its eigenvalues also pass
     the PSD test (``numkernel.is_psd_spectrum``), selfadjoint iff it is
     symmetric, dim graph T = n and ||F - F*|| <= tol: the exact distance to
-    graph T*, whose complement J graph T has the orthonormal basis (Y; -X).
+    graph T*, whose complement J graph T has the orthonormal basis (Y; -X),
+    decided by ``numkernel.opnorm_holds`` and only for a symmetric form.
     A selfadjoint relation is symmetric, so the flags never say otherwise,
     although the two tests measure ||F - F*|| on different scales.
     """
@@ -421,8 +422,10 @@ def rel_classify(T: LinRel, tol: float = DEFAULT_TOL) -> RelFlags:
     F = X.conj().T @ Y
     sym = is_hermitian(F, tol)
     nonneg = sym and is_psd_spectrum(np.linalg.eigvalsh(herm(F)) if F.size else np.zeros(0), tol)
-    gap = nk.opnorm(F - F.conj().T) if T.graph_dim == T.dom_dim else 1.0
-    return RelFlags(symmetric=sym, nonnegative=nonneg, selfadjoint=sym and gap <= tol)
+    # the gap to graph T* is ||F - F*||, and 1 when dim graph T != n
+    square = T.graph_dim == T.dom_dim
+    adj = sym and (nk.opnorm_holds(F - F.conj().T, lambda gap: gap <= tol) if square else 1.0 <= tol)
+    return RelFlags(symmetric=sym, nonnegative=nonneg, selfadjoint=adj)
 
 
 def _require_nonneg_selfadjoint(T, who, tol: float = DEFAULT_TOL):

@@ -16,7 +16,7 @@ measured through their ``n x k`` bases: no ``n x n`` projection is formed.
 G off one SVD of G, with no cut; :func:`psd_power` of G*G would drop the
 singular values of G below 1e-5 s_max.
 
-Five global conventions keep kernels consistent across operations:
+Six global conventions keep kernels consistent across operations:
 
 * rank threshold: singular/eigen values below ``RANK_RTOL`` times the largest
   one are treated as zero everywhere (kernels, pseudo-inverses, PSD powers),
@@ -45,7 +45,12 @@ Five global conventions keep kernels consistent across operations:
   :func:`psd_deficit`, max(0, -lambda_min(H)), which is 0.0 when one
   Cholesky factorization of H succeeds and takes ``eigvalsh`` only when it
   fails, so a check that passes costs no spectrum.  Cholesky is called
-  nowhere else.
+  nowhere else;
+* one bounds-first norm verdict: a test of a spectral norm whose verdict
+  alone is read (a kernel leak against tol (1 + ||T||), a containment
+  residual, a selfadjointness gap) is decided by :func:`opnorm_holds` on the
+  bounds max column norm <= ||A|| <= ||A||_F, with an SVD only when the
+  verdict falls between the two.
 """
 
 from __future__ import annotations
@@ -70,6 +75,7 @@ __all__ = [
     "as_matrix",
     "frob",
     "opnorm",
+    "opnorm_holds",
     "herm",
     "is_hermitian",
     "is_psd_spectrum",
@@ -133,6 +139,19 @@ def opnorm(a) -> float:
     return float(svd(a, uv=False)[0])
 
 
+def opnorm_holds(a, test) -> bool:
+    """test(||a||) for a test that holds up to some norm and fails beyond it, read off bounds first.
+
+    max column norm <= ||a|| <= ||a||_F: the verdict is false when the test
+    fails at the column bound and true when it holds at the Frobenius bound;
+    only between the two is ||a|| taken, by :func:`opnorm`.
+    """
+    a = np.asarray(a)
+    if not test(np.linalg.norm(a, axis=0).max(initial=0.0)):
+        return False
+    return test(frob(a)) or test(opnorm(a))
+
+
 def herm(a) -> np.ndarray:
     """Hermitian part (a + a*)/2."""
     a = as_matrix(a)
@@ -171,13 +190,15 @@ class HermEig:
 @dataclass(frozen=True)
 class Spectrum:
     """Eigenvalues sorted by (real, imag), the matching eigenvector columns,
-    the spectral norm ||T|| and the cluster radius 100 tol ||T|| it scaled."""
+    the spectral norm ||T||, the singular values of T it was read off
+    (descending; zeros for T = 0) and the cluster radius 100 tol ||T|| it scaled."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     diagonalizable: bool
     eigvec_condition: float
     norm: float
+    singular_values: np.ndarray
     cluster_radius: float
 
 
@@ -247,9 +268,9 @@ def psd_power(P, alpha: float, tol: float = DEFAULT_TOL) -> np.ndarray:
     return (v * wa) @ v.conj().T
 
 
-def moore_penrose(T, atol: float = 0.0) -> np.ndarray:
+def moore_penrose(T) -> np.ndarray:
     """Moore-Penrose pseudo-inverse at the global rank threshold (see :func:`svd_split`)."""
-    return svd_split(T, atol).pinv
+    return svd_split(T).pinv
 
 
 def loewner_leq(P, Q, tol: float = DEFAULT_TOL):
@@ -313,7 +334,8 @@ def spectrum(T, tol: float = DEFAULT_TOL) -> Spectrum:
     order = np.lexsort((w.imag, w.real))
     w = w[order]
     v = v[:, order]
-    norm = opnorm(T)
+    sv = svd(T, uv=False) if T.any() else np.zeros(n)
+    norm = float(sv[0])
     dtol = 100.0 * tol * max(norm, 1e-300)
     diagonalizable = True
     for run, lam in _clusters(w, dtol):
@@ -329,7 +351,7 @@ def spectrum(T, tol: float = DEFAULT_TOL) -> Spectrum:
         s = svd(v, uv=False)
         cond = float(s[0] / s[-1]) if s[-1] else cond
     return Spectrum(eigenvalues=w, eigenvectors=v, diagonalizable=cond <= 1.0 / RANK_RTOL, eigvec_condition=cond,
-                    norm=norm, cluster_radius=dtol)
+                    norm=norm, singular_values=sv, cluster_radius=dtol)
 
 
 _KRONECKER_COMBOS = 64
@@ -593,14 +615,19 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
 
 
 def subspace_contains(big: Subspace, small: Subspace, tol: float = DEFAULT_TOL) -> bool:
-    """small <= big, decided by the projection residual of small's basis."""
-    return subspace_containment_residual(big, small) <= tol
+    """small <= big, decided by the projection residual of small's basis by :func:`opnorm_holds`."""
+    return opnorm_holds(_leftover(big, small), lambda r: r <= tol)
 
 
 def subspace_containment_residual(big: Subspace, small: Subspace) -> float:
     """||(I - P_big) S|| = ||S - B (B* S)|| on the bases B of big, S of small (0 when small = {0})."""
+    return opnorm(_leftover(big, small))
+
+
+def _leftover(big: Subspace, small: Subspace) -> np.ndarray:
+    """(I - P_big) S = S - B (B* S) on the bases B of big, S of small."""
     B, S = big.basis, small.basis
-    return opnorm(S - B @ (B.conj().T @ S))
+    return S - B @ (B.conj().T @ S)
 
 
 def subspace_distance(a: Subspace, b: Subspace) -> float:

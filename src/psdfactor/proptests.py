@@ -50,8 +50,8 @@ def random_relation(rng, n, m, graph_dim=None):
     return rel_from_graph(vecs, n, m)
 
 
-def lambda_sweep_feasible(T, B, points=64, tol=1e-8):
-    """Independent oracle: does some lambda on a fixed grid make
+def lambda_sweep_feasible(T, B, tol=1e-8):
+    """Independent oracle: does some lambda on a fixed grid of 64 points make
     lambda T*B - T*T PSD?  The PSD floor is relative to ||T*T|| so large
     lambda values cannot absorb a genuine negative direction.
 
@@ -68,7 +68,7 @@ def lambda_sweep_feasible(T, B, points=64, tol=1e-8):
     TT = herm(T.conj().T @ T)
     norm_TT = opnorm(TT)
     floor = -tol * (1.0 + norm_TT)
-    lams = np.geomspace(1e-8, 1e8, points) * (max(norm_TT, 1e-12) / max(opnorm(M), 1e-12))
+    lams = np.geomspace(1e-8, 1e8, 64) * (max(norm_TT, 1e-12) / max(opnorm(M), 1e-12))
     G = lams[:, None, None] * M - TT
     w = np.linalg.eigvalsh(0.5 * (G + G.conj().transpose(0, 2, 1)))
     return bool((w[:, 0] >= floor).any())

@@ -99,7 +99,6 @@ from psdfactor.numkernel import (
     Subspace,
     herm,
     kernel_basis,
-    moore_penrose,
     numerical_rank,
     opnorm,
     psd_power,
@@ -319,6 +318,22 @@ def rel_classify_reference(T: LinRel, tol: float = DEFAULT_TOL) -> RelFlags:
     return RelFlags(symmetric=sym, nonnegative=nonneg, selfadjoint=selfadj)
 
 
+def rel_classify_svd(T: LinRel, tol: float = DEFAULT_TOL) -> RelFlags:
+    """``rel_classify`` with its selfadjointness gap ||F - F*|| always taken by an SVD.
+
+    The library form reads the gap off its bounds first and skips it for a
+    form that is not symmetric; the flags must agree.
+    """
+    if T.dom_dim != T.codom_dim:
+        raise NotSquare("rel_classify: relation is not square")
+    X, Y = T.blocks()
+    F = X.conj().T @ Y
+    sym = nk.is_hermitian(F, tol)
+    nonneg = sym and nk.is_psd_spectrum(np.linalg.eigvalsh(herm(F)) if F.size else np.zeros(0), tol)
+    gap = opnorm(F - F.conj().T) if T.graph_dim == T.dom_dim else 1.0
+    return RelFlags(symmetric=sym, nonnegative=nonneg, selfadjoint=sym and gap <= tol)
+
+
 def rel_parts_reference(T: LinRel) -> RelParts:
     """dom/ran/ker/mul subspaces and the zero-extended operator-part matrix.
 
@@ -333,7 +348,7 @@ def rel_parts_reference(T: LinRel) -> RelParts:
     mul = _second_component_at_zero(X, Y, T.codom_dim)
     ker = _second_component_at_zero(Y, X, T.dom_dim)
     P_s = np.eye(T.codom_dim, dtype=np.complex128) - projector(mul)
-    ts = P_s @ Y @ moore_penrose(X, atol=GRAPH_ATOL)
+    ts = P_s @ Y @ nk.svd_split(X, GRAPH_ATOL).pinv
     return RelParts(dom=dom, ran=ran, ker=ker, mul=mul, operator_part_matrix=ts)
 
 

@@ -258,8 +258,8 @@ def test_acceptance_5_wsimilarity_suite():
             and forms.checks["factor_Tadj"] <= ctol * scale
             and forms.checks["TW_herm_dev"] <= ctol * scale
             and forms.checks["ZT_herm_dev"] <= ctol * scale
-            and forms.checks["TW_psd_margin"] >= -ctol * scale
-            and forms.checks["ZT_psd_margin"] >= -ctol * scale
+            and forms.checks["TW_psd_deficit"] <= ctol * scale
+            and forms.checks["ZT_psd_deficit"] <= ctol * scale
             and forms.plusdot_ok
         )
         failures += not ok

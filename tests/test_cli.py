@@ -454,6 +454,11 @@ def _svd_does_not_converge(*args, **kwargs):
             "diag", {"op": "reverse", "t": _ZERO_TAIL, "b": _ZERO_TAIL}, None, "UnrepresentableSymbol",
             id="diag-reverse-zero-tails",
         ),
+        # x = t/b = 1e600 was reported feasible with lambda* "inf" and X's head written Infinity
+        pytest.param(
+            "diag", {"op": "seb", "t": {"head": [[1e300, 0.0]]}, "b": {"head": [[1e-300, 0.0]]}}, None,
+            "OverflowError", id="diag-seb-overflow",
+        ),
         pytest.param(
             "factor", {"op": "douglas", "T": _ONE, "B": _ONE}, _svd_does_not_converge, "LinAlgError",
             id="lapack-svd-no-convergence",
@@ -982,8 +987,8 @@ _SCHEMA = {
                             {"residuals": ["adjoint_factorization", "adjoint_operator_factorization",
                                            "dual_lambda_star", "mul_Y_matches", "restricted_product_chain", "tol"]}),
     ("wsimilar", "matrix"): (["B1", "B2", "S", "W", "X", "X1", "X2", "Z", "checks", "plusdot_ok"],
-                             {"checks": ["S_herm_dev", "S_psd_margin", "TW_herm_dev", "TW_psd_margin", "ZT_herm_dev",
-                                         "ZT_psd_margin", "cond_G", "factor_T", "factor_Tadj", "intertwine", "tol"]}),
+                             {"checks": ["S_herm_dev", "S_psd_deficit", "TW_herm_dev", "TW_psd_deficit", "ZT_herm_dev",
+                                         "ZT_psd_deficit", "cond_G", "factor_T", "factor_Tadj", "intertwine", "tol"]}),
     ("intertwine", "sylvester"): (["dimension", "max_rank_element", "rank"], {}),
     ("intertwine", "quasiaffine"): (["G", "affine", "space_dim"], {}),
     ("intertwine", "quasisimilar"): (["G1", "G2", "checks", "similar_pair"], {"checks": ["duality_residual", "tol"]}),
@@ -997,7 +1002,7 @@ _SCHEMA = {
                                  {"diagnostics": ["reconstruction", "seb_feasible", "seb_lambda_star", "tol"]}),
     ("factor", "tba"): (["A", "A_F", "B_F", "diagnostics", "direction"],
                         {"diagnostics": ["E_F", "S0", "lambda", "reconstruction", "reverse_eta_star", "reverse_feasible",
-                                         "reversed_inequality_margin", "tol", "xt_equals_tadjx", "xt_psd_margin"]}),
+                                         "reversed_inequality_margin", "tol", "xt_equals_tadjx", "xt_psd_deficit"]}),
     ("factor", "bounded_s"): (["all_passed", "items"], {"items": ["name", "passed", "residual", "tol"]}),
     **{("rel", op): (["result"], {}) for op in ("sqrt", "compose", "restrict", "adjoint", "inverse", "moore_penrose")},
     ("rel", "parts"): (["dom_dim", "ker_dim", "mul_dim", "operator_part", "ran_dim"], {}),

@@ -237,6 +237,19 @@ def test_diag_seb_hypothesis_gate():
         diag_seb_solve(DiagRel.from_head([0.0], 1, 1), DiagRel.from_head([INF], 1, 1))
 
 
+def test_diag_seb_refuses_a_result_outside_the_float_range():
+    # x = t/b = 1e600 was a feasible certificate with lambda* = inf; it is an
+    # overflow, as it is for the matrix engines
+    with pytest.raises(OverflowError):
+        diag_seb_solve(DiagRel.from_head([1e300]), DiagRel.from_head([1e-300]))
+    with pytest.raises(OverflowError):  # the tail ratio
+        diag_seb_solve(DiagRel.from_tail(1e300, 1), DiagRel.from_tail(1e-300, 1))
+    with pytest.raises(OverflowError):  # the dual's x = 1/y of the reversed problem
+        diag_reverse_solve(DiagRel.from_head([1e-300], 1, 0), DiagRel.from_head([1e300], 1, 0))
+    res = diag_seb_solve(DiagRel.from_head([1e300]), DiagRel.from_head([1e-7]))
+    assert res.feasible and res.lambda_star == pytest.approx(1e307, rel=1e-15)
+
+
 def test_diag_seb_with_inf_entries():
     t = DiagRel.from_head([INF, INF], tail_coeff=1, tail_power=0)
     b = DiagRel.from_head([2.0, INF], tail_coeff=1, tail_power=0)

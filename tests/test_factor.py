@@ -379,20 +379,21 @@ def test_dense_engine_decomposition_counts(monkeypatch):
     calls.clear()
     assert factor.bounded_S_checks(TS, G, S).all_passed
     # the PSD gate of S, whose eigh gives ||S||; one svd(G) for rank, ||G||, cond(G),
-    # G^-1 and X^(+-1/2); ||T||; 2 signed margins and 2 PSD residuals, which one
-    # Cholesky each settles (9 with inv(G) and an eigh of X = G*G)
+    # G^-1 and X^(+-1/2); ||T||; the signed reversed-inequality margin and 3 PSD
+    # residuals, which one Cholesky each settles (9 with inv(G) and an eigh of
+    # X = G*G, then 7 with 2 eigvalsh and 2 Cholesky)
     assert sum(calls.values()) <= 7, calls
     assert calls["svd"] == 1 and calls["eigh"] == 1 and calls["inv"] == 0, calls
-    assert calls["eigvalsh"] == 2 and calls["cholesky"] == 2, calls
+    assert calls["eigvalsh"] == 1 and calls["cholesky"] == 3, calls
 
     calls.clear()
     factor.wsimilar_forms(TS)
     # ||T|| and cond(G0) come from spectrum, two values-only SVDs (one svdvals and
-    # one cond before); one svd(G0) for every power of X; one svd(T) for ran T and
-    # ker T (9 with inv(G0) and an eigh of X)
-    assert sum(calls.values()) <= 8, calls
-    assert calls["eig"] == 1 and calls["svdvals"] == 2 and calls["cond"] == 0, calls
-    assert calls["eigh"] == 0 and calls["inv"] == 0, calls
+    # one cond before); one svd(G0) for every power of X; T has rank n on the
+    # singular values spectrum kept, so no svd(T) for ran T and ker T; 3 PSD
+    # residuals, one Cholesky each (9 with inv(G0) and an eigh of X, then 8 with
+    # svd(T) and 3 eigvalsh)
+    assert calls == {"eig": 1, "svdvals": 2, "svd": 1, "cholesky": 3}, calls
 
     calls.clear()
     calls.max_dim = 0
@@ -420,7 +421,7 @@ def test_dense_engine_decomposition_counts(monkeypatch):
 def _leak_case(rng, monkeypatch):
     """T, B = Q diag(t) Q*, Q diag(b) Q* with ker B = span Q[:, :2], into which
     T leaks max(t[:2]); tolerances on both sides of each bound of ||T||, max
-    column norm <= ||T|| <= ||T||_F; and a list that records, per ``factor.opnorm``
+    column norm <= ||T|| <= ||T||_F; and a list that records, per ``numkernel.opnorm``
     call, whether it took ||T||.
     """
     n = 6
@@ -432,7 +433,7 @@ def _leak_case(rng, monkeypatch):
     col, fro = np.linalg.norm(T, axis=0).max(), frob(T)
     assert col < norm_T < fro
     of_T = []
-    monkeypatch.setattr(factor, "opnorm", lambda a: of_T.append(np.array_equal(a, T)) or opnorm(a))
+    monkeypatch.setattr(nk, "opnorm", lambda a: of_T.append(np.array_equal(a, T)) or opnorm(a))
     edges = leak / (1.0 + np.array([0.5 * col, col, 0.5 * (col + norm_T), norm_T, 0.5 * (norm_T + fro), fro, 2 * fro]))
     tols = np.concatenate([edges * (1 - 1e-9), edges * (1 + 1e-9)])
     return T, B, leak, norm_T, tols, of_T
@@ -496,27 +497,31 @@ def test_relation_decomposition_counts(monkeypatch):
     # (one SVD for the span of (D; T_s D) before); mul T != {0} here
     Ts = operator_part_relation(T)
     assert Ts is not T and not rel_parts(Ts).mul.dim and sum(calls.values()) == 0, calls
-    # the root of a matrix keeps (C^n, {0}, P^(1/2)): the gate's QR of the graph,
-    # eigvalsh and ||F - F*||, and one eigh for the root (an SVD for its span before)
+    # the root of a matrix keeps (C^n, {0}, P^(1/2)): the gate's QR of the graph and
+    # eigvalsh, with ||F - F*|| read off its Frobenius bound, and one eigh for the
+    # root (an SVD for its span, then an svdvals for ||F - F*||, before)
     rel_sqrt(rel_from_matrix(M))
-    assert calls == {"qr": 1, "eigvalsh": 1, "svdvals": 1, "eigh": 1}, calls  # no svd
+    assert calls == {"qr": 1, "eigvalsh": 1, "eigh": 1}, calls  # no svd
     calls.clear()
     # one eigh of the form of T*B gives ker M, lambda* and G0; no T*T is formed.
     # Parts, adjoints, products and restrictions of the matrix operands cost
     # nothing: two SVDs (ker (T_s)* and ker X), one QR for each of the five
-    # graph bases the residuals measure, 5 spectral norms and 2 eigvalsh
+    # graph bases the residuals measure, 4 spectral norms and 2 eigvalsh; the
+    # containment tests and ||F - F*|| settle on their bounds (15 calls before)
     assert factor.seb_relation_solve(Bm, Bm).feasible
-    assert sum(calls.values()) <= 15 and calls["svd"] <= 2 and calls["eigh"] == 1, calls
+    assert sum(calls.values()) <= 14 and calls["svd"] <= 2 and calls["eigh"] == 1, calls
     calls.clear()
     # the dual's and one SVD per inverted operand; ker T* is the dual's
     # mul (T*)^(-1), and Y's graph basis waits for a report to ask for it
     assert factor.reverse_solve(Tm, Bm).feasible
-    assert sum(calls.values()) <= 19 and calls["svd"] <= 4 and calls["eigh"] == 1, calls
+    assert sum(calls.values()) <= 16 and calls["svd"] <= 4 and calls["eigh"] == 1, calls
+    assert calls["svdvals"] == 4, calls  # 7 before the containment tests read their bounds
     calls.clear()
-    # selfadjointness is read off the graph form: eigvalsh(F) and ||F - F*||, no adjoint
+    # selfadjointness is read off the graph form: eigvalsh(F), and ||F - F*|| off its
+    # Frobenius bound (an svdvals before); no adjoint
     calls.max_dim = 0
     assert rel_classify(Bm).selfadjoint
-    assert sum(calls.values()) <= 2 and calls["svd"] == 0, calls
+    assert calls == {"eigvalsh": 1}, calls
     assert calls.max_dim <= Bm.graph_dim, calls.max_dim
     calls.clear()
     # S is not symmetric and its graph has dimension 3 != n: nothing to decompose
@@ -921,8 +926,8 @@ def test_wsimilar_six_identities_and_kernel():
         assert forms.checks["factor_Tadj"] <= ctol
         assert forms.checks["TW_herm_dev"] <= ctol
         assert forms.checks["ZT_herm_dev"] <= ctol
-        assert forms.checks["TW_psd_margin"] >= -ctol
-        assert forms.checks["ZT_psd_margin"] >= -ctol
+        assert forms.checks["TW_psd_deficit"] <= ctol
+        assert forms.checks["ZT_psd_deficit"] <= ctol
         assert forms.plusdot_ok
 
 
@@ -1017,7 +1022,7 @@ def test_tba_trivial_and_planted():
         pkg = factor.tba_package(T, G, S)
         assert pkg.diagnostics["reconstruction"] <= pkg.diagnostics["tol"]
         assert pkg.diagnostics["xt_equals_tadjx"] <= pkg.diagnostics["tol"]
-        assert pkg.diagnostics["xt_psd_margin"] >= -pkg.diagnostics["tol"]
+        assert pkg.diagnostics["xt_psd_deficit"] <= pkg.diagnostics["tol"]
         assert pkg.diagnostics["reversed_inequality_margin"] >= -pkg.diagnostics["tol"]
         assert pkg.diagnostics["reverse_feasible"]
         lam = pkg.diagnostics["lambda"]

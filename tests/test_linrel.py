@@ -38,6 +38,7 @@ from oracles import (
     random_psd,
     random_unitary,
     rel_classify_reference,
+    rel_classify_svd,
     rel_compose_reference,
     rel_parts_reference,
     rel_restrict_reference,
@@ -259,11 +260,10 @@ def test_inverse_adjoint_identities_behind_the_reverse_gates():
         assert rel_classify(rel_inverse(R)) == flags
 
 
-def test_rel_classify_matches_reference():
-    # selfadjointness read off the graph form, ||F - F*|| when dim graph = n and
-    # 1 otherwise, is the projector distance from graph T to graph T*; every
-    # tol sees both verdicts
-    rng = np.random.default_rng(24)
+def _classify_family(rng):
+    """Square relations of every graph dimension, shifted PSD matrices, inverses of
+    singular and regular PSD matrices, truncated diagonal symbols with INF, TRIVIAL
+    and FULL entries, and Hermitian matrices perturbed by 1e-12 to 1e-6."""
     rels = [random_relation(rng, n, n, graph_dim=k) for n in range(1, 6) for k in range(2 * n + 1)]
     for n in range(2, 7):
         P = random_psd(rng, n)
@@ -278,8 +278,15 @@ def test_rel_classify_matches_reference():
         H = random_psd(rng, n) - 0.5 * np.eye(n)
         E = _cplx(rng, n, n)
         rels.append(rel_from_matrix(H + size * E / np.linalg.norm(E, 2)))
+    return rels
+
+
+def test_rel_classify_matches_reference():
+    # selfadjointness read off the graph form, ||F - F*|| when dim graph = n and
+    # 1 otherwise, is the projector distance from graph T to graph T*; every
+    # tol sees both verdicts
     seen = set()
-    for T in rels:
+    for T in _classify_family(np.random.default_rng(24)):
         X, Y = T.blocks()
         F = X.conj().T @ Y
         gap = nk.opnorm(F - F.conj().T) if T.graph_dim == T.dom_dim else 1.0
@@ -289,6 +296,19 @@ def test_rel_classify_matches_reference():
             assert flags == rel_classify_reference(T, tol), (T, tol)
             seen.add((tol, flags.selfadjoint))
     assert len(seen) == 8, seen
+
+
+def test_rel_classify_reads_the_gap_off_its_bounds():
+    # the gap ||F - F*|| is decided by numkernel.opnorm_holds and only for a
+    # symmetric form; the flags are those of the SVD of F - F*, also at
+    # tolerances on both sides of each gap and of the gap 1 of a short graph
+    for T in _classify_family(np.random.default_rng(24)):
+        X, Y = T.blocks()
+        F = X.conj().T @ Y
+        gaps = [nk.opnorm(F - F.conj().T), nk.frob(F - F.conj().T), 1.0]
+        tols = [g * f for g in gaps for f in (1 - 1e-9, 1 + 1e-9)] + [1e-12, 1e-10, 1e-8, 1e-6, 2.0]
+        for tol in tols:
+            assert rel_classify(T, tol) == rel_classify_svd(T, tol), (T, tol)
 
 
 def test_rel_classify_selfadjoint_implies_symmetric():

@@ -475,6 +475,54 @@ def test_sylvester_jordan_blocks():
             assert (out.dimension, out.rank) == (len(ref.basis), ref.rank) == (k, k), (k, mu)
 
 
+def _norm_rule_cases(rng):
+    """Seeded real and complex matrices of several shapes, rank-1 ones (where
+    ||A|| = ||A||_F), single columns and rows, zero and empty matrices."""
+    cases = [rng.standard_normal((m, n)) for m, n in ((3, 3), (5, 2), (2, 6), (8, 8))]
+    cases += [rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)) for m, n in ((4, 4), (3, 7))]
+    cases += [np.outer(rng.standard_normal(m), rng.standard_normal(n)) for m, n in ((4, 4), (2, 5), (6, 1))]
+    cases += [rng.standard_normal((5, 1)), rng.standard_normal((1, 5)), np.diag([3.0, 1.0, 0.5])]
+    cases += [np.zeros((2, 3)), np.zeros((0, 3)), np.zeros((3, 0)), np.zeros((0, 0))]
+    return cases
+
+
+def test_opnorm_holds_gives_the_svd_verdict_and_skips_the_svd_outside_the_bounds(monkeypatch):
+    # max column norm <= ||A|| <= ||A||_F: bounds on each side of both cheap bounds
+    # and of ||A||, and between them, give the verdict of opnorm(A) <= bound; an
+    # SVD is taken exactly when the bound falls between the two cheap bounds
+    svds = []
+    opnorm = nk.opnorm
+    monkeypatch.setattr(nk, "opnorm", lambda a: svds.append(a) or opnorm(a))
+    between = 0
+    for A in _norm_rule_cases(np.random.default_rng(45)):
+        col = np.linalg.norm(A, axis=0).max(initial=0.0)
+        norm, fro = opnorm(A), nk.frob(A)
+        assert col <= norm * (1 + 1e-12) and norm <= fro * (1 + 1e-12)
+        bounds = [v * f for v in (col, norm, fro) for f in (1 - 1e-6, 1 + 1e-6)]
+        bounds += [0.0, -1.0, 2.0 * fro + 1.0]
+        # midpoints of bounds more than rounding apart (||A|| = ||A||_F at rank 1)
+        bounds += [0.5 * (lo + hi) for lo, hi in ((col, norm), (norm, fro)) if hi - lo > 1e-6 * hi]
+        for bound in bounds:
+            svds.clear()
+            assert nk.opnorm_holds(A, lambda x: x <= bound) == (norm <= bound), (A, bound)
+            assert bool(svds) == (col <= bound < fro), (A, bound)
+            between += bool(svds)
+    assert between >= 10, between
+
+
+def test_subspace_contains_keeps_the_residual_verdict():
+    # subspace_contains decides ||(I - P_big) S|| <= tol by opnorm_holds
+    # on two-dimensional small spaces, whose residual lies strictly between its bounds
+    rng = np.random.default_rng(46)
+    for _ in range(20):
+        n = int(rng.integers(4, 8))
+        big = nk.span(rng.standard_normal((n, int(rng.integers(2, n - 1)))))
+        small = nk.span(big.basis @ rng.standard_normal((big.dim, 2)) + 1e-3 * rng.standard_normal((n, 2)))
+        resid = nk.subspace_containment_residual(big, small)
+        for tol in (resid * (1 - 1e-9), resid * (1 + 1e-9), 1e-8, 1.0):
+            assert nk.subspace_contains(big, small, tol) == (resid <= tol)
+
+
 def test_subspace_operations():
     rng = np.random.default_rng(40)
     a = nk.span(rng.standard_normal((5, 2)))
