@@ -9,6 +9,9 @@ objects and their residuals:
   and its minimal constant, with the PSD factor X built from the contraction
   G0 of the range construction, both from one eigendecomposition of the
   form of M = T*B in ``_seb_factor`` (one kernel-leak rule, norm_X = lambda*);
+  a pair of diagonal matrices, such as a truncation of diagonal symbols, has
+  M = diag(conj(t) b) as its own eigendecomposition, and ``seb_solve``
+  decides it coordinate by coordinate by the same rules, with no LAPACK call;
 * ``reverse_solve`` - the reversed inequality T*T >= eta B0-bar T (B*T
   selfadjoint nonnegative, ker B* <= ker T* + mul T), which is one forward
   relation solve of ((T*)^(-1), (B*)^(-1)) read through the unitary graph
@@ -298,6 +301,18 @@ def _seb_infeasible(**checks) -> SebCertificate:
     )
 
 
+def _lambda_star(lam: float, who: str) -> float:
+    """lambda* = ||X|| of a nonzero F: a positive float, else FloatingPointError.
+
+    F F* can underflow to 0 (or overflow) although F does not vanish; X and
+    G0 = F / sqrt(lambda*) would then be reported as a zero solution and
+    inf or NaN.
+    """
+    if not 0.0 < lam < math.inf:
+        raise FloatingPointError(f"{who}: lambda* of a nonzero solution is {lam!r}, outside the float range")
+    return lam
+
+
 def _seb_factor(Ts, A, tol: float, who: str, D=None):
     """X = T_s M^+ T_s*, lambda* and G0 from one gated eigh of the form of M = T*B.
 
@@ -309,7 +324,8 @@ def _seb_factor(Ts, A, tol: float, who: str, D=None):
     and the Frobenius norm, leave the test open.  Then F = Ts D V_+ w_+^(-1/2),
     X = F F*, lambda* = lambda_max(X) = ||X|| and G0 = F (D V_+)* / sqrt(lambda*).
     Returns (leak, lambda*, X, G0), X None past the leak bound and
-    lambda* = 0 with zero X and G0 when F vanishes.
+    lambda* = 0 with zero X and G0 when F vanishes; ``_lambda_star`` refuses
+    a lambda* that leaves the float range.
     """
     eig = nk.hermitian_eig(A, tol, psd=True, who=who, error=HypothesisFailed)
     w, V = eig.eigenvalues, eig.eigenvectors
@@ -328,8 +344,80 @@ def _seb_factor(Ts, A, tol: float, who: str, D=None):
         n_K = Ts.shape[0]
         return leak, 0.0, np.zeros((n_K, n_K), dtype=F.dtype), np.zeros(Ts.shape, dtype=F.dtype)
     X = herm(F @ F.conj().T)
-    lam = float(np.linalg.eigvalsh(X)[-1])
+    lam = _lambda_star(float(np.linalg.eigvalsh(X)[-1]), who)
     return leak, lam, X, (F / math.sqrt(lam)) @ DV.conj().T
+
+
+def _seb_feasible(lam, X, G0, residual, deficit, tol) -> SebCertificate:
+    """The feasible certificate; ``deficit(c)`` is the psd_deficit of c I - X,
+    asked for at c = lambda* (1 + tau), tau = max(tol, n eps), unless lambda* = 0."""
+    if lam == 0.0:
+        checks = {"zero_solution": True}
+    else:
+        tau = max(tol, X.shape[0] * np.finfo(float).eps)
+        checks = {"norm_bound_deficit": deficit(lam * (1.0 + tau)), "tol": tol}
+    return SebCertificate(
+        feasible=True,
+        lambda_star=lam,
+        X=X,
+        G0=G0,
+        residual_xb_t=residual,
+        norm_X=lam,
+        checks=checks,
+    )
+
+
+def _seb_dense(T, B, tol: float) -> SebCertificate:
+    """seb_solve on matrices T, B of one shape: ``_seb_factor`` on M = T*B."""
+    M = T.conj().T @ B
+    leak, lam, X, G0 = _seb_factor(T, M, tol, "seb_solve: T*B")
+    if X is None:
+        return _seb_infeasible(kernel_obstruction=leak)
+
+    def deficit(c):
+        gap = -X  # c I - X with no identity formed: raise the diagonal in place
+        gap.flat[:: X.shape[0] + 1] += c
+        return nk.psd_deficit(gap)
+
+    return _seb_feasible(lam, X, G0, frob(X @ B - T), deficit, tol)
+
+
+def _is_diagonal(A) -> bool:
+    """A is square with no nonzero entry off its diagonal."""
+    return A.shape[0] == A.shape[1] and np.count_nonzero(A) == np.count_nonzero(np.diagonal(A))
+
+
+def _seb_diagonal(T, B, tol: float) -> SebCertificate:
+    """seb_solve on diagonal T, B, read coordinate by coordinate: no LAPACK call, no N x N product.
+
+    M = T*B = diag(m), m = conj(t) b, is its own eigendecomposition.  Each
+    step is ``_seb_factor``'s on it: the gate of ``hermitian_eig``
+    (``numkernel.hermitian_diagonal``); the kernel |Re m_i| <= RANK_RTOL
+    max |Re m|; the leak max |t_i| over the kernel, which is ||T V_ker||,
+    against tol (1 + max |t|), which is tol (1 + ||T||); and on the live
+    indices f_i = t_i (Re m_i)^(-1/2), so X = diag(|f|^2) (float64, as
+    ``as_matrix`` reads a real matrix), lambda* = max |f_i|^2 and
+    G0 = diag(f) / sqrt(lambda*).  The checks are recomputed:
+    ``residual_xb_t`` = ||X B - T||_F with X B elementwise, and the deficit
+    of c I - X is max(0, -min(c - |f_i|^2)), psd_deficit's value for a
+    diagonal matrix.
+    """
+    who = "seb_solve: T*B"
+    t = np.diagonal(T)
+    m = nk.hermitian_diagonal(t.conj() * np.diagonal(B), tol, psd=True, who=who, error=HypothesisFailed)
+    w = m.real
+    cut = RANK_RTOL * np.abs(w).max(initial=0.0)
+    leak = float(np.abs(t[np.abs(w) <= cut]).max(initial=0.0))
+    if leak > tol * (1.0 + np.abs(t).max(initial=0.0)):
+        return _seb_infeasible(kernel_obstruction=leak)
+
+    live = w > cut
+    f = np.zeros(t.shape, dtype=np.result_type(t, m))
+    f[live] = t[live] * w[live] ** -0.5
+    x = (f * f.conj()).real
+    lam = _lambda_star(float(x.max()), who) if f.any() else 0.0
+    X, G0 = np.diag(x), np.diag(f / math.sqrt(lam) if lam else f)
+    return _seb_feasible(lam, X, G0, frob(X * B - T), lambda c: max(0.0, -float((c - x).min())), tol)
 
 
 def seb_solve(T, B, tol: float = DEFAULT_TOL) -> SebCertificate:
@@ -339,7 +427,12 @@ def seb_solve(T, B, tol: float = DEFAULT_TOL) -> SebCertificate:
     X = T M^+ T* satisfies X B = T exactly (the everywhere-defined collapse
     of X B0-bar <= T), ker X = ker T* and lambda* = norm_X = ||X||, and G0
     is the contraction of the range construction, X = lambda* G0 G0*.
-    T = 0 short-circuits to lambda* = 0, X = 0.
+    T = 0 short-circuits to lambda* = 0, X = 0.  A pair of diagonal matrices,
+    such as a truncation of diagonal symbols, is decided coordinate by
+    coordinate by the same rules, with no decomposition (``_seb_diagonal``);
+    its ``kernel_obstruction`` is the exact max |t_i| over the kernel.
+    FloatingPointError when lambda* of a nonzero solution leaves the float
+    range (F F* underflows to 0).
 
     The upper side is certified by two recomputations: ``residual_xb_t`` =
     ||X B - T||_F and ``checks["norm_bound_deficit"]``, the
@@ -350,27 +443,9 @@ def seb_solve(T, B, tol: float = DEFAULT_TOL) -> SebCertificate:
     contraction to rounding), and T*B = B* X B <= lambda* (1 + tau) B*B.
     """
     T, B = _operands("seb_solve", T, B, square=False)
-    M = T.conj().T @ B
-    leak, lam, X, G0 = _seb_factor(T, M, tol, "seb_solve: T*B")
-    if X is None:
-        return _seb_infeasible(kernel_obstruction=leak)
-    n = X.shape[0]
-    tau = max(tol, n * np.finfo(float).eps)
-    if lam == 0.0:
-        checks = {"zero_solution": True}
-    else:
-        gap = -X  # lambda* (1 + tau) I - X with no identity formed: raise the diagonal in place
-        gap.flat[:: n + 1] += lam * (1.0 + tau)
-        checks = {"norm_bound_deficit": nk.psd_deficit(gap), "tol": tol}
-    return SebCertificate(
-        feasible=True,
-        lambda_star=lam,
-        X=X,
-        G0=G0,
-        residual_xb_t=frob(X @ B - T),
-        norm_X=lam,
-        checks=checks,
-    )
+    if _is_diagonal(T) and _is_diagonal(B):
+        return _seb_diagonal(T, B, tol)
+    return _seb_dense(T, B, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,9 @@ Six global conventions keep kernels consistent across operations:
   PSD when its smallest eigenvalue is >= -tol (1 + ||H||), with ||H|| the
   largest |eigenvalue|; callers that decide on a spectrum take it from the
   gate instead of decomposing again; :func:`is_hermitian` and
-  :func:`is_psd_spectrum` state the two tests once for every caller;
+  :func:`is_psd_spectrum` state the two tests once for every caller, and
+  :func:`hermitian_diagonal` applies them to a diagonal matrix, whose
+  spectrum needs no decomposition;
 * one SVD step: ranges, kernels, pseudo-inverses, spans, ranks, spectral
   norms (:func:`opnorm`, the rank tests and cond(V) of :func:`spectrum`),
   orthogonal complements, the Kronecker fallback of
@@ -80,6 +82,7 @@ __all__ = [
     "is_hermitian",
     "is_psd_spectrum",
     "hermitian_eig",
+    "hermitian_diagonal",
     "psd_power",
     "moore_penrose",
     "loewner_leq",
@@ -128,7 +131,8 @@ def as_matrix(a) -> np.ndarray:
 
 
 def frob(a) -> float:
-    return float(np.linalg.norm(a, "fro"))
+    """Frobenius norm; of a vector d, the Euclidean norm, which is that of diag(d)."""
+    return float(np.linalg.norm(a))
 
 
 def opnorm(a) -> float:
@@ -164,7 +168,7 @@ def _require_square(a, who):
 
 
 def is_hermitian(H, tol: float) -> bool:
-    """The Hermitian test of the gate: ||H - H*||_F <= tol (1 + ||H||_F)."""
+    """The Hermitian test of the gate: ||H - H*||_F <= tol (1 + ||H||_F); a vector H stands for diag(H)."""
     return frob(H - H.conj().T) <= tol * (1.0 + frob(H))
 
 
@@ -176,6 +180,11 @@ def is_psd_spectrum(w, tol: float) -> bool:
 def _require_hermitian(a, tol, who, error=NotHermitian):
     if not is_hermitian(a, tol):
         raise error(f"{who}: deviation from Hermitian {frob(a - a.conj().T):.3e} exceeds tolerance")
+
+
+def _require_psd_spectrum(w, tol, who, error):
+    if not is_psd_spectrum(w, tol):
+        raise error(f"{who}: min eigenvalue {w[0]:.3e} below -tol*(1 + ||H||)")
 
 
 @dataclass(frozen=True)
@@ -248,9 +257,29 @@ def hermitian_eig(
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergence(str(exc)) from exc
     norm = float(max(-w[0], w[-1])) if w.size else 0.0
-    if psd and not is_psd_spectrum(w, tol):
-        raise error(f"{who}: min eigenvalue {w[0]:.3e} below -tol*(1 + ||H||)")
+    if psd:
+        _require_psd_spectrum(w, tol, who, error)
     return HermEig(eigenvalues=w, eigenvectors=v, norm=norm)
+
+
+def hermitian_diagonal(
+    d, tol: float = DEFAULT_TOL, psd: bool = False, who: str = "hermitian_diagonal", error=None
+) -> np.ndarray:
+    """The gate of :func:`hermitian_eig` on diag(d), which takes no decomposition.
+
+    d is read as :func:`as_matrix` reads a matrix: finite, and float64 unless
+    an imaginary part is nonzero.  The tests and messages are the gate's:
+    ||d - conj(d)|| <= tol (1 + ||d||), and with ``psd`` the PSD test on the
+    eigenvalues of the Hermitian part, the real parts of d in ascending order.
+    Returns d so read, in its own order.
+    """
+    if error is None:
+        error = NotPSD if psd else NotHermitian
+    d = as_matrix(np.asarray(d)[np.newaxis])[0]
+    _require_hermitian(d, tol, who, error)
+    if psd:
+        _require_psd_spectrum(np.sort(d.real), tol, who, error)
+    return d
 
 
 def psd_power(P, alpha: float, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -764,6 +764,8 @@ _HUGE = serialize.matrix_to_json(np.diag([1e308, 1.0]))
     "command, job",
     [
         pytest.param("seb", {"T": _HUGE, "B": _I2}, id="seb"),
+        pytest.param("seb", {"T": serialize.matrix_to_json(np.array([[1e-300]])),
+                             "B": serialize.matrix_to_json(np.array([[1e300]]))}, id="seb-underflow"),
         pytest.param("wsimilar", {"T": serialize.matrix_to_json(np.array([[1e308, 1e308], [0.0, 1.0]]))}, id="wsimilar"),
         pytest.param("factor", {"op": "tba", "T": _HUGE, "G": _I2, "S": _HUGE}, id="tba"),
     ],
@@ -771,7 +773,8 @@ _HUGE = serialize.matrix_to_json(np.diag([1e308, 1.0]))
 def test_cli_float_range_ends_in_one_line(command, job):
     # Run in a subprocess, where numpy's RuntimeWarnings reach stderr. These used
     # to report feasible with lambda* = 0 (seb), write a bare NaN (wsimilar) or
-    # exit 3 after five warning lines (tba).
+    # exit 3 after five warning lines (tba); seb-underflow, whose F F* underflows
+    # to 0, exited 3 after two warning lines.
     proc = run_cli([command, "--in", "-"], stdin=json.dumps(job))
     assert proc.returncode == 3
     assert proc.stdout == ""

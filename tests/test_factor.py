@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from psdfactor import factor
+from psdfactor import factor, proptests
 from psdfactor import numkernel as nk
 from psdfactor.diagmodel import INF, DiagRel, DiagSymbol, diag_truncate
 from psdfactor.errors import HypothesisFailed, NotPSD, NotScalarNonneg
@@ -247,6 +247,143 @@ def test_seb_real_and_complex_paths_agree():
     assert verdicts[True] == 112, verdicts
 
 
+def _diagonal_families(cplx):
+    """400 seeded diagonal pairs of sizes 1 to 8 in seven families: positive
+    entries, zeros in t, zeros in b, b graded from 1e-12 to 1e12, gate failures,
+    T = 0 and entries of 1e-15."""
+    rng = np.random.default_rng(38 if cplx else 37)
+    for i in range(400):
+        n = int(rng.integers(1, 9))
+        t = rng.uniform(0.1, 3.0, n)
+        if cplx:
+            t = t * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
+        b = t * rng.uniform(0.1, 3.0, n)  # m = conj(t) b = |t|^2 r >= 0
+        family = i % 7
+        if family == 1:
+            t[rng.random(n) < 0.4] = 0.0
+        elif family == 2:
+            b[rng.random(n) < 0.4] = 0.0
+        elif family == 3:
+            b = t * np.exp(rng.uniform(np.log(1e-12), np.log(1e12), n))
+        elif family == 4:
+            b = t * rng.uniform(-3.0, 3.0, n) * (np.exp(1j * rng.uniform(-1.0, 1.0, n)) if cplx else 1.0)
+        elif family == 5:
+            t = np.zeros_like(t)
+        elif family == 6:
+            t[rng.random(n) < 0.5] = 1e-15
+            b[rng.random(n) < 0.3] *= 1e-15
+        yield np.diag(t), np.diag(b)
+
+
+def _seb_outcome(solve, T, B, tol):
+    try:
+        return solve(T, B, tol)
+    except (HypothesisFailed, FloatingPointError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_diagonal_path_matches_dense(T, B, solve=factor.seb_solve, tol=1e-8):
+    """seb_solve on a diagonal pair against the dense path, ``factor._seb_dense``.
+
+    The same raise and message, verdict, checks and G0 dtype.  X is float64,
+    which is what ``as_matrix`` makes of the dense X: zgemm can leave rounding
+    dust in the imaginary parts of the diagonal of F F*, depending on the size,
+    and herm zeroes it but keeps the complex dtype.  Real pairs are
+    bit-identical apart from the exact kernel_obstruction; every value is
+    within 4 ulp.  Returns the certificate, None after a raise.
+    """
+    T, B = nk.as_matrix(T), nk.as_matrix(B)
+    diag, dense = _seb_outcome(solve, T, B, tol), _seb_outcome(factor._seb_dense, T, B, tol)
+    if isinstance(dense, tuple):
+        assert diag == dense
+        return None
+    ulp = 4 * np.finfo(float).eps
+    assert diag.feasible == dense.feasible
+    if not dense.feasible:
+        got, want = diag.checks["kernel_obstruction"], dense.checks["kernel_obstruction"]
+        assert diag.checks.keys() == dense.checks.keys() and abs(got - want) <= ulp * want
+        return diag
+    assert diag.X.dtype == nk.as_matrix(dense.X).dtype == np.float64
+    assert diag.G0.dtype == dense.G0.dtype
+    assert diag.checks == dense.checks
+    if T.dtype == B.dtype == np.float64:
+        assert (diag.lambda_star, diag.residual_xb_t) == (dense.lambda_star, dense.residual_xb_t)
+        assert np.array_equal(diag.X, dense.X) and np.array_equal(diag.G0, dense.G0)
+    assert abs(diag.lambda_star - dense.lambda_star) <= ulp * dense.lambda_star
+    for got, want in ((diag.X, dense.X), (diag.G0, dense.G0)):
+        assert np.abs(got - want).max(initial=0.0) <= ulp * np.abs(want).max(initial=0.0)
+    # residuals are rounding dust; the two sum their dust in different orders
+    assert abs(diag.residual_xb_t - dense.residual_xb_t) <= ulp * (1.0 + frob(T))
+    return diag
+
+
+def test_seb_diagonal_path_matches_the_dense_path():
+    outcomes = Counter()
+    for cplx in (False, True):
+        for T, B in _diagonal_families(cplx):
+            cert = _assert_diagonal_path_matches_dense(T, B)
+            outcomes[cplx, "raise" if cert is None else cert.feasible] += 1
+            # the reference cuts M^(-1/2) below 1e-10 times the largest eigenvalue, the
+            # engine below 1e-10 times the largest |eigenvalue|: they part when the gate
+            # lets a negative eigenvalue of rounding size be the largest in magnitude
+            if cert is None or np.diagonal(herm(T.conj().T @ B)).min() < 0.0:
+                continue
+            ref = seb_solve_reference(T, B)
+            assert ref.feasible == cert.feasible
+            if cert.feasible:
+                assert abs(cert.lambda_star - ref.lambda_star) <= 1e-12 * ref.lambda_star
+    assert min(outcomes.values()) >= 40 and len(outcomes) == 6, outcomes
+    # 0 x 0 and 1 x 1 pairs: feasible, zero solution, infeasible, gate failure
+    for T, B in [(np.zeros((0, 0)), np.zeros((0, 0))), ([[2.0]], [[1.0]]), ([[0.0]], [[1.0]]),
+                 ([[1.0]], [[0.0]]), ([[-1.0]], [[1.0]]), ([[1j]], [[2j]])]:
+        _assert_diagonal_path_matches_dense(T, B)
+    # tolerances on both sides of the leak bound: ||T e_1|| = 0.5 leaks into ker M = span e_1, ||T|| = 2
+    T, B = np.diag([0.5, 2.0, -1.0]), np.diag([0.0, 1.0, -1.0])
+    for tol in (1 - 1e-9, 1 + 1e-9):
+        tol *= 0.5 / (1.0 + 2.0)
+        assert _assert_diagonal_path_matches_dense(T, B, tol=tol).feasible == (0.5 <= tol * 3.0)
+    # a complex pair whose m = conj(t) b is real keeps a float64 X
+    cert = factor.seb_solve(np.diag([1 + 1j, 2.0, 3j]), np.diag([1 + 1j, 1.0, 2j]))
+    assert cert.X.dtype == np.float64 and cert.G0.dtype == np.complex128
+    assert np.abs(cert.X - np.diag([1.0, 2.0, 1.5])).max() <= 4 * np.finfo(float).eps * 2.0
+
+
+def test_seb_diagonal_path_matches_the_dense_path_on_truncations(monkeypatch):
+    # every diag_truncation campaign pair at master seeds 0-5, and the N = 300
+    # truncation that the rank cut of ROADMAP item 1 calls infeasible on both paths
+    seen = []
+    solve = factor.seb_solve
+
+    def both(T, B, tol):
+        seen.append(_assert_diagonal_path_matches_dense(T, B, solve))
+        return solve(T, B, tol=tol)
+
+    monkeypatch.setattr(factor, "seb_solve", both)
+    for seed in range(6):
+        proptests.run_suite("diag_truncation", 100, seed)
+    assert len(seen) == 600 and all(cert is not None for cert in seen)
+    assert sum(not cert.feasible for cert in seen) == 6  # the rank-cut fault trials
+    t = DiagRel(DiagSymbol(head=(0.071, 2.54), tail_coeff=1.14, tail_power=2))
+    b = DiagRel(DiagSymbol(head=(), tail_coeff=1.31, tail_power=3))
+    assert not _assert_diagonal_path_matches_dense(diag_truncate(t, 300), diag_truncate(b, 300), solve).feasible
+
+
+def test_seb_refuses_a_lambda_star_outside_the_float_range():
+    # F != 0 while F F* underflows to 0: this was reported feasible with lambda* = 0,
+    # "zero_solution" and an inf or NaN G0
+    c, s = np.cos(0.3), np.sin(0.3)
+    Q = np.array([[c, -s], [s, c]])
+    pairs = [
+        (np.array([[1e-300]]), np.array([[1e300]])),
+        (np.diag([1e-300, 1e-301]), np.diag([1e300, 1e300])),
+        (Q @ np.diag([1e-300, 1e-301]) @ Q.T, Q @ np.diag([1e300, 1e300]) @ Q.T),
+    ]
+    for T, B in pairs:
+        for solve in (factor.seb_solve, factor._seb_dense):
+            with pytest.raises(FloatingPointError, match=r"lambda\* of a nonzero solution is 0\.0"):
+                solve(T, B, 1e-8)
+
+
 def test_reverse_and_quasiaffine_real_and_complex_paths_agree():
     rng = np.random.default_rng(35)
     for _ in range(20):
@@ -339,7 +476,7 @@ def test_real_problems_decompose_in_real_arithmetic(monkeypatch):
     calls = _count_linalg(monkeypatch)
     cert = factor.seb_solve(T, B)
     assert cert.feasible and cert.X.dtype == cert.G0.dtype == np.float64
-    assert calls["eigh"] == 1
+    assert not calls  # a diagonal pair is decided coordinate by coordinate
     zero = factor.seb_solve(np.zeros((3, 3)), np.eye(3))
     assert zero.lambda_star == 0.0 and zero.X.dtype == zero.G0.dtype == np.float64
     assert factor.reverse_solve(rel_from_matrix(T[:6, :6]), rel_from_matrix(B[:6, :6])).feasible
@@ -347,8 +484,9 @@ def test_real_problems_decompose_in_real_arithmetic(monkeypatch):
     assert factor.quasiaffine_decide(G @ B[:6, :6] @ np.linalg.inv(G), B[:6, :6]).affine
     assert {dtype for _, dtype in calls.dtypes} == {"float64"}, calls.dtypes
     calls.clear()
-    U = np.diag(np.exp(1j * np.linspace(0.0, 3.0, 40)))
-    assert factor.seb_solve(T, U @ B @ U.conj().T).feasible
+    # a non-diagonal unitary keeps the pair off the diagonal path, so it reaches eigh
+    U = random_unitary(np.random.default_rng(36), 40)
+    assert factor.seb_solve(U @ T @ U.conj().T, U @ B @ U.conj().T).feasible
     assert calls.dtypes["eigh", "complex128"] == 1, calls.dtypes
 
 
@@ -369,6 +507,12 @@ def test_dense_engine_decomposition_counts(monkeypatch):
     # (5 with an SVD for ||G0|| and the eigvalsh of a Loewner margin); the leak
     # ||T K|| is below tol (1 + max column norm of T), so ||T|| takes no SVD
     assert calls == {"eigh": 1, "eigvalsh": 1, "cholesky": 1, "svdvals": 1}, calls  # no svd
+
+    calls.clear()
+    D = factor.seb_solve(np.diag(np.arange(n) - 2.0), np.diag(np.arange(n) - 2.0))
+    assert D.feasible and D.lambda_star == 1.0
+    # a diagonal pair (ker M = span e_2) is read off its diagonals: no decomposition
+    assert not calls, calls
 
     calls.clear()
     assert factor.douglas_solve(T, B).feasible

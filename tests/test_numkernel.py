@@ -49,6 +49,23 @@ def test_hermitian_eig_diagonal():
     assert np.allclose(np.abs(eig.eigenvectors), [[0, 1], [1, 0]])
 
 
+def test_hermitian_diagonal_is_the_gate_of_its_diagonal_matrix():
+    # the same raise and message as hermitian_eig on diag(d), or the same spectrum
+    for d in ([3.0, -1.0, 0.0], [2.0, 1.0 + 0.0j], [1.0 + 1e-12j, 2.0], [1.0 + 1j, 2.0], [1.0, -1e-3], [1.0, -1e-10], []):
+        d = np.array(d)
+        for psd in (False, True):
+            try:
+                eig = nk.hermitian_eig(np.diag(d), psd=psd)
+            except (NotHermitian, NotPSD) as exc:
+                with pytest.raises(type(exc)) as got:
+                    nk.hermitian_diagonal(d, psd=psd)
+                assert str(got.value) == str(exc).replace("hermitian_eig", "hermitian_diagonal")
+                continue
+            read = nk.hermitian_diagonal(d, psd=psd)
+            assert np.array_equal(np.sort(read.real), eig.eigenvalues)
+            assert read.dtype == nk.as_matrix(np.diag(d)).dtype
+
+
 def test_hermitian_eig_matches_charpoly_oracle():
     rng = np.random.default_rng(7)
     A = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
