@@ -392,7 +392,7 @@ def _seb_diagonal(T, B, tol: float) -> SebCertificate:
 
     M = T*B = diag(m), m = conj(t) b, is its own eigendecomposition.  Each
     step is ``_seb_factor``'s on it: the gate of ``hermitian_eig``
-    (``numkernel.hermitian_diagonal``); the kernel |Re m_i| <= RANK_RTOL
+    (``numkernel._hermitian_diagonal``); the kernel |Re m_i| <= RANK_RTOL
     max |Re m|; the leak max |t_i| over the kernel, which is ||T V_ker||,
     against tol (1 + max |t|), which is tol (1 + ||T||); and on the live
     indices f_i = t_i (Re m_i)^(-1/2), so X = diag(|f|^2) (float64, as
@@ -404,7 +404,7 @@ def _seb_diagonal(T, B, tol: float) -> SebCertificate:
     """
     who = "seb_solve: T*B"
     t = np.diagonal(T)
-    m = nk.hermitian_diagonal(t.conj() * np.diagonal(B), tol, psd=True, who=who, error=HypothesisFailed)
+    m = nk._hermitian_diagonal(t.conj() * np.diagonal(B), tol, who, HypothesisFailed)
     w = m.real
     cut = RANK_RTOL * np.abs(w).max(initial=0.0)
     leak = float(np.abs(t[np.abs(w) <= cut]).max(initial=0.0))

@@ -34,7 +34,7 @@ Six global conventions keep kernels consistent across operations:
   largest |eigenvalue|; callers that decide on a spectrum take it from the
   gate instead of decomposing again; :func:`is_hermitian` and
   :func:`is_psd_spectrum` state the two tests once for every caller, and
-  :func:`hermitian_diagonal` applies them to a diagonal matrix, whose
+  ``_hermitian_diagonal`` applies the PSD gate to a diagonal matrix, whose
   spectrum needs no decomposition;
 * one SVD step: ranges, kernels, pseudo-inverses, spans, ranks, spectral
   norms (:func:`opnorm`, the rank tests and cond(V) of :func:`spectrum`),
@@ -82,7 +82,6 @@ __all__ = [
     "is_hermitian",
     "is_psd_spectrum",
     "hermitian_eig",
-    "hermitian_diagonal",
     "psd_power",
     "moore_penrose",
     "loewner_leq",
@@ -262,23 +261,18 @@ def hermitian_eig(
     return HermEig(eigenvalues=w, eigenvectors=v, norm=norm)
 
 
-def hermitian_diagonal(
-    d, tol: float = DEFAULT_TOL, psd: bool = False, who: str = "hermitian_diagonal", error=None
-) -> np.ndarray:
-    """The gate of :func:`hermitian_eig` on diag(d), which takes no decomposition.
+def _hermitian_diagonal(d, tol: float, who: str, error) -> np.ndarray:
+    """The PSD gate of :func:`hermitian_eig` on diag(d), which takes no decomposition.
 
     d is read as :func:`as_matrix` reads a matrix: finite, and float64 unless
     an imaginary part is nonzero.  The tests and messages are the gate's:
-    ||d - conj(d)|| <= tol (1 + ||d||), and with ``psd`` the PSD test on the
-    eigenvalues of the Hermitian part, the real parts of d in ascending order.
-    Returns d so read, in its own order.
+    ||d - conj(d)|| <= tol (1 + ||d||), then the PSD test on the eigenvalues
+    of the Hermitian part, the real parts of d in ascending order.  Returns d
+    so read, in its own order.
     """
-    if error is None:
-        error = NotPSD if psd else NotHermitian
     d = as_matrix(np.asarray(d)[np.newaxis])[0]
     _require_hermitian(d, tol, who, error)
-    if psd:
-        _require_psd_spectrum(np.sort(d.real), tol, who, error)
+    _require_psd_spectrum(np.sort(d.real), tol, who, error)
     return d
 
 

@@ -50,20 +50,19 @@ def test_hermitian_eig_diagonal():
 
 
 def test_hermitian_diagonal_is_the_gate_of_its_diagonal_matrix():
-    # the same raise and message as hermitian_eig on diag(d), or the same spectrum
+    # the same raise and message as hermitian_eig(psd=True) on diag(d), or the same spectrum
     for d in ([3.0, -1.0, 0.0], [2.0, 1.0 + 0.0j], [1.0 + 1e-12j, 2.0], [1.0 + 1j, 2.0], [1.0, -1e-3], [1.0, -1e-10], []):
         d = np.array(d)
-        for psd in (False, True):
-            try:
-                eig = nk.hermitian_eig(np.diag(d), psd=psd)
-            except (NotHermitian, NotPSD) as exc:
-                with pytest.raises(type(exc)) as got:
-                    nk.hermitian_diagonal(d, psd=psd)
-                assert str(got.value) == str(exc).replace("hermitian_eig", "hermitian_diagonal")
-                continue
-            read = nk.hermitian_diagonal(d, psd=psd)
-            assert np.array_equal(np.sort(read.real), eig.eigenvalues)
-            assert read.dtype == nk.as_matrix(np.diag(d)).dtype
+        try:
+            eig = nk.hermitian_eig(np.diag(d), nk.DEFAULT_TOL, psd=True, who="gate")
+        except (NotHermitian, NotPSD) as exc:
+            with pytest.raises(type(exc)) as got:
+                nk._hermitian_diagonal(d, nk.DEFAULT_TOL, "gate", type(exc))
+            assert str(got.value) == str(exc)
+            continue
+        read = nk._hermitian_diagonal(d, nk.DEFAULT_TOL, "gate", NotPSD)
+        assert np.array_equal(np.sort(read.real), eig.eigenvalues)
+        assert read.dtype == nk.as_matrix(np.diag(d)).dtype
 
 
 def test_hermitian_eig_matches_charpoly_oracle():
