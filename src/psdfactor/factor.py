@@ -7,8 +7,8 @@ objects and their residuals:
 * ``douglas_solve`` - majorization T*T <= c^2 B*B <-> a bounded left factor;
 * ``seb_solve`` / ``seb_relation_solve`` - the inequality T*T <= lambda T*B
   and its minimal constant, with the PSD factor X built from the contraction
-  G0 of the range construction, both from one eigendecomposition of the
-  form of M = T*B in ``_seb_factor`` (one kernel-leak rule, norm_X = lambda*);
+  G0 of the range construction, both from the PSD gate's eigendecomposition
+  of the form of M = T*B in ``_seb_factor`` (one kernel-leak rule, norm_X = lambda*);
   a pair of diagonal matrices, such as a truncation of diagonal symbols, has
   M = diag(conj(t) b) as its own eigendecomposition, and ``seb_solve``
   decides it coordinate by coordinate by the same rules, with no LAPACK call;
@@ -51,7 +51,6 @@ from .linrel import (
     operator_part_cokernel,
     operator_part_relation,
     rel_adjoint,
-    rel_classify,
     rel_compose,
     rel_containment_residual,
     rel_distance,
@@ -63,7 +62,6 @@ from .linrel import (
 )
 from .numkernel import (
     DEFAULT_TOL,
-    RANK_RTOL,
     as_matrix,
     frob,
     herm,
@@ -313,12 +311,12 @@ def _lambda_star(lam: float, who: str) -> float:
     return lam
 
 
-def _seb_factor(Ts, A, tol: float, who: str, D=None):
-    """X = T_s M^+ T_s*, lambda* and G0 from one gated eigh of the form of M = T*B.
+def _seb_factor(Ts, eig, tol: float, who: str, D=None):
+    """X = T_s M^+ T_s*, lambda* and G0 from the PSD gate's eigh of the form of M = T*B.
 
-    A = D* M_s D = V diag(w) V* is the form of M on an orthonormal basis D of
-    dom M (None: the identity) and Ts the operator part of T.  ker A is the
-    eigenvectors with |w| <= RANK_RTOL max|w|; it must leak nothing into T,
+    ``eig`` is the gate's A = D* M_s D = V diag(w) V*, the form of M on an orthonormal
+    basis D of dom M (None: the identity), and Ts the operator part of T.  ker A
+    is the eigenvectors ``numkernel.psd_live`` calls kernel; it must leak nothing into T,
     ||Ts D V_ker|| <= tol (1 + ||Ts D||), decided by ``numkernel.opnorm_holds``:
     ||Ts D|| is taken by an SVD only when its bounds, the largest column norm
     and the Frobenius norm, leave the test open.  Then F = Ts D V_+ w_+^(-1/2),
@@ -327,16 +325,14 @@ def _seb_factor(Ts, A, tol: float, who: str, D=None):
     lambda* = 0 with zero X and G0 when F vanishes; ``_lambda_star`` refuses
     a lambda* that leaves the float range.
     """
-    eig = nk.hermitian_eig(A, tol, psd=True, who=who, error=HypothesisFailed)
     w, V = eig.eigenvalues, eig.eigenvectors
-    cut = RANK_RTOL * eig.norm
+    live = nk.psd_live(w)
     TD = Ts if D is None else Ts @ D
 
-    leak = opnorm(TD @ V[:, np.abs(w) <= cut])
+    leak = opnorm(TD @ V[:, ~live])
     if leak and nk.opnorm_holds(TD, lambda norm: leak > tol * (1.0 + norm)):
         return leak, math.inf, None, None
 
-    live = w > cut
     V_live = V[:, live]
     DV = V_live if D is None else D @ V_live
     F = (TD @ V_live) * w[live] ** -0.5
@@ -369,8 +365,8 @@ def _seb_feasible(lam, X, G0, residual, deficit, tol) -> SebCertificate:
 
 def _seb_dense(T, B, tol: float) -> SebCertificate:
     """seb_solve on matrices T, B of one shape: ``_seb_factor`` on M = T*B."""
-    M = T.conj().T @ B
-    leak, lam, X, G0 = _seb_factor(T, M, tol, "seb_solve: T*B")
+    who = "seb_solve: T*B"
+    leak, lam, X, G0 = _seb_factor(T, nk.hermitian_eig(T.conj().T @ B, tol, who, HypothesisFailed), tol, who)
     if X is None:
         return _seb_infeasible(kernel_obstruction=leak)
 
@@ -392,26 +388,24 @@ def _seb_diagonal(T, B, tol: float) -> SebCertificate:
 
     M = T*B = diag(m), m = conj(t) b, is its own eigendecomposition.  Each
     step is ``_seb_factor``'s on it: the gate of ``hermitian_eig``
-    (``numkernel._hermitian_diagonal``); the kernel |Re m_i| <= RANK_RTOL
-    max |Re m|; the leak max |t_i| over the kernel, which is ||T V_ker||,
-    against tol (1 + max |t|), which is tol (1 + ||T||); and on the live
-    indices f_i = t_i (Re m_i)^(-1/2), so X = diag(|f|^2) (float64, as
-    ``as_matrix`` reads a real matrix), lambda* = max |f_i|^2 and
-    G0 = diag(f) / sqrt(lambda*).  The checks are recomputed:
-    ``residual_xb_t`` = ||X B - T||_F with X B elementwise, and the deficit
-    of c I - X is max(0, -min(c - |f_i|^2)), psd_deficit's value for a
-    diagonal matrix.
+    (``numkernel._hermitian_diagonal``); the kernel rule ``numkernel.psd_live``
+    on Re m; the leak max |t_i| over the kernel, which is ||T V_ker||, against
+    tol (1 + max |t|), which is tol (1 + ||T||); and on the live indices
+    f_i = t_i (Re m_i)^(-1/2), so X = diag(|f|^2) (float64, as ``as_matrix``
+    reads a real matrix), lambda* = max |f_i|^2 and G0 = diag(f) / sqrt(lambda*).
+    The checks are recomputed: ``residual_xb_t`` = ||X B - T||_F with X B
+    elementwise, and the deficit of c I - X is max(0, -min(c - |f_i|^2)),
+    psd_deficit's value for a diagonal matrix.
     """
     who = "seb_solve: T*B"
     t = np.diagonal(T)
     m = nk._hermitian_diagonal(t.conj() * np.diagonal(B), tol, who, HypothesisFailed)
     w = m.real
-    cut = RANK_RTOL * np.abs(w).max(initial=0.0)
-    leak = float(np.abs(t[np.abs(w) <= cut]).max(initial=0.0))
+    live = nk.psd_live(w)
+    leak = float(np.abs(t[~live]).max(initial=0.0))
     if leak > tol * (1.0 + np.abs(t).max(initial=0.0)):
         return _seb_infeasible(kernel_obstruction=leak)
 
-    live = w > cut
     f = np.zeros(t.shape, dtype=np.result_type(t, m))
     f[live] = t[live] * w[live] ** -0.5
     x = (f * f.conj()).real
@@ -457,7 +451,9 @@ def seb_relation_solve(T: LinRel, B: LinRel, tol: float = DEFAULT_TOL) -> SebCer
     """Relation form of the Sebestyen solver.
 
     Hypotheses (hard errors): mul B <= ker (T_s)* and M = T*B selfadjoint
-    nonnegative.  T*T <= lambda M needs dom M <= dom(T*T) = dom T, where the
+    nonnegative, gated once and before any verdict: dim dom M + dim mul M = n and
+    ||D* Mul|| <= tol on bases D of dom M and Mul of mul M, then the PSD gate of the
+    form D* M_s D.  T*T <= lambda M needs dom M <= dom(T*T) = dom T, where the
     form of T*T is ||T_s x||^2, so ``_seb_factor`` on the form of M on dom M
     decides it without forming T*T.  Then X = lambda* G0 G0* with the
     contraction G0 = T_s (lambda* M_s)^(+1/2) satisfies X B0-bar <= T_s, the
@@ -480,15 +476,15 @@ def seb_relation_solve(T: LinRel, B: LinRel, tol: float = DEFAULT_TOL) -> SebCer
     if not subspace_contains(ker_ts_adj, rel_parts(B).mul, tol=tol):
         raise HypothesisFailed("seb_relation_solve: mul B is not contained in ker (T_s)*")
     M_rel = rel_compose(rel_adjoint(T), B)
-    mflags = rel_classify(M_rel, tol=tol)
-    if not (mflags.selfadjoint and mflags.nonnegative):
-        raise HypothesisFailed("seb_relation_solve: T*B is not selfadjoint nonnegative")
     parts_M = rel_parts(M_rel)
+    D, mul_M = parts_M.dom.basis, parts_M.mul.basis
+    if D.shape[1] + mul_M.shape[1] != T.dom_dim or not nk.opnorm_holds(D.conj().T @ mul_M, lambda gap: gap <= tol):
+        raise HypothesisFailed("seb_relation_solve: T*B is not selfadjoint nonnegative")
+    who = "seb_relation_solve: form of T*B"
+    eig = nk.hermitian_eig(D.conj().T @ parts_M.operator_part_matrix @ D, tol, who, HypothesisFailed)
     if not subspace_contains(parts_T.dom, parts_M.dom, tol=tol):
         return _seb_infeasible()
-    D = parts_M.dom.basis
-    A = herm(D.conj().T @ parts_M.operator_part_matrix @ D)
-    _, lam, X, G0 = _seb_factor(ts, A, tol, "seb_relation_solve: form of T*B", D)
+    _, lam, X, G0 = _seb_factor(ts, eig, tol, who, D)
     if X is None:
         return _seb_infeasible()
 
@@ -697,7 +693,7 @@ def _check_intertwiner(G, left, right, tol, who):
     (G*G)^a = V diag(s^(2a)) V*, with no cut: an accepted G keeps all n
     directions.  Returns (cond(G), ||left||, ||S||, W, s, V).
     """
-    eig_S = nk.hermitian_eig(right, tol, psd=True, who=f"{who}: S")
+    eig_S = nk.hermitian_eig(right, tol, who=f"{who}: S")
     if not G.size:
         raise ValueError(f"{who}: empty operands")
     W, s, Vh = nk.svd(G)
@@ -805,7 +801,7 @@ def quasiaffine_decide(T, S, tol: float = DEFAULT_TOL) -> QuasiAffinity:
     ``numkernel.hermitian_intertwiners``, contains a full-rank element.
     """
     T, S = _operands("quasiaffine_decide", T, S)
-    return _quasiaffine(T, nk.hermitian_eig(S, tol, psd=True, who="quasiaffine_decide: S"), opnorm(T))
+    return _quasiaffine(T, nk.hermitian_eig(S, tol, who="quasiaffine_decide: S"), opnorm(T))
 
 
 def _quasiaffine(T, eig_S, norm_T) -> QuasiAffinity:
@@ -825,7 +821,7 @@ def quasisimilar_decide(T, S, tol: float = DEFAULT_TOL) -> QuasiSimilarity:
     ``inclusionnfs_package(T, G2, S)``.
     """
     T, S = _operands("quasisimilar_decide", T, S)
-    eig_S = nk.hermitian_eig(S, tol, psd=True, who="quasisimilar_decide: S")
+    eig_S = nk.hermitian_eig(S, tol, who="quasisimilar_decide: S")
     norm_T = opnorm(T)
     qa1 = _quasiaffine(T, eig_S, norm_T)
     qa2 = _quasiaffine(T.conj().T, eig_S, norm_T)
@@ -892,7 +888,7 @@ def ldeux_certify(T, Y_hint=None, tol: float = DEFAULT_TOL) -> LdeuxCertificate:
     T = as_matrix(T)
     if Y_hint is not None:
         T, Y = _operands("ldeux_certify", T, Y_hint)
-        nk.hermitian_eig(Y, tol, psd=True, who="ldeux_certify: Y_hint")
+        nk.hermitian_eig(Y, tol, who="ldeux_certify: Y_hint")
         M = T.conj().T @ Y
         if frob(M - Y @ T) > tol * (1.0 + frob(M)):
             raise HypothesisFailed("ldeux_certify: T*Y != YT for the given hint")
@@ -925,8 +921,8 @@ def power_chain(A, B, n_max: int, tol: float = DEFAULT_TOL) -> PowerChain:
     at the first level whose S_n, residual or margin leaves the float range.
     """
     A, B = _operands("power_chain", A, B)
-    nk.hermitian_eig(A, tol, psd=True, who="power_chain: A")
-    wB = nk.hermitian_eig(B, tol, psd=True, who="power_chain: B").eigenvalues
+    nk.hermitian_eig(A, tol, who="power_chain: A")
+    wB = nk.hermitian_eig(B, tol, who="power_chain: B").eigenvalues
     T = A @ B
     S_seq = [herm(B)]
     residuals = [frob(T - A @ S_seq[0])]

@@ -20,18 +20,20 @@ Six global conventions keep kernels consistent across operations:
 
 * rank threshold: singular/eigen values below ``RANK_RTOL`` times the largest
   one are treated as zero everywhere (kernels, pseudo-inverses, PSD powers),
-  by :func:`numerical_rank` for singular values.  Where a matrix can be
-  rounding dust on the scale of its inputs, the cut is an absolute floor on
-  that scale instead: :func:`sylvester_intertwiners` (and its Hermitian
-  form) cuts the kernels of ``S - mu`` and ``(T - mu)*`` and clusters
-  eigenvalues at ``RANK_RTOL * max(||T||, ||S||)``, so ``T - mu = 0`` to
-  rounding has the full kernel rather than one measured against its own dust;
+  by :func:`numerical_rank` for singular values and by :func:`psd_live` for
+  a gated spectrum, whose kernel holds every eigenvalue that is not live,
+  the negative ones the gate tolerated too.  Where a matrix can be rounding
+  dust on the scale of its inputs, the cut is an absolute floor on that
+  scale instead: :func:`sylvester_intertwiners` (and its Hermitian form)
+  cuts the kernels of ``S - mu`` and ``(T - mu)*`` and clusters eigenvalues
+  at ``RANK_RTOL * max(||T||, ||S||)``, so ``T - mu = 0`` to rounding has
+  the full kernel rather than one measured against its own dust;
 * a tolerance comes only from the call (default ``DEFAULT_TOL``, relative
   Frobenius for identity checks); a :class:`Subspace` carries none;
-* one Hermitian/PSD gate, :func:`hermitian_eig`, returns the spectrum it
-  tested.  H passes as Hermitian when ||H - H*||_F <= tol (1 + ||H||_F) and as
-  PSD when its smallest eigenvalue is >= -tol (1 + ||H||), with ||H|| the
-  largest |eigenvalue|; callers that decide on a spectrum take it from the
+* one PSD gate, :func:`hermitian_eig`, returns the spectrum it tested.  H
+  passes when ||H - H*||_F <= tol (1 + ||H||_F) and its smallest eigenvalue
+  is >= -tol (1 + ||H||), with ||H|| the largest |eigenvalue|; a solve gates
+  its matrix once, and callers that decide on a spectrum take it from the
   gate instead of decomposing again; :func:`is_hermitian` and
   :func:`is_psd_spectrum` state the two tests once for every caller, and
   ``_hermitian_diagonal`` applies the PSD gate to a diagonal matrix, whose
@@ -82,6 +84,7 @@ __all__ = [
     "is_hermitian",
     "is_psd_spectrum",
     "hermitian_eig",
+    "psd_live",
     "psd_power",
     "moore_penrose",
     "loewner_leq",
@@ -236,18 +239,12 @@ class Intertwiners:
         return [np.outer(r, l.conj()) for R, L in self.blocks for r in R.T for l in L.T]
 
 
-def hermitian_eig(
-    H, tol: float = DEFAULT_TOL, psd: bool = False, who: str = "hermitian_eig", error=None
-) -> HermEig:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
+def hermitian_eig(H, tol: float = DEFAULT_TOL, who: str = "hermitian_eig", error=NotPSD) -> HermEig:
+    """Eigendecomposition of a Hermitian PSD matrix, eigenvalues ascending: the package's one PSD gate.
 
-    This is the package's one Hermitian/PSD gate.  Raises ``error`` (default
-    NotHermitian, NotPSD when ``psd`` is set) when ||H - H*||_F > tol (1 +
-    ||H||_F), and with ``psd`` also when the smallest eigenvalue is below
-    -tol (1 + max |eigenvalue|); NoConvergence if LAPACK fails.
+    Raises ``error`` when ||H - H*||_F > tol (1 + ||H||_F) or when the smallest
+    eigenvalue is below -tol (1 + max |eigenvalue|); NoConvergence if LAPACK fails.
     """
-    if error is None:
-        error = NotPSD if psd else NotHermitian
     H = as_matrix(H)
     _require_square(H, who)
     _require_hermitian(H, tol, who, error)
@@ -255,10 +252,14 @@ def hermitian_eig(
         w, v = np.linalg.eigh(0.5 * (H + H.conj().T))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergence(str(exc)) from exc
-    norm = float(max(-w[0], w[-1])) if w.size else 0.0
-    if psd:
-        _require_psd_spectrum(w, tol, who, error)
-    return HermEig(eigenvalues=w, eigenvectors=v, norm=norm)
+    _require_psd_spectrum(w, tol, who, error)
+    return HermEig(eigenvalues=w, eigenvectors=v, norm=float(max(-w[0], w[-1])) if w.size else 0.0)
+
+
+def psd_live(w) -> np.ndarray:
+    """The kernel rule on a spectrum w that passed the PSD gate, in any order: live where
+    w > RANK_RTOL max |w|, kernel elsewhere, a negative w that the gate tolerated included."""
+    return w > RANK_RTOL * np.abs(w).max(initial=0.0)
 
 
 def _hermitian_diagonal(d, tol: float, who: str, error) -> np.ndarray:
@@ -279,13 +280,13 @@ def _hermitian_diagonal(d, tol: float, who: str, error) -> np.ndarray:
 def psd_power(P, alpha: float, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Spectral power P^alpha of a PSD matrix, from the eigh of its PSD gate.
 
-    Eigenvalues below the global rank threshold are treated as exact zeros and
-    stay zero for every alpha (for alpha < 0 this is the power of the
+    Kernel eigenvalues (:func:`psd_live`) are treated as exact zeros and stay
+    zero for every alpha (for alpha < 0 this is the power of the
     Moore-Penrose inverse acting on ran P).
     """
-    eig = hermitian_eig(P, tol, psd=True, who="psd_power")
+    eig = hermitian_eig(P, tol, who="psd_power")
     w, v = eig.eigenvalues, eig.eigenvectors
-    live = w > RANK_RTOL * (max(float(w[-1]), 0.0) if w.size else 0.0)
+    live = psd_live(w)
     wa = np.zeros_like(w)
     wa[live] = w[live] ** alpha
     return (v * wa) @ v.conj().T

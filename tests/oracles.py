@@ -5,8 +5,9 @@ polynomials come from Newton's identities on traces of powers, feasibility
 from a blind lambda sweep, diagonalizability from the index-one rank test,
 and the relation form order from its definition on operator parts.  The
 Sebestyen reference solver is the earlier dense ``seb_solve``, which takes
-ker M from an SVD and lambda* from ||T M^(+1/2)||^2 instead of the single
-eigendecomposition of the library engine.  The relation references are the
+ker M and M^(+1/2) from numpy's ``eigh`` cut by hand (``_kernel_and_pinv_root``)
+and lambda* from ||T M^(+1/2)||^2 instead of the single eigendecomposition of
+the library engine and its ``numkernel.psd_live``.  The relation references are the
 earlier ``rel_parts`` (up to seven SVDs, ``mul`` and ``ker`` re-orthonormalized),
 ``rel_compose`` (one subspace intersection inside H x K x L) and
 ``rel_restrict`` (graph(B) intersected with D x K); the operator-part and
@@ -16,8 +17,8 @@ or of (D; (T_s)^(1/2) D) beside (0; M), where the library keeps the
 decomposition (dom T, {0}, T_s) or (dom T, mul T, P_s (T_s)^(1/2) P_dom).
 The relation Sebestyen reference is the earlier ``seb_relation_solve``, with
 the operator-part reference for its inclusion in T_s: it forms T*T as a relation,
-decides ker M on the compressed form of T*T (an SVD of the form of M, the
-leak measured as ||T_s D V_ker||^2) and takes lambda* and G0 from two further
+decides ker M on the compressed form of T*T (the hand cut of the form of M,
+the leak measured as ||T_s D V_ker||^2) and takes lambda* and G0 from two further
 PSD powers, where the library engine shares the one eigendecomposition of
 ``seb_solve``.  The reversed reference is the earlier ``reverse_solve``: it
 calls the library forward engine on the dual problem ((T*)^(-1), (B*)^(-1))
@@ -206,6 +207,18 @@ def form_order_leq_definition(Tlo, Thi, tol=1e-8):
     return bool(w[0] >= -tol * (1.0 + opnorm(Q)))
 
 
+def _kernel_and_pinv_root(M):
+    """An orthonormal basis of ker M and M^(+1/2) for a Hermitian M that passed a PSD gate.
+
+    The kernel rule written out apart from the library: eigenvalues of
+    numpy's ``eigh`` above RANK_RTOL times the largest |eigenvalue| are live,
+    and every other one, a tolerated negative one included, is kernel.
+    """
+    w, V = np.linalg.eigh(M)
+    live = w > RANK_RTOL * max(np.abs(w), default=0.0)
+    return V[:, ~live], (V[:, live] * w[live] ** -0.5) @ V[:, live].conj().T
+
+
 def seb_solve_reference(T, B, tol=1e-8):
     """Minimal lambda and PSD factor X for T*T <= lambda T*B, T = X B.
 
@@ -213,12 +226,12 @@ def seb_solve_reference(T, B, tol=1e-8):
     iff ker M <= ker T; then lambda* is the operator norm of
     M^(+1/2) (T*T) M^(+1/2) over ran M, G0 = T (lambda* M)^(+1/2) is a
     contraction and X = lambda* G0 G0* satisfies X B = T, ||X|| = lambda*.
-    About a dozen decompositions: eigvalsh, SVDs for ker M and every norm,
-    and two PSD powers.
+    About a dozen decompositions: eigvalsh, an eigh for ker M and M^(+1/2),
+    and SVDs for every norm.
     """
     from psdfactor.errors import HypothesisFailed
     from psdfactor.factor import SebCertificate
-    from psdfactor.numkernel import as_matrix, frob, herm, kernel_basis, opnorm, psd_power
+    from psdfactor.numkernel import as_matrix, frob, herm, opnorm
 
     T, B = as_matrix(T), as_matrix(B)
     M = T.conj().T @ B
@@ -230,8 +243,8 @@ def seb_solve_reference(T, B, tol=1e-8):
     if wmin < -tol * (1.0 + opnorm(M)):
         raise HypothesisFailed(f"seb_solve_reference: T*B has negative eigenvalue {wmin:.3e}")
 
-    km = kernel_basis(M)
-    if km.dim and opnorm(T @ km.basis) > tol * (1.0 + opnorm(T)):
+    km, mph = _kernel_and_pinv_root(M)
+    if km.shape[1] and opnorm(T @ km) > tol * (1.0 + opnorm(T)):
         return SebCertificate(
             feasible=False,
             lambda_star=math.inf,
@@ -239,10 +252,9 @@ def seb_solve_reference(T, B, tol=1e-8):
             G0=None,
             residual_xb_t=math.inf,
             norm_X=math.inf,
-            checks={"kernel_obstruction": opnorm(T @ km.basis)},
+            checks={"kernel_obstruction": opnorm(T @ km)},
         )
 
-    mph = psd_power(M, -0.5, tol=tol)
     lam = opnorm(T @ mph) ** 2
     if lam <= 0.0:
         return SebCertificate(
@@ -254,7 +266,7 @@ def seb_solve_reference(T, B, tol=1e-8):
             norm_X=0.0,
             checks={"zero_solution": True},
         )
-    G0 = T @ psd_power(lam * M, -0.5, tol=tol)
+    G0 = T @ mph / math.sqrt(lam)
     X = herm(lam * (G0 @ G0.conj().T))
     # the engine's upper-side rule from the whole spectrum, with no Cholesky
     n = X.shape[0]
@@ -441,12 +453,11 @@ def _relation_min_lambda(parts_R, parts_M, tol: float):
     D = parts_M.dom.basis
     A_R = _form_compression(parts_R, D)
     A_M = _form_compression(parts_M, D)
-    km = kernel_basis(A_M)
-    if km.dim:
-        leak = opnorm(herm(km.basis.conj().T @ A_R @ km.basis))
+    km, amp = _kernel_and_pinv_root(A_M)
+    if km.shape[1]:
+        leak = opnorm(herm(km.conj().T @ A_R @ km))
         if leak > tol * (1.0 + opnorm(A_R)):
             return None
-    amp = psd_power(A_M, -0.5, tol=tol)
     return float(opnorm(amp @ A_R @ amp))
 
 

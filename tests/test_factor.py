@@ -323,10 +323,9 @@ def test_seb_diagonal_path_matches_the_dense_path():
         for T, B in _diagonal_families(cplx):
             cert = _assert_diagonal_path_matches_dense(T, B)
             outcomes[cplx, "raise" if cert is None else cert.feasible] += 1
-            # the reference cuts M^(-1/2) below 1e-10 times the largest eigenvalue, the
-            # engine below 1e-10 times the largest |eigenvalue|: they part when the gate
-            # lets a negative eigenvalue of rounding size be the largest in magnitude
-            if cert is None or np.diagonal(herm(T.conj().T @ B)).min() < 0.0:
+            # the gate lets some families keep a negative eigenvalue of rounding size, at
+            # times the largest in magnitude: it is kernel for the reference too
+            if cert is None:
                 continue
             ref = seb_solve_reference(T, B)
             assert ref.feasible == cert.feasible
@@ -382,6 +381,25 @@ def test_seb_refuses_a_lambda_star_outside_the_float_range():
         for solve in (factor.seb_solve, factor._seb_dense):
             with pytest.raises(FloatingPointError, match=r"lambda\* of a nonzero solution is 0\.0"):
                 solve(T, B, 1e-8)
+
+
+def test_a_negative_eigenvalue_the_gate_tolerates_is_kernel():
+    # M = T*B = diag(1, -1e-9) passes the PSD gate, and -1e-9 is kernel, into which
+    # T = I leaks 1: every engine calls the pair infeasible, as both lambda sweeps do.
+    # With -1e-9 neither kernel nor live, it was feasible with lambda* = 1 and
+    # ||X B - T||_F = 1, on the diagonal path, the dense path and for relations.
+    c, s = np.cos(0.3), np.sin(0.3)
+    Q = np.array([[c, -s], [s, c]])
+    T, B = np.eye(2), np.diag([1.0, -1e-9])
+    for T, B in [(T, B), (Q @ T @ Q.T, Q @ B @ Q.T)]:
+        cert = factor.seb_solve(T, B)
+        assert not cert.feasible and cert.checks["kernel_obstruction"] == pytest.approx(1.0, rel=1e-12)
+        assert not seb_solve_reference(T, B).feasible
+        Tr, Br = rel_from_matrix(T), rel_from_matrix(B)
+        assert not factor.seb_relation_solve(Tr, Br).feasible
+        assert not seb_relation_solve_reference(Tr, Br).feasible
+        assert not proptests.lambda_sweep_feasible(T, B) and not lambda_sweep_feasible(T, B)
+    assert not factor._is_diagonal(B)  # the rotated pair took the dense path
 
 
 def test_reverse_and_quasiaffine_real_and_complex_paths_agree():
@@ -615,7 +633,7 @@ def test_relation_decomposition_counts(monkeypatch):
     # Counts are machine-independent; the earlier forms took 5, 3 and 7 SVDs for
     # compose, restrict and parts, 116, 45, 35 then 33 calls for seb_relation_solve
     # and 227, 87, 76, 39 then 37 for reverse_solve, before matrices kept their
-    # canonical decomposition.
+    # canonical decomposition; 14 and 16 while T*B was gated twice.
     rng = np.random.default_rng(31)
     n = 4
     T = rel_from_graph(rng.standard_normal((2 * n, 5)) + 1j * rng.standard_normal((2 * n, 5)), n, n)
@@ -647,18 +665,21 @@ def test_relation_decomposition_counts(monkeypatch):
     rel_sqrt(rel_from_matrix(M))
     assert calls == {"qr": 1, "eigvalsh": 1, "eigh": 1}, calls  # no svd
     calls.clear()
-    # one eigh of the form of T*B gives ker M, lambda* and G0; no T*T is formed.
-    # Parts, adjoints, products and restrictions of the matrix operands cost
-    # nothing: two SVDs (ker (T_s)* and ker X), one QR for each of the five
-    # graph bases the residuals measure, 4 spectral norms and 2 eigvalsh; the
-    # containment tests and ||F - F*|| settle on their bounds (15 calls before)
+    # one eigh of the form of T*B, its PSD gate, gives ker M, lambda* and G0; no
+    # T*T is formed.  Selfadjointness is read off the decomposition of T*B, with
+    # no graph form.  Parts, adjoints, products and restrictions of the matrix
+    # operands cost nothing: two SVDs (ker (T_s)* and ker X), one QR for each of
+    # the five graph bases the residuals measure, 4 spectral norms and the
+    # eigvalsh of lambda_max(X); the containment tests settle on their bounds
     assert factor.seb_relation_solve(Bm, Bm).feasible
-    assert sum(calls.values()) <= 14 and calls["svd"] <= 2 and calls["eigh"] == 1, calls
+    assert sum(calls.values()) <= 13 and calls["svd"] <= 2 and calls["eigh"] == 1, calls
+    assert calls["eigvalsh"] == 1, calls
     calls.clear()
     # the dual's and one SVD per inverted operand; ker T* is the dual's
     # mul (T*)^(-1), and Y's graph basis waits for a report to ask for it
     assert factor.reverse_solve(Tm, Bm).feasible
-    assert sum(calls.values()) <= 16 and calls["svd"] <= 4 and calls["eigh"] == 1, calls
+    assert sum(calls.values()) <= 15 and calls["svd"] <= 4 and calls["eigh"] == 1, calls
+    assert calls["eigvalsh"] == 1, calls
     assert calls["svdvals"] == 4, calls  # 7 before the containment tests read their bounds
     calls.clear()
     # selfadjointness is read off the graph form: eigvalsh(F), and ||F - F*|| off its

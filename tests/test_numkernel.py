@@ -44,18 +44,21 @@ def test_hermitian_eig_identity():
 
 
 def test_hermitian_eig_diagonal():
-    eig = nk.hermitian_eig(np.diag([3.0, -1.0]))
-    assert np.allclose(eig.eigenvalues, [-1.0, 3.0])
+    # the PSD gate: a PSD diagonal passes with its spectrum ascending, an indefinite one raises
+    eig = nk.hermitian_eig(np.diag([3.0, 0.0]))
+    assert np.allclose(eig.eigenvalues, [0.0, 3.0]) and eig.norm == 3.0
     assert np.allclose(np.abs(eig.eigenvectors), [[0, 1], [1, 0]])
+    with pytest.raises(NotPSD, match="min eigenvalue -1.000e[+]00"):
+        nk.hermitian_eig(np.diag([3.0, -1.0]))
 
 
 def test_hermitian_diagonal_is_the_gate_of_its_diagonal_matrix():
-    # the same raise and message as hermitian_eig(psd=True) on diag(d), or the same spectrum
+    # the same raise and message as hermitian_eig on diag(d), or the same spectrum
     for d in ([3.0, -1.0, 0.0], [2.0, 1.0 + 0.0j], [1.0 + 1e-12j, 2.0], [1.0 + 1j, 2.0], [1.0, -1e-3], [1.0, -1e-10], []):
         d = np.array(d)
         try:
-            eig = nk.hermitian_eig(np.diag(d), nk.DEFAULT_TOL, psd=True, who="gate")
-        except (NotHermitian, NotPSD) as exc:
+            eig = nk.hermitian_eig(np.diag(d), nk.DEFAULT_TOL, "gate")
+        except NotPSD as exc:
             with pytest.raises(type(exc)) as got:
                 nk._hermitian_diagonal(d, nk.DEFAULT_TOL, "gate", type(exc))
             assert str(got.value) == str(exc)
@@ -68,7 +71,7 @@ def test_hermitian_diagonal_is_the_gate_of_its_diagonal_matrix():
 def test_hermitian_eig_matches_charpoly_oracle():
     rng = np.random.default_rng(7)
     A = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    H = 0.5 * (A + A.conj().T)
+    H = A @ A.conj().T
     eig = nk.hermitian_eig(H)
     expected = np.sort(charpoly_roots(H).real)
     assert np.max(np.abs(eig.eigenvalues - expected)) <= 1e-9
@@ -77,8 +80,11 @@ def test_hermitian_eig_matches_charpoly_oracle():
 
 
 def test_hermitian_eig_rejects_nonhermitian():
-    with pytest.raises(NotHermitian):
+    # the gate's one error for both tests, unless the caller names another
+    with pytest.raises(NotPSD, match="deviation from Hermitian"):
         nk.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(NotHermitian):
+        nk.hermitian_eig(np.array([[1.0, 1.0], [0.0, 1.0]]), error=NotHermitian)
 
 
 def test_psd_power_trivials():
@@ -103,6 +109,24 @@ def test_psd_power_semigroup_on_range():
                 lhs = nk.psd_power(P, a) @ nk.psd_power(P, b)
                 rhs = nk.psd_power(P, a + b)
                 assert nk.frob(lhs - rhs) <= 1e-8 * (1 + nk.frob(rhs))
+
+
+def test_psd_live_is_the_kernel_rule_in_any_order():
+    # live is w > RANK_RTOL max |w|; the rest is kernel, a tolerated negative eigenvalue included
+    w = np.array([3.0, -1e-9, 0.0, 2e-10, 4e-10, -5e-10])
+    assert nk.psd_live(w).tolist() == [True, False, False, False, True, False]
+    assert nk.psd_live(np.array([-1e-9, 1e-20])).tolist() == [False, False]
+    assert not nk.psd_live(np.zeros(3)).any() and nk.psd_live(np.zeros(0)).shape == (0,)
+
+
+def test_psd_power_keeps_a_tolerated_negative_eigenvalue_in_the_kernel():
+    # dust whose most negative eigenvalue is the largest in magnitude: 1e-20 is below
+    # RANK_RTOL 1e-9, so the whole spectrum is kernel and every power is 0 (measured
+    # against the largest positive eigenvalue, 1e-20 was live and P^(-1/2) of size 1e10)
+    Q = random_unitary(np.random.default_rng(13), 2)
+    P = (Q * [-1e-9, 1e-20]) @ Q.conj().T
+    for alpha in (-1.0, -0.5, 0.5, 1.0):
+        assert not nk.psd_power(P, alpha).any(), alpha
 
 
 def test_psd_power_rejects_indefinite():
