@@ -385,9 +385,7 @@ def test_seb_refuses_a_lambda_star_outside_the_float_range():
 
 def test_a_negative_eigenvalue_the_gate_tolerates_is_kernel():
     # M = T*B = diag(1, -1e-9) passes the PSD gate, and -1e-9 is kernel, into which
-    # T = I leaks 1: every engine calls the pair infeasible, as both lambda sweeps do.
-    # With -1e-9 neither kernel nor live, it was feasible with lambda* = 1 and
-    # ||X B - T||_F = 1, on the diagonal path, the dense path and for relations.
+    # T = I leaks 1: every engine calls the pair infeasible, as both lambda sweeps do
     c, s = np.cos(0.3), np.sin(0.3)
     Q = np.array([[c, -s], [s, c]])
     T, B = np.eye(2), np.diag([1.0, -1e-9])

@@ -121,8 +121,7 @@ def test_psd_live_is_the_kernel_rule_in_any_order():
 
 def test_psd_power_keeps_a_tolerated_negative_eigenvalue_in_the_kernel():
     # dust whose most negative eigenvalue is the largest in magnitude: 1e-20 is below
-    # RANK_RTOL 1e-9, so the whole spectrum is kernel and every power is 0 (measured
-    # against the largest positive eigenvalue, 1e-20 was live and P^(-1/2) of size 1e10)
+    # RANK_RTOL 1e-9, so the whole spectrum is kernel and every power is 0
     Q = random_unitary(np.random.default_rng(13), 2)
     P = (Q * [-1e-9, 1e-20]) @ Q.conj().T
     for alpha in (-1.0, -0.5, 0.5, 1.0):
